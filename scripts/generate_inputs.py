@@ -16,7 +16,7 @@ Reproduce the headline numbers with::
 
     qplane specmap log_xy.qfn.json --n 32        # last line <= 1e-8
     qplane specmap orbit_log.qfn.json --n 24     # last line <= 1e-6
-    qplane decay log_xy_mixed.series.json --trunc 32   # ratio column <= 1
+    qplane decay log_xy_mixed.series.json        # ratio column <= 1
 """
 
 import argparse

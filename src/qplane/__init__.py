@@ -6,7 +6,6 @@ matrix model with a two-variable holomorphic calculus, and an axis
 scanner for the joint spectrum of the parametrized complex.
 """
 
-from ._accel import BACKEND, NUMBA_ENABLED
 from .errors import (
     InputFormatError,
     NonConvergenceError,
@@ -17,8 +16,6 @@ from .errors import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
-    "NUMBA_ENABLED",
     "QPlaneError",
     "InputFormatError",
     "PreconditionError",

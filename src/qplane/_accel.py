@@ -1,46 +1,35 @@
-"""Hot numeric kernels: numba-jitted loops with pure-numpy fallbacks.
+"""Hot numeric kernels: the untruncated twisted product and power formula.
 
-Backend selection happens once at import time via the environment
-variable ``QPLANE_BACKEND``:
+One numpy implementation each.  The product is one Toeplitz matmul per
+nonzero column of the left factor; the power formula enumerates its
+index tuples :data:`CHUNK` at a time, which keeps its temporaries small
+(well below 1 MiB).  :mod:`qplane.qalgebra` calls both through the
+module attributes ``qmul_full`` and ``qpow_formula``.
 
-* unset          -- use numba when importable, else fall back to numpy
-* ``numba``      -- require the jitted kernels (raise if numba is missing)
-* ``numpy``      -- force the pure-numpy fallbacks
-
-Both implementations of each kernel are always exported (the numba ones
-are ``None`` when unavailable) so ``benchmarks/bench_kernels.py`` can
-time them side by side.  The dispatched names used by the library are
-``qmul_full`` and ``qpow_formula``.
+For ``|q| > 1`` a twist ``q^e`` can overflow.  Every cell that a term
+with an overflowed twist lands in is non-finite, and no other cell is
+touched by it: ``0 * inf`` never spreads a NaN to its neighbours.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-_CHOICE = os.environ.get("QPLANE_BACKEND", "").strip().lower()
-if _CHOICE not in ("", "numba", "numpy"):
-    raise RuntimeError(
-        f"QPLANE_BACKEND must be 'numba' or 'numpy', got {_CHOICE!r}"
-    )
-
-if _CHOICE in ("", "numba"):
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        if _CHOICE == "numba":
-            raise RuntimeError("QPLANE_BACKEND=numba but numba is not importable")
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
-
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"
+CHUNK = 2048  # index tuples per step of qpow_formula
 
 
-def qmul_full_numpy(a: np.ndarray, b: np.ndarray, q: complex) -> np.ndarray:
+def _toeplitz(v: np.ndarray, width: int) -> np.ndarray:
+    """Banded Toeplitz matrix ``T[r, j] = v[r - j]`` of shape ``(len(v)+width-1, width)``.
+
+    ``T @ m`` convolves ``v`` with every column of ``m``.
+    """
+    pad = np.zeros(width - 1, dtype=v.dtype)
+    windows = sliding_window_view(np.concatenate([pad, v, pad]), width)
+    return np.ascontiguousarray(windows[:, ::-1])
+
+
+def qmul_full(a: np.ndarray, b: np.ndarray, q: complex) -> np.ndarray:
     """Untruncated normal-ordered product of two coefficient tables.
 
     ``a[i, k]`` is the coefficient of the monomial with x-degree ``i``
@@ -50,29 +39,45 @@ def qmul_full_numpy(a: np.ndarray, b: np.ndarray, q: complex) -> np.ndarray:
         out[n, m] = sum_{i1+i2=n, k1+k2=m} q^(i2*k1) a[i1,k1] b[i2,k2].
 
     The result has shape ``(da+db+1, ka+kb+1)``; truncation (and the
-    loss flag) is the caller's business.
+    loss flag) is the caller's business.  Column ``k1`` of ``a``,
+    trimmed to its nonzero span, convolves every column of ``b``'s
+    nonzero bounding box with rows scaled by q^(i2*k1).  Scaled entries
+    that overflow stay out of that matmul, and the cells their terms
+    reach are set to NaN.
     """
-    da, ka = a.shape[0] - 1, a.shape[1] - 1
-    db, kb = b.shape[0] - 1, b.shape[1] - 1
-    out = np.zeros((da + db + 1, ka + kb + 1), dtype=np.complex128)
-    i2 = np.arange(db + 1)
-    for k1 in range(ka + 1):
-        col = a[:, k1]
-        if not col.any():
-            continue
-        # Scale b's rows by q^(i2*k1); guard 0 * inf when |q| > 1 and the
-        # exponent overflows on cells that are zero anyway.
-        with np.errstate(over="ignore", invalid="ignore"):
-            twist = np.power(q, i2 * k1)
-            scaled = np.where(b != 0, b * twist[:, None], 0)
-        for k2 in range(kb + 1):
-            g = scaled[:, k2]
-            if g.any():
-                out[:, k1 + k2] += np.convolve(col, g)
+    q = complex(q)
+    out = np.zeros(
+        (a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1),
+        dtype=np.complex128,
+    )
+    rows = np.flatnonzero(b.any(axis=1))
+    cols = np.flatnonzero(b.any(axis=0))
+    if rows.size == 0:
+        return out
+    r0, r1, c0, c1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
+    box = b[r0:r1, c0:c1]
+    i2 = np.arange(r0, r1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k1 in np.flatnonzero(a.any(axis=0)):
+            nz = np.flatnonzero(a[:, k1])
+            span = a[nz[0] : nz[-1] + 1, k1]
+            scaled = box * np.power(q, i2 * k1)[:, None]
+            overflowed = ~np.isfinite(scaled)
+            if overflowed.any():
+                scaled[overflowed] = 0
+                overflowed &= box != 0  # a zero entry times inf is no term
+            block = out[nz[0] + r0 : nz[-1] + r1, k1 + c0 : k1 + c1]
+            if nz.size == 1:  # the Toeplitz matrix would be a multiple of I
+                block += span[0] * scaled
+            else:
+                block += _toeplitz(span, r1 - r0) @ scaled
+            if overflowed.any():
+                hits = _toeplitz((span != 0).astype(float), r1 - r0) @ overflowed
+                block[hits > 0] = np.nan
     return out
 
 
-def qpow_formula_numpy(
+def qpow_formula(
     ii: np.ndarray, kk: np.ndarray, aa: np.ndarray, s: int, q: complex
 ) -> np.ndarray:
     """s-th power of a sparse table by direct multi-index enumeration.
@@ -83,111 +88,40 @@ def qpow_formula_numpy(
     couples each y-degree with the x-degrees of all later factors:
 
         e = sum_{t=1}^{s-1} (i_{t+1} + ... + i_s) * k_t.
-    """
-    import itertools
 
+    Tuples are taken in lexicographic order, :data:`CHUNK` at a time.
+    Each tuple's base-``m`` digits are peeled off its rank from the last
+    factor to the first, so the running x-weight is the suffix sum that
+    the next y-degree couples to.
+    """
+    q = complex(q)
     m = len(ii)
     mi, mk = int(ii.max()), int(kk.max())
-    out = np.zeros((s * mi + 1, s * mk + 1), dtype=np.complex128)
-    for idx in itertools.product(range(m), repeat=s):
-        coeff = 1.0 + 0.0j
-        wi = 0
-        wk = 0
-        for t in idx:
-            coeff *= aa[t]
-            wi += ii[t]
-            wk += kk[t]
-        if coeff == 0:
-            continue
-        exp = 0
-        suffix = 0
-        for t in range(s - 1, 0, -1):
-            suffix += ii[idx[t]]
-            exp += suffix * kk[idx[t - 1]]
-        out[wi, wk] += coeff * q**exp
+    shape = (s * mi + 1, s * mk + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.power(q, np.arange(mi * mk * s * (s - 1) // 2 + 1))
+    total = m**s
+    re = np.zeros(shape[0] * shape[1])
+    im = np.zeros_like(re)
+    for start in range(0, total, CHUNK):
+        rank = np.arange(start, min(start + CHUNK, total))
+        coeff = np.ones(rank.size, dtype=np.complex128)
+        wi, wk, e = np.zeros((3, rank.size), dtype=np.int64)
+        for _ in range(s):
+            rank, digit = np.divmod(rank, m)
+            k = kk[digit]
+            e += wi * k
+            wi += ii[digit]
+            wk += k
+            coeff *= aa[digit]
+        with np.errstate(over="ignore", invalid="ignore"):
+            term = coeff * powers[e]
+        cell = wi * shape[1] + wk
+        base = cell.min()
+        for acc, part in ((re, term.real), (im, term.imag)):
+            seg = np.bincount(cell - base, weights=part)
+            acc[base : base + seg.size] += seg
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = re.reshape(shape)
+    out.imag = im.reshape(shape)
     return out
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _qmul_full_jit(a, b, q):  # pragma: no cover - exercised via dispatch
-        da = a.shape[0] - 1
-        ka = a.shape[1] - 1
-        db = b.shape[0] - 1
-        kb = b.shape[1] - 1
-        out = np.zeros((da + db + 1, ka + kb + 1), dtype=np.complex128)
-        for k1 in range(ka + 1):
-            for i1 in range(da + 1):
-                av = a[i1, k1]
-                if av == 0:
-                    continue
-                for i2 in range(db + 1):
-                    tw = av * q ** (i2 * k1)
-                    for k2 in range(kb + 1):
-                        bv = b[i2, k2]
-                        if bv != 0:
-                            out[i1 + i2, k1 + k2] += tw * bv
-        return out
-
-    @njit(cache=True)
-    def _qpow_formula_jit(ii, kk, aa, s, q):  # pragma: no cover
-        m = ii.shape[0]
-        mi = 0
-        mk = 0
-        for t in range(m):
-            mi = max(mi, ii[t])
-            mk = max(mk, kk[t])
-        out = np.zeros((s * mi + 1, s * mk + 1), dtype=np.complex128)
-        idx = np.zeros(s, dtype=np.int64)
-        total = m**s
-        for _ in range(total):
-            coeff = 1.0 + 0.0j
-            wi = 0
-            wk = 0
-            for t in range(s):
-                e = idx[t]
-                coeff *= aa[e]
-                wi += ii[e]
-                wk += kk[e]
-            if coeff != 0:
-                exp = 0
-                suffix = 0
-                for t in range(s - 1, 0, -1):
-                    suffix += ii[idx[t]]
-                    exp += suffix * kk[idx[t - 1]]
-                out[wi, wk] += coeff * q**exp
-            for t in range(s - 1, -1, -1):
-                idx[t] += 1
-                if idx[t] < m:
-                    break
-                idx[t] = 0
-        return out
-
-    def qmul_full_numba(a, b, q):
-        return _qmul_full_jit(
-            np.ascontiguousarray(a, dtype=np.complex128),
-            np.ascontiguousarray(b, dtype=np.complex128),
-            complex(q),
-        )
-
-    def qpow_formula_numba(ii, kk, aa, s, q):
-        return _qpow_formula_jit(
-            np.ascontiguousarray(ii, dtype=np.int64),
-            np.ascontiguousarray(kk, dtype=np.int64),
-            np.ascontiguousarray(aa, dtype=np.complex128),
-            int(s),
-            complex(q),
-        )
-
-else:
-    qmul_full_numba = None
-    qpow_formula_numba = None
-
-
-if NUMBA_ENABLED:
-    qmul_full = qmul_full_numba
-    qpow_formula = qpow_formula_numba
-else:
-    qmul_full = qmul_full_numpy
-    qpow_formula = qpow_formula_numpy

@@ -31,13 +31,11 @@ EXIT_NONCONVERGENCE = 4
 @dataclass(frozen=True)
 class RunConfig:
     q: complex
-    trunc: int
     n: int
     rho: float
     rho_x: float
     rho_y: float
     smax: int
-    tol: float
     rank_tol: float
     seed: int
     output: str
@@ -45,8 +43,6 @@ class RunConfig:
     def __post_init__(self):
         if self.q == 0:
             raise PreconditionError("q must be nonzero")
-        if self.trunc < 0:
-            raise PreconditionError(f"truncation degree must be >= 0, got {self.trunc}")
         if self.n < 1:
             raise PreconditionError(f"dimension must be >= 1, got {self.n}")
         for name, val in (("rho", self.rho), ("rho-x", self.rho_x), ("rho-y", self.rho_y)):
@@ -57,13 +53,11 @@ class RunConfig:
 def _config(args) -> RunConfig:
     return RunConfig(
         q=complex(args.q_re, args.q_im),
-        trunc=args.trunc,
         n=args.n,
         rho=args.rho,
         rho_x=args.rho_x,
         rho_y=args.rho_y,
         smax=args.smax,
-        tol=args.tol,
         rank_tol=args.rank_tol,
         seed=args.seed,
         output=args.output,
@@ -281,13 +275,11 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = common.add_argument_group("shared options")
     shared.add_argument("--q-re", type=float, default=0.5, help="Re q (default 0.5)")
     shared.add_argument("--q-im", type=float, default=0.0, help="Im q (default 0)")
-    shared.add_argument("--trunc", type=int, default=32, help="truncation degree D")
     shared.add_argument("--n", type=int, default=16, help="matrix dimension N")
     shared.add_argument("--rho", type=float, default=1.0, help="seminorm radius")
     shared.add_argument("--rho-x", type=float, default=1.0, help="x seminorm radius")
     shared.add_argument("--rho-y", type=float, default=1.0, help="y seminorm radius")
     shared.add_argument("--smax", type=int, default=8, help="largest power in decay profiles")
-    shared.add_argument("--tol", type=float, default=1e-10, help="report tolerance")
     shared.add_argument("--rank-tol", type=float, default=koszul.DEFAULT_RANK_TOL,
                         help="relative singular-value threshold for ranks")
     shared.add_argument("--seed", type=int, default=0, help="seed for sampled checks")

@@ -233,6 +233,15 @@ def _check_compatible(f: QSeries, g: QSeries) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _finite(table: np.ndarray, q: complex, d: int, what: str) -> np.ndarray:
+    """``table`` itself, or a :class:`PreconditionError` if it overflowed."""
+    if not np.all(np.isfinite(table)):
+        raise PreconditionError(
+            f"the {what} overflows at |q| = {abs(q):g} inside the degree-{d} table"
+        )
+    return table
+
+
 def qmul(f: QSeries, g: QSeries) -> QSeries:
     """Normal-ordered product, truncated back to the shared degree.
 
@@ -240,14 +249,16 @@ def qmul(f: QSeries, g: QSeries) -> QSeries:
 
         (fg)[n, m] = sum q^(i2*k1) f[i1, k1] g[i2, k2]
 
-    over ``i1+i2 = n``, ``k1+k2 = m``.  Dispatches to the selected
-    backend kernel; the full product table is formed so that discarded
-    nonzero mass beyond the truncation degree sets ``lossy``.
+    over ``i1+i2 = n``, ``k1+k2 = m``.  The full product table is
+    formed (:func:`qplane._accel.qmul_full`) so that discarded nonzero
+    mass beyond the truncation degree sets ``lossy``; a twist that
+    overflows there only sets ``lossy``, one that overflows inside the
+    table raises :class:`PreconditionError`.
     """
     _check_compatible(f, g)
     d = f.trunc_degree
     full = _accel.qmul_full(f.coeffs, g.coeffs, f.q)
-    out = full[: d + 1, : d + 1]
+    out = _finite(full[: d + 1, : d + 1], f.q, d, "product")
     lost = bool(np.any(full[d + 1 :, :] != 0)) or bool(np.any(full[:, d + 1 :] != 0))
     return QSeries(f.q, out, lossy=f.lossy or g.lossy or lost)
 
@@ -324,7 +335,8 @@ def qpow(f: QSeries, s: int, method: str = "repeated") -> QSeries:
     s-tuples drawn from the support of ``f``: the tuple with x-degrees I
     and y-degrees K contributes its coefficient product times
     ``q**q_exponent(I, K)`` to cell ``(|I|, |K|)``.  The enumeration is
-    refused above :data:`QPOW_FORMULA_CAP` tuples.
+    refused above :data:`QPOW_FORMULA_CAP` tuples.  Either method raises
+    :class:`PreconditionError` when a twist overflows inside the table.
     """
     if s < 1:
         raise PreconditionError(f"power must be >= 1, got {s}")
@@ -353,7 +365,7 @@ def qpow(f: QSeries, s: int, method: str = "repeated") -> QSeries:
     out = np.zeros((d + 1, d + 1), dtype=np.complex128)
     ci = min(d + 1, full.shape[0])
     ck = min(d + 1, full.shape[1])
-    out[:ci, :ck] = full[:ci, :ck]
+    out[:ci, :ck] = _finite(full[:ci, :ck], f.q, d, "power")
     lost = bool(np.any(full[ci:, :] != 0)) or bool(np.any(full[:, ck:] != 0))
     return QSeries(f.q, out, lossy=f.lossy or lost)
 

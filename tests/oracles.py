@@ -8,6 +8,8 @@ library, not a shared bug.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from qplane.qalgebra import QSeries
@@ -38,6 +40,32 @@ def naive_qmul(fa: np.ndarray, fb: np.ndarray, q: complex) -> np.ndarray:
                     out[i1 + i2, k1 + k2] += (
                         complex(q) ** (i2 * k1) * fa[i1, k1] * fb[i2, k2]
                     )
+    return out
+
+
+def naive_qpow_formula(ii, kk, aa, s: int, q: complex) -> np.ndarray:
+    """Untruncated s-th power by a plain loop over every s-tuple of support terms.
+
+    The tuple drawing monomials ``(ii[t], kk[t])`` with coefficients
+    ``aa[t]`` adds its coefficient product times
+    ``q^(sum_t (i_{t+1} + ... + i_s) k_t)`` to cell ``(|I|, |K|)``.
+    """
+    m = len(ii)
+    out = np.zeros((s * int(max(ii)) + 1, s * int(max(kk)) + 1), dtype=complex)
+    for idx in itertools.product(range(m), repeat=s):
+        coeff = 1 + 0j
+        for t in idx:
+            coeff *= complex(aa[t])
+        if coeff == 0:
+            continue
+        exp = 0
+        suffix = 0
+        for t in range(s - 1, 0, -1):
+            suffix += int(ii[idx[t]])
+            exp += suffix * int(kk[idx[t - 1]])
+        wi = sum(int(ii[t]) for t in idx)
+        wk = sum(int(kk[t]) for t in idx)
+        out[wi, wk] += coeff * complex(q) ** exp
     return out
 
 

@@ -91,6 +91,25 @@ class TestSeriesCommands:
         write_series(b, QSeries.one(0.25, 3))
         assert run(["mul", a, b]) == cli.EXIT_PRECONDITION
 
+    def test_mul_overflow_is_precondition(self, tmp_path, rng, capsys):
+        # dense D = 64 tables at q = 1.5: twists up to 1.5^4096 overflow in the box
+        paths = []
+        for name in ("a", "b"):
+            table = rng.standard_normal((65, 65)) + 1j * rng.standard_normal((65, 65))
+            paths.append(tmp_path / f"{name}.json")
+            write_series(paths[-1], QSeries(1.5, table))
+        assert run(["mul", *paths]) == cli.EXIT_PRECONDITION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "|q| = 1.5" in err[0] and "degree-64" in err[0]
+
+    def test_unread_flags_are_gone(self, tmp_path):
+        src = tmp_path / "f.json"
+        write_series(src, QSeries.monomial(Q, 4, 1, 1))
+        for flag in ("--trunc", "--tol"):
+            with pytest.raises(SystemExit):
+                run(["decay", src, flag, "1"])
+
     def test_pow_one_round_trips_file(self, tmp_path):
         f = QSeries.from_terms(Q, 5, [(1, 2, 0.3 - 1j), (0, 1, 2.0)])
         src, out = tmp_path / "f.json", tmp_path / "g.json"

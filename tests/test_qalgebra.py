@@ -1,13 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from qplane import _accel
 from qplane import qalgebra as qa
 from qplane.errors import PreconditionError
 from qplane.qalgebra import QSeries
 
-from oracles import naive_qmul, random_qseries
+from oracles import naive_qmul, naive_qpow_formula, random_qseries
 
 Q = 0.5
 
@@ -134,6 +136,121 @@ class TestQPow:
     def test_rejects_bad_power(self):
         with pytest.raises(PreconditionError):
             qa.qpow(QSeries.one(Q, 2), 0)
+
+
+def kernel_tables(rng, shape, d):
+    """Left and right factor tables of one sparsity pattern at degree ``d``."""
+
+    def noise(rows, cols):
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+    n = d + 1
+    a = np.zeros((n, n), dtype=complex)
+    b = np.zeros((n, n), dtype=complex)
+    if shape == "dense":
+        return noise(n, n), noise(n, n)
+    if shape == "single-column":
+        a[:, d // 2] = noise(n, 1)[:, 0]
+        return a, noise(n, n)
+    if shape == "single-row":
+        a[d // 2, :] = noise(1, n)[0]
+        b[d // 3, :] = noise(1, n)[0]
+        return a, b
+    if shape == "banded":
+        band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 2
+        return noise(n, n) * band, noise(n, n) * band
+    if shape == "all-zero":
+        return a, noise(n, n)
+    assert shape == "rectangular"
+    return noise(n, d // 2 + 2), noise(d // 3 + 1, n + 1)
+
+
+def assert_scaled_close(got, want, rtol=1e-12):
+    assert got.shape == want.shape
+    scale = np.max(np.abs(want), initial=0.0)
+    assert np.max(np.abs(got - want), initial=0.0) <= rtol * scale
+
+
+# the oracle needs about 2 s for a dense D = 33 product, so that size runs
+# at one q only: the one with |q| > 1 and a phase
+KERNEL_CASES = [
+    (shape, d, q)
+    for shape in ("dense", "single-column", "single-row", "banded", "all-zero", "rectangular")
+    for d in (0, 1, 16, 33)
+    for q in (0.5 + 0.25j, 1.5, -0.7 + 0.9j)
+    if not (shape == "dense" and d == 33 and q != -0.7 + 0.9j)
+]
+
+
+class TestKernels:
+    @pytest.mark.parametrize("shape, d, q", KERNEL_CASES)
+    def test_product_matches_naive_oracle(self, shape, d, q):
+        rng = np.random.default_rng(1000 * d + len(shape))
+        a, b = kernel_tables(rng, shape, d)
+        assert_scaled_close(_accel.qmul_full(a, b, q), naive_qmul(a, b, q))
+
+    def test_overflow_outside_the_table_only_sets_lossy(self):
+        # x^10 y^30 * (x^35 + 1) at q = 2: the only twist that overflows,
+        # 2^(35*30), belongs to the term at (45, 30), outside the D = 40 box
+        f = QSeries.monomial(2.0, 40, 10, 30)
+        g = QSeries.from_terms(2.0, 40, [(35, 0, 1.0), (0, 0, 1.0)])
+        full = _accel.qmul_full(f.coeffs, g.coeffs, f.q)
+        assert np.argwhere(~np.isfinite(full)).tolist() == [[45, 30]]
+        out = qa.qmul(f, g)
+        assert out.lossy
+        assert out.terms() == [(10, 30, 1 + 0j)]
+
+    def test_overflow_inside_the_table_raises(self):
+        f = QSeries.monomial(2.0, 40, 0, 35)
+        g = QSeries.monomial(2.0, 40, 35, 0)
+        with pytest.raises(PreconditionError, match=r"\|q\| = 2 inside the degree-40"):
+            qa.qmul(f, g)
+
+    def test_power_overflow_raises_for_both_methods(self):
+        f = QSeries.monomial(2.0, 100, 40, 40)  # its square carries q^1600
+        for method in ("repeated", "formula"):
+            with pytest.raises(PreconditionError, match="overflows"):
+                qa.qpow(f, 2, method)
+
+    def test_only_cells_an_overflowed_term_reaches_are_non_finite(self, rng):
+        # |q|^e overflows exactly for e = i2*k1 > 20; every cell the other
+        # terms reach stays finite and matches the loop over those terms
+        q = 1e15 * np.exp(0.3j)
+        a = rng.standard_normal((13, 13)) + 1j * rng.standard_normal((13, 13))
+        b = rng.standard_normal((13, 13)) + 1j * rng.standard_normal((13, 13))
+        a[a.real > 1.0] = 0
+        b[b.imag > 1.0] = 0
+        want = np.zeros((25, 25), dtype=complex)
+        reached = np.zeros((25, 25), dtype=bool)
+        for (i1, k1), (i2, k2) in itertools.product(np.argwhere(a), np.argwhere(b)):
+            if i2 * k1 > 20:
+                reached[i1 + i2, k1 + k2] = True
+            else:
+                want[i1 + i2, k1 + k2] += complex(q) ** (i2 * k1) * a[i1, k1] * b[i2, k2]
+        got = _accel.qmul_full(a, b, q)
+        assert np.array_equal(~np.isfinite(got), reached)
+        assert_scaled_close(got[~reached], want[~reached])
+
+    @pytest.mark.parametrize("q", [0.5, 2.0])
+    @pytest.mark.parametrize(
+        "case, m, s",
+        [("below", 3, 6), ("equal", 2, 11), ("ragged", 3, 7), ("single", 1, 5)],
+    )
+    def test_formula_matches_tuple_loop(self, case, m, s, q):
+        total = m**s
+        assert {
+            "below": total < _accel.CHUNK,
+            "equal": total == _accel.CHUNK,
+            "ragged": total > _accel.CHUNK and total % _accel.CHUNK != 0,
+            "single": m == 1,
+        }[case]
+        rng = np.random.default_rng(10 * m + s)
+        cells = rng.choice(16, size=m, replace=False)
+        ii, kk = cells // 4, cells % 4
+        aa = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        assert_scaled_close(
+            _accel.qpow_formula(ii, kk, aa, s, q), naive_qpow_formula(ii, kk, aa, s, q)
+        )
 
 
 class TestDecompose:
