@@ -5,8 +5,11 @@ see ``qplane --help``.  Exit codes: 0 success, 2 malformed input,
 3 precondition violation, 4 numerical non-convergence -- with a single
 machine-readable ``error: ...`` line on stderr.
 
-A fixed ``--seed`` makes every command deterministic end to end: equal
-configurations produce byte-identical output files.
+Every command is deterministic end to end: equal configurations produce
+byte-identical output files.  ``--seed`` is accepted by every subcommand
+but reserved: no subcommand samples at random, so nothing reads it yet.
+A series that lost mass to truncation says so in its JSON (``"lossy"``)
+and ``decay`` in its ``lossy`` column.
 """
 
 from __future__ import annotations
@@ -156,9 +159,9 @@ def cmd_decay(cfg: RunConfig, args) -> int:
         for s, value in enumerate(profile.values, start=1):
             bound = abs(f.q) ** ((s - 1) / 2.0) * norm_f
             ratio = value / bound if bound > 0 else 0.0
-            rows.append([s, value, bound, ratio])
+            rows.append([s, value, bound, ratio, int(profile.lossy)])
     with _open_out(cfg.output) as fp:
-        fileio.write_csv(fp, ["s", "root_norm", "bound", "ratio"], rows)
+        fileio.write_csv(fp, ["s", "root_norm", "bound", "ratio", "lossy"], rows)
     return EXIT_OK
 
 
@@ -172,9 +175,8 @@ def cmd_qhull(cfg: RunConfig, args) -> int:
     base = fileio.diskunion_from_payload(_load_payload(args.disks))
     points = fileio.points_from_payload(_load_payload(args.points))
     hull = qtopology.QHull(base, cfg.q)
-    rows = [
-        [z.real, z.imag, int(hull.contains(z))] for z in points
-    ]
+    member = hull.contains_many(np.asarray(points, dtype=np.complex128))
+    rows = [[z.real, z.imag, int(m)] for z, m in zip(points, member)]
     with _open_out(cfg.output) as fp:
         fileio.write_csv(fp, ["z_re", "z_im", "member"], rows)
     return EXIT_OK
@@ -282,7 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--smax", type=int, default=8, help="largest power in decay profiles")
     shared.add_argument("--rank-tol", type=float, default=koszul.DEFAULT_RANK_TOL,
                         help="relative singular-value threshold for ranks")
-    shared.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    shared.add_argument("--seed", type=int, default=0,
+                        help="reserved for sampled checks; no subcommand reads it yet")
     shared.add_argument("--output", default="-", help="output path ('-' for stdout)")
 
     parser = argparse.ArgumentParser(

@@ -2,8 +2,9 @@
 
 All structured inputs are JSON:
 
-* series:        ``{"q": [re, im], "trunc": D,
+* series:        ``{"q": [re, im], "trunc": D, "lossy": false,
                     "terms": [{"i": .., "k": .., "re": .., "im": ..}, ..]}``
+                 (``lossy`` is optional on input and reads as ``false``)
 * function rep:  ``{"q": [re, im], "r_x": .., "r_y": ..,
                     "f_list": [[[re, im], ..], ..]}``
 * disk union:    ``[{"re": .., "im": .., "radius": ..}, ..]``
@@ -82,6 +83,7 @@ def qseries_to_payload(f: QSeries) -> dict:
     return {
         "q": [f.q.real, f.q.imag],
         "trunc": f.trunc_degree,
+        "lossy": f.lossy,
         "terms": [
             {"i": i, "k": k, "re": c.real, "im": c.imag} for i, k, c in f.terms()
         ],
@@ -94,6 +96,8 @@ def qseries_from_payload(payload) -> QSeries:
         _require(key in payload, f"series payload missing field {key!r}")
     q = _complex_pair(payload["q"], "q")
     _require(q != 0, "q must be nonzero")
+    lossy = payload.get("lossy", False)
+    _require(isinstance(lossy, bool), f"lossy must be true or false, got {lossy!r}")
     trunc = payload["trunc"]
     _require(isinstance(trunc, int) and trunc >= 0,
              f"trunc must be a nonnegative integer, got {trunc!r}")
@@ -110,7 +114,7 @@ def qseries_from_payload(payload) -> QSeries:
                  f"term ({i}, {k}) exceeds truncation degree {trunc}")
         table[i, k] += complex(_finite_float(rec["re"], "term re"),
                                _finite_float(rec["im"], "term im"))
-    return QSeries(q, table)
+    return QSeries(q, table, lossy=lossy)
 
 
 # ---------------------------------------------------------------------------

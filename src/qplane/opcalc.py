@@ -11,6 +11,7 @@ resolvent/decay identity checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -213,6 +214,53 @@ def spectral_radius(m: np.ndarray) -> float:
     return float(np.max(np.abs(ev))) if ev.size else 0.0
 
 
+def _eval_columns(cols: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``sum_m c_m(T) S^m`` for the coefficient table ``cols[m] = c_m``.
+
+    Right Horner in ``S`` from the top nonzero column down,
+    ``acc = acc @ S + c_m(T)``.  Each ``c_m(T)`` is evaluated by
+    Paterson-Stockmeyer: with ``p = ceil(sqrt(deg + 1))`` and ``deg`` the
+    top degree of the table, ``T^1 .. T^(p-1)`` and ``T^p`` are formed
+    once, the coefficients of ``c_m`` split into blocks of ``p``, each
+    block becomes a linear combination of the stored powers, and the
+    blocks are combined by Horner in ``T^p``.  Only those ``p`` powers
+    are kept, never a table of all powers or of all ``c_m(T)``.
+    """
+    n = t.shape[0]
+    rows = np.flatnonzero(cols.any(axis=1))
+    if rows.size == 0:
+        return np.zeros((n, n), dtype=np.complex128)
+    deg = int(np.flatnonzero(cols.any(axis=0))[-1])
+    p = math.ceil(math.sqrt(deg + 1))
+    powers = np.empty((p - 1, n, n), dtype=np.complex128)  # T^1 .. T^(p-1)
+    for j in range(p - 1):
+        powers[j] = powers[j - 1] @ t if j else t
+    t_p = powers[-1] @ t if p > 1 else None
+    flat = powers.reshape(p - 1, n * n)
+
+    def block(c: np.ndarray) -> np.ndarray:
+        """``sum_j c[j] T^j`` over one block of at most ``p`` coefficients."""
+        out = c[1:] @ flat[: c.size - 1]
+        out[:: n + 1] += c[0]
+        return out.reshape(n, n)
+
+    acc = None
+    for m in range(int(rows[-1]), -1, -1):
+        if acc is not None:
+            acc = acc @ s
+        c = cols[m, : deg + 1]
+        nz = np.flatnonzero(c)
+        if nz.size == 0:
+            continue
+        top = int(nz[-1]) // p
+        val = block(c[top * p : (top + 1) * p])
+        for b in range(top - 1, -1, -1):
+            val = val @ t_p
+            val += block(c[b * p : (b + 1) * p])
+        acc = val if acc is None else acc + val
+    return acc
+
+
 def calc(f: QFunctionRep, pair: OperatorPair, check_spectra: bool = True) -> np.ndarray:
     """Evaluate ``sum_n f_n(T) S^n`` on the pair.
 
@@ -222,6 +270,11 @@ def calc(f: QFunctionRep, pair: OperatorPair, check_spectra: bool = True) -> np.
     of the untruncated model badly -- the shift truncates to a nilpotent
     matrix -- so passing this check says nothing about the infinite
     model; see :func:`harte_model_spectrum` for the analytic picture.
+
+    Evaluation order: right Horner in ``S`` over the coefficient
+    functions, ``acc = acc @ S + f_n(T)`` from the top ``n`` down, and
+    each ``f_n(T)`` by Paterson-Stockmeyer in ``T`` (powers up to
+    ``T^p``, ``p = ceil(sqrt(deg + 1))``, then Horner in ``T^p``).
     """
     if f.q != pair.q:
         raise PreconditionError(f"q mismatch: function {f.q} vs pair {pair.q}")
@@ -236,15 +289,11 @@ def calc(f: QFunctionRep, pair: OperatorPair, check_spectra: bool = True) -> np.
             raise PreconditionError(
                 f"spectrum outside domain: r_y = {f.r_y} but spectral radius of S is {sr_s}"
             )
-    n = pair.n
-    acc = np.zeros((n, n), dtype=np.complex128)
-    s_pow = np.eye(n, dtype=np.complex128)
+    width = max(fn.coeffs.size for fn in f.f_list)
+    cols = np.zeros((len(f.f_list), width), dtype=np.complex128)
     for m, fn in enumerate(f.f_list):
-        if m > 0:
-            s_pow = s_pow @ pair.s
-        if fn.max_degree >= 0:
-            acc += fn.eval_matrix(pair.t) @ s_pow
-    return acc
+        cols[m, : fn.coeffs.size] = fn.coeffs
+    return _eval_columns(cols, pair.t, pair.s)
 
 
 def calc_qseries(f: QSeries, pair: OperatorPair) -> np.ndarray:
@@ -252,20 +301,13 @@ def calc_qseries(f: QSeries, pair: OperatorPair) -> np.ndarray:
 
     This is the representation ``x -> T``, ``y -> S``; because the pair
     satisfies the same rewriting rule as the plane, it is an algebra
-    homomorphism on tables (products map to products).
+    homomorphism on tables (products map to products).  The evaluation
+    order is that of :func:`calc`, column ``k`` of the table being the
+    coefficient function of ``S^k``.
     """
     if f.q != pair.q:
         raise PreconditionError(f"q mismatch: series {f.q} vs pair {pair.q}")
-    n = pair.n
-    acc = np.zeros((n, n), dtype=np.complex128)
-    s_pow = np.eye(n, dtype=np.complex128)
-    for k in range(f.trunc_degree + 1):
-        if k > 0:
-            s_pow = s_pow @ pair.s
-        col = f.series_in_x(k)
-        if col.max_degree >= 0:
-            acc += col.eval_matrix(pair.t) @ s_pow
-    return acc
+    return _eval_columns(f.coeffs.T, pair.t, pair.s)
 
 
 def eigenvalues(m: np.ndarray) -> np.ndarray:

@@ -263,17 +263,44 @@ def qmul(f: QSeries, g: QSeries) -> QSeries:
     return QSeries(f.q, out, lossy=f.lossy or g.lossy or lost)
 
 
+def _drop_overflow(
+    scaled: np.ndarray, partner: np.ndarray, row: int, q: complex, d: int
+) -> tuple[np.ndarray, bool]:
+    """Zero the twisted coefficients of ``scaled`` that overflowed.
+
+    ``scaled`` (indexed by degree) is convolved with ``partner`` into row
+    ``row`` of the product; the cells its non-finite entries reach are
+    where :func:`qmul` meets an overflowed twist.  Returns the cleaned
+    coefficients and whether any were dropped; raises
+    :class:`PreconditionError` when a dropped one reaches the degree-``d``
+    table, as :func:`qmul` does.
+    """
+    over = ~np.isfinite(scaled)
+    if not over.any():
+        return scaled, False
+    nz = np.flatnonzero(partner)
+    if nz.size and row <= d and int(np.flatnonzero(over)[0]) + int(nz[0]) <= d:
+        raise PreconditionError(
+            f"the product overflows at |q| = {abs(q):g} inside the degree-{d} table"
+        )
+    return np.where(over, 0, scaled), True
+
+
 def qmul_rowwise(f: QSeries, g: QSeries) -> QSeries:
     """Reference product through one-variable operations.
 
     Groups the sum as ``sum_n ( sum_{i+j=n} f_i(x) * g_j(q^i x) ) y^n``
     and runs it entirely on :class:`HoloSeries` arithmetic.  Kept as an
-    independent route for cross-checking :func:`qmul`.
+    independent route for cross-checking :func:`qmul`, including at
+    ``|q| > 1``: a twisted coefficient that overflows is dropped and sets
+    ``lossy`` when its cells lie outside the table, and raises
+    :class:`PreconditionError` when they lie inside.
     """
     _check_compatible(f, g)
     d = f.trunc_degree
     cols = [HoloSeries.zero(d) for _ in range(d + 1)]
     lost = False
+    xdeg = np.arange(d + 1)
     for i in range(d + 1):
         fi = f.series_in_x(i)
         if fi.max_degree < 0:
@@ -282,11 +309,15 @@ def qmul_rowwise(f: QSeries, g: QSeries) -> QSeries:
             gj = g.series_in_x(j)
             if gj.max_degree < 0:
                 continue
-            term = fi * gj.scale_arg(f.q**i)
+            # gj.scale_arg(q**i), with overflowed coefficients taken apart
+            with np.errstate(over="ignore", invalid="ignore"):
+                scaled = np.where(gj.coeffs != 0, gj.coeffs * np.power(complex(f.q**i), xdeg), 0)
+            scaled, dropped = _drop_overflow(scaled, fi.coeffs, i + j, f.q, d)
+            term = fi * HoloSeries(scaled, lossy=gj.lossy)
             if i + j > d:
-                lost = lost or term.lossy or term.max_degree >= 0
+                lost = lost or dropped or term.lossy or term.max_degree >= 0
                 continue
-            lost = lost or term.lossy
+            lost = lost or dropped or term.lossy
             cols[i + j] = cols[i + j] + term
     table = np.column_stack([c.coeffs for c in cols])
     return QSeries(f.q, table, lossy=f.lossy or g.lossy or lost)
@@ -298,7 +329,8 @@ def qmul_opposite(f: QSeries, g: QSeries) -> QSeries:
     There the y-part of the left factor crosses the x-powers of the
     right factor, so rows combine as
     ``sum_n x^n ( sum_{i+j=n} f_i(q^j y) g_j(y) )``.  This is the
-    multiplication twisted series live under; see :func:`twist`.
+    multiplication twisted series live under; see :func:`twist`.  At
+    ``|q| > 1`` overflowed twists are handled as in :func:`qmul_rowwise`.
     """
     _check_compatible(f, g)
     d = f.trunc_degree
@@ -316,12 +348,13 @@ def qmul_opposite(f: QSeries, g: QSeries) -> QSeries:
                 continue
             with np.errstate(over="ignore", invalid="ignore"):
                 scaled = np.where(fi != 0, fi * np.power(q, ydeg * j), 0)
+            scaled, dropped = _drop_overflow(scaled, gj, i + j, q, d)
             conv = np.convolve(scaled, gj)
             if i + j > d:
-                lost = lost or bool(np.any(conv != 0))
+                lost = lost or dropped or bool(np.any(conv != 0))
                 continue
             rows[i + j, :] += conv[: d + 1]
-            lost = lost or bool(np.any(conv[d + 1 :] != 0))
+            lost = lost or dropped or bool(np.any(conv[d + 1 :] != 0))
     return QSeries(q, rows, lossy=f.lossy or g.lossy or lost)
 
 

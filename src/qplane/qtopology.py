@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -30,6 +31,9 @@ __all__ = [
 # Safety stop for the geometric search in hull membership; reached only
 # for |z| below ~|q|^_MAX_HULL_STEPS of the set radius.
 _MAX_HULL_STEPS = 100_000
+
+# Points drawn per batch by is_q_spiraling.
+_DRAW_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -65,6 +69,14 @@ class DiskUnion:
     def contains(self, z: complex) -> bool:
         return any(d.contains(z) for d in self.disks)
 
+    def contains_many(self, zs) -> np.ndarray:
+        """Membership of every point of ``zs``, as a boolean array of its shape."""
+        z = np.asarray(zs, dtype=np.complex128)
+        out = np.zeros(z.shape, dtype=bool)
+        for d in self.disks:
+            out |= np.abs(z - d.center) < d.radius
+        return out
+
     def bounding_radius(self) -> float:
         """Radius of the smallest origin-centered disk covering the set."""
         if not self.disks:
@@ -89,14 +101,38 @@ def _check_contractive(q: complex) -> complex:
     return q
 
 
+def _copy_bounds(log_az, disk_logs: tuple[float, float | None], log_aq: float):
+    """Real bounds ``(lo, hi)`` on the ``n`` whose copy ``q^n B(c, r)`` can hold ``z``.
+
+    ``|z|`` must lie in ``(|q|^n (|c| - r), |q|^n (|c| + r))``, so
+    ``lo < n < hi``.  ``disk_logs`` is ``(log(|c| + r), log(|c| - r))``,
+    the second ``None`` when ``|c| <= r``: such a disk holds points of
+    every small modulus and ``lo`` is 0.  ``log_az`` is a float or an array.
+    """
+    log_outer, log_inner = disk_logs
+    hi = (log_az - log_outer) / log_aq
+    lo = 0.0 if log_inner is None else (log_az - log_inner) / log_aq
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class QHull:
     """Lazy q-hull: the base set, all its q^n copies (n >= 0), and 0.
 
-    Membership is decidable because the copies shrink geometrically:
-    once ``|q|^n * R < |z|`` (R the bounding radius) no later copy can
-    reach ``z``.  Starting the union at ``n = 0`` makes the hull a
-    superset of its base and turns hulling into an idempotent operation.
+    Membership is decidable because the copies shrink geometrically.
+    Starting the union at ``n = 0`` makes the hull a superset of its base
+    and turns hulling into an idempotent operation, so a hull whose base
+    is a hull with the same ``q`` tests that base's base directly.
+
+    Over a disk union only a window of copies is tested: ``z`` can lie in
+    ``q^n B(c, r)`` only when ``|q|^n (|c| - r) < |z| < |q|^n (|c| + r)``,
+    and for each base disk the ``n`` in that window, padded by one at
+    each end against rounding, are tried (from ``n = 0`` when
+    ``|c| <= r``; at most up to ``_MAX_HULL_STEPS``, which only a disk
+    whose boundary passes through 0 can reach).  Over a hull with another
+    ``q`` the copies are walked from ``n = 0`` until they can no longer
+    reach ``z``.  :meth:`contains` takes one point, :meth:`contains_many`
+    an array; non-finite points are outside.
     """
 
     base: Union[DiskUnion, "QHull"]
@@ -105,24 +141,126 @@ class QHull:
     def __post_init__(self):
         object.__setattr__(self, "q", _check_contractive(self.q))
 
+    @cached_property
+    def _plan(self):
+        """``(base, None)`` to walk a hull with another ``q``, else
+        ``(disk union, [(disk, (log(|c|+r), log(|c|-r) or None))])``."""
+        base = self.base
+        while isinstance(base, QHull) and base.q == self.q:
+            base = base.base
+        if isinstance(base, QHull):
+            return base, None
+        logs = []
+        for d in base.disks:
+            c = abs(d.center)
+            inner = math.log(c - d.radius) if c > d.radius else None
+            logs.append((d, (math.log(c + d.radius), inner)))
+        return base, logs
+
+    @cached_property
+    def _scales(self) -> list[complex]:
+        """``q^0, q^1, ...``, each the previous one times ``q``; grown by :meth:`_scales_upto`."""
+        return [1.0 + 0.0j]
+
+    def _scales_upto(self, n: int) -> list[complex]:
+        """:attr:`_scales` through ``q^n``, or through the last power that is not 0."""
+        pw = self._scales
+        while len(pw) <= n:
+            nxt = pw[-1] * self.q
+            if nxt == 0:
+                break
+            pw.append(nxt)
+        return pw
+
     def contains(self, z: complex) -> bool:
         z = complex(z)
         if z == 0:
             return True
-        r = self.base.bounding_radius()
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            return False
+        base, disks = self._plan
+        if disks is None:
+            return self._walk_contains(base, z)
+        log_az = math.log(abs(z))
+        log_aq = math.log(abs(self.q))
+        for d, logs in disks:
+            lo, hi = _copy_bounds(log_az, logs, log_aq)
+            scales = self._scales_upto(min(math.ceil(hi), _MAX_HULL_STEPS))
+            for n in range(max(math.floor(lo), 0), min(math.ceil(hi), len(scales) - 1) + 1):
+                if d.contains(z / scales[n]):
+                    return True
+        return False
+
+    def _walk_contains(self, base: "QHull", z: complex) -> bool:
+        r = base.bounding_radius()
         if r == 0.0 or abs(z) >= r:
             # n = 0 already cannot reach z (copies only shrink).
-            return self.base.contains(z) if abs(z) < r else False
-        n_stop = int(math.log(abs(z) / r) / math.log(abs(self.q))) + 2
+            return base.contains(z) if abs(z) < r else False
+        n_stop = int((math.log(abs(z)) - math.log(r)) / math.log(abs(self.q))) + 2
         n_stop = min(n_stop, _MAX_HULL_STEPS)
         scale = 1.0 + 0.0j
         for _ in range(n_stop + 1):
-            if self.base.contains(z / scale):
+            if base.contains(z / scale):
                 return True
             scale *= self.q
             if abs(scale) * r <= abs(z):
                 break
         return False
+
+    def contains_many(self, zs) -> np.ndarray:
+        """Membership of every point of ``zs``, as a boolean array of its shape.
+
+        The same windows as :meth:`contains`, stepped through for all
+        points at once; a point leaves the loop once it is found or its
+        window is used up.
+        """
+        z = np.asarray(zs, dtype=np.complex128)
+        out = z == 0
+        live = np.flatnonzero(~out & np.isfinite(z))
+        if live.size == 0:
+            return out
+        zl = z.reshape(-1)[live]
+        base, disks = self._plan
+        if disks is None:
+            hit = self._walk_contains_many(base, zl)
+        else:
+            hit = np.zeros(zl.size, dtype=bool)
+            log_az = np.log(np.abs(zl))
+            log_aq = math.log(abs(self.q))
+            for d, logs in disks:
+                lo, hi = _copy_bounds(log_az, logs, log_aq)
+                n_hi = np.minimum(np.ceil(hi), _MAX_HULL_STEPS).astype(np.int64)
+                scales = np.asarray(self._scales_upto(int(n_hi.max())), dtype=np.complex128)
+                np.minimum(n_hi, scales.size - 1, out=n_hi)
+                n_lo = np.clip(np.floor(lo), 0, _MAX_HULL_STEPS + 1)
+                n = np.broadcast_to(n_lo, n_hi.shape).astype(np.int64)
+                todo = np.flatnonzero(~hit & (n <= n_hi))
+                while todo.size:
+                    hit[todo] = np.abs(zl[todo] / scales[n[todo]] - d.center) < d.radius
+                    n[todo] += 1
+                    todo = todo[~hit[todo] & (n[todo] <= n_hi[todo])]
+        out.reshape(-1)[live] = hit
+        return out
+
+    def _walk_contains_many(self, base: "QHull", zl: np.ndarray) -> np.ndarray:
+        r = base.bounding_radius()
+        az = np.abs(zl)
+        hit = np.zeros(zl.size, dtype=bool)
+        if r == 0.0:
+            return hit
+        near = np.flatnonzero(az < r)
+        steps = (np.log(az[near]) - math.log(r)) / math.log(abs(self.q))
+        n_stop = np.minimum(np.trunc(steps) + 2, _MAX_HULL_STEPS).astype(np.int64)
+        scale = 1.0 + 0.0j
+        todo = np.arange(near.size)
+        for n in range(int(n_stop.max(initial=0)) + 1):
+            if todo.size == 0:
+                break
+            idx = near[todo]
+            hit[idx] = base.contains_many(zl[idx] / scale)
+            scale *= self.q
+            todo = todo[~hit[idx] & (n < n_stop[todo]) & (abs(scale) * r > az[idx])]
+        return hit
 
     def bounding_radius(self) -> float:
         return self.base.bounding_radius()
@@ -222,28 +360,45 @@ def is_q_spiraling(
     counterexample returns ``False``; otherwise ``True`` (which can be
     a false positive, never a false negative).  ``predicate``/``box``
     override the region's own membership and bounding box.
+
+    Draws come 4096 at a time from the seeded stream, each as
+    ``(Re z, Im z)``, so the answer for a seed is that of drawing one
+    point at a time; the region tests them with ``contains_many`` (a
+    ``predicate`` is called point by point).  At most
+    ``samples * retry_factor`` points are drawn; the first ``samples``
+    members are checked.
     """
     q = _check_contractive(q)
-    member = predicate if predicate is not None else region.contains
     if box is None:
         box = region.bounding_box()
     re_lo, re_hi, im_lo, im_hi = box
-    if not member(0.0 + 0.0j):
-        return False
+    if predicate is None:
+        if not region.contains(0.0 + 0.0j):
+            return False
+        member_many = region.contains_many
+    else:
+        if not predicate(0.0 + 0.0j):
+            return False
+
+        def member_many(zs: np.ndarray) -> np.ndarray:
+            return np.fromiter(
+                (bool(predicate(complex(z))) for z in zs), dtype=bool, count=zs.size
+            )
+
     if samples < 1:
         return True
     rng = np.random.default_rng(seed)
-    accepted = 0
     budget = samples * retry_factor
-    for _ in range(budget):
-        z = complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi))
-        if not member(z):
-            continue
-        accepted += 1
-        if not member(q * z):
+    drawn = accepted = 0
+    while drawn < budget and accepted < samples:
+        k = min(_DRAW_CHUNK, budget - drawn)
+        drawn += k
+        pts = rng.uniform((re_lo, im_lo), (re_hi, im_hi), size=(k, 2))
+        z = pts.view(np.complex128)[:, 0]
+        hits = z[member_many(z)][: samples - accepted]
+        accepted += hits.size
+        if not member_many(q * hits).all():
             return False
-        if accepted >= samples:
-            break
     if accepted == 0:
         raise NonConvergenceError(
             f"rejection sampling found no member points in {budget} draws"

@@ -9,9 +9,11 @@ library, not a shared bug.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
+from qplane.errors import NonConvergenceError
 from qplane.qalgebra import QSeries
 
 
@@ -121,3 +123,114 @@ def random_qseries(rng, q, degree, nterms, maxdeg, mixed_only=False) -> QSeries:
         k = int(rng.integers(lo, maxdeg + 1))
         table[i, k] = complex(rng.standard_normal(), rng.standard_normal())
     return QSeries(q, table)
+
+
+# ---------------------------------------------------------------------------
+# the per-point loops the geometry layer used before it worked on arrays
+# ---------------------------------------------------------------------------
+
+
+def naive_calc(cols, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``sum_m c_m(T) S^m``: per-column matrix Horner times explicit ``S^m``.
+
+    ``cols[m]`` is the coefficient vector of ``c_m``; each ``c_m(T)`` is
+    built by Horner in ``T`` and multiplied by ``S^m`` formed by repeated
+    products, one column at a time.
+    """
+    n = t.shape[0]
+    eye = np.eye(n, dtype=complex)
+    acc = np.zeros((n, n), dtype=complex)
+    s_pow = eye.copy()
+    for m, c in enumerate(cols):
+        if m > 0:
+            s_pow = s_pow @ s
+        c = np.asarray(c, dtype=complex)
+        nz = np.flatnonzero(c)
+        if nz.size == 0:
+            continue
+        val = np.zeros((n, n), dtype=complex)
+        for a in c[nz[-1]::-1]:
+            val = val @ t
+            if a != 0:
+                val += a * eye
+        acc += val @ s_pow
+    return acc
+
+
+def _disk_union_contains(du, z: complex) -> bool:
+    return any(abs(z - d.center) < d.radius for d in du.disks)
+
+
+def naive_hull_contains(hull, z: complex, max_steps: int = 100_000) -> bool:
+    """Hull membership by walking every copy ``q^n`` of the base from ``n = 0``.
+
+    A base that is itself a hull is asked the same way, copy by copy;
+    the walk stops once the shrinking copies can no longer reach ``z``.
+    """
+    z = complex(z)
+    if z == 0:
+        return True
+    base = hull.base
+    member = (
+        (lambda w: naive_hull_contains(base, w, max_steps))
+        if isinstance(base, type(hull))
+        else (lambda w: _disk_union_contains(base, w))
+    )
+    r = base.bounding_radius()
+    if r == 0.0 or abs(z) >= r:
+        return member(z) if abs(z) < r else False
+    n_stop = min(int(math.log(abs(z) / r) / math.log(abs(hull.q))) + 2, max_steps)
+    scale = 1.0 + 0.0j
+    for _ in range(n_stop + 1):
+        if member(z / scale):
+            return True
+        scale *= hull.q
+        if abs(scale) * r <= abs(z):
+            break
+    return False
+
+
+def naive_is_q_spiraling(member, box, q: complex, samples: int, seed: int,
+                         retry_factor: int = 50) -> bool:
+    """The spiraling check one draw at a time.
+
+    Each draw takes ``Re z`` then ``Im z`` from the seeded stream; the
+    first ``samples`` members must keep ``q z`` in the set.
+    """
+    re_lo, re_hi, im_lo, im_hi = box
+    if not member(0.0 + 0.0j):
+        return False
+    if samples < 1:
+        return True
+    rng = np.random.default_rng(seed)
+    accepted = 0
+    budget = samples * retry_factor
+    for _ in range(budget):
+        z = complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi))
+        if not member(z):
+            continue
+        accepted += 1
+        if not member(q * z):
+            return False
+        if accepted >= samples:
+            break
+    if accepted == 0:
+        raise NonConvergenceError(f"rejection sampling found no member points in {budget} draws")
+    return True
+
+
+def naive_spectrum_scan(pair, axis: str, grid, rank_tol: float = 1e-10) -> list:
+    """Scan rows one grid point at a time through ``build``/``homology_dims``."""
+    from qplane import koszul as kz
+
+    rows = []
+    for g in grid.points():
+        gamma = (g, 0j) if axis == "x" else (0j, g)
+        try:
+            hom = kz.homology_dims(kz.build(pair, gamma), rank_tol)
+        except Exception as exc:
+            rows.append(kz.ScanRow(g.real, g.imag, axis, -1, -1, -1, False, False, str(exc)))
+        else:
+            rows.append(kz.ScanRow(g.real, g.imag, axis, hom.h0, hom.h1, hom.h2,
+                                   hom.member, hom.stable))
+    return rows

@@ -8,9 +8,13 @@ import pytest
 
 from qplane import cli, fileio
 from qplane import qalgebra as qa
+from qplane.errors import InputFormatError
 from qplane.holo import HoloSeries
 from qplane.opcalc import QFunctionRep
 from qplane.qalgebra import QSeries
+from qplane.qtopology import QHull
+
+from oracles import naive_hull_contains
 
 Q = 0.5
 
@@ -167,7 +171,7 @@ class TestDecayCommand:
         write_series(src, f)
         assert run(["decay", src, "--smax", "6", "--output", out]) == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "s,root_norm,bound,ratio"
+        assert lines[0] == "s,root_norm,bound,ratio,lossy"
         assert len(lines) == 7
         for line in lines[1:]:
             assert float(line.split(",")[3]) == pytest.approx(1.0, rel=1e-12)
@@ -176,7 +180,7 @@ class TestDecayCommand:
         src, out = tmp_path / "z.json", tmp_path / "d.csv"
         write_series(src, QSeries.zero(Q, 4))
         assert run(["decay", src, "--output", out]) == 0
-        assert out.read_text() == "s,root_norm,bound,ratio\n"
+        assert out.read_text() == "s,root_norm,bound,ratio,lossy\n"
 
     def test_non_radical_rejected_with_monomials(self, tmp_path, capsys):
         f = QSeries.from_terms(Q, 4, [(1, 1, 1.0), (2, 0, 1.0)])
@@ -204,7 +208,85 @@ class TestDecayCommand:
         assert "not applicable" in capsys.readouterr().err
 
 
+class TestLossyAtTheBoundary:
+    """Truncation loss leaves the CLI in the files it writes."""
+
+    def test_mul_writes_lossy(self, tmp_path):
+        x3 = QSeries.monomial(Q, 4, 3, 0)
+        src, out = tmp_path / "x3.json", tmp_path / "out.json"
+        write_series(src, x3)
+        assert run(["mul", src, src, "--output", out]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["lossy"] is True and payload["terms"] == []
+        assert read_series(out).lossy
+
+    def test_exact_product_writes_lossy_false(self, tmp_path):
+        x = QSeries.monomial(Q, 4, 1, 0)
+        src, out = tmp_path / "x.json", tmp_path / "out.json"
+        write_series(src, x)
+        assert run(["mul", src, src, "--output", out]) == 0
+        assert json.loads(out.read_text())["lossy"] is False
+
+    @pytest.mark.parametrize("method", ["repeated", "formula"])
+    def test_pow_writes_lossy(self, tmp_path, method):
+        f = QSeries.from_terms(Q, 4, [(2, 0, 1.0), (0, 1, 1.0)])
+        src, out = tmp_path / "f.json", tmp_path / "out.json"
+        write_series(src, f)
+        assert run(["pow", src, "--s", "3", "--method", method, "--output", out]) == 0
+        assert json.loads(out.read_text())["lossy"] is True
+
+    def test_decay_lossy_column(self, tmp_path):
+        src, out = tmp_path / "xy.json", tmp_path / "d.csv"
+        write_series(src, QSeries.monomial(Q, 2, 1, 1))  # (xy)^3 leaves the D = 2 table
+        assert run(["decay", src, "--smax", "4", "--output", out]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0].split(",")[-1] == "lossy"
+        assert [line.split(",")[-1] for line in lines[1:]] == ["1"] * 4
+        write_series(src, QSeries.monomial(Q, 8, 1, 1))
+        assert run(["decay", src, "--smax", "4", "--output", out]) == 0
+        assert [line.split(",")[-1] for line in out.read_text().splitlines()[1:]] == ["0"] * 4
+
+    def test_file_without_field_reads_exact_and_flag_round_trips(self, tmp_path):
+        payload = fileio.qseries_to_payload(QSeries.monomial(Q, 3, 1, 1))
+        del payload["lossy"]
+        assert not fileio.qseries_from_payload(payload).lossy
+        payload["lossy"] = True
+        assert fileio.qseries_from_payload(payload).lossy
+        payload["lossy"] = "yes"
+        with pytest.raises(InputFormatError):
+            fileio.qseries_from_payload(payload)
+
+    def test_lossy_input_stays_lossy(self, tmp_path):
+        src, out = tmp_path / "f.json", tmp_path / "t.json"
+        write_series(src, QSeries(Q, np.eye(3), lossy=True))
+        assert run(["twist", src, "--output", out]) == 0
+        assert read_series(out).lossy
+
+
 class TestTopologyCommands:
+    @pytest.mark.parametrize("q", [(0.5, 0.0), (0.3, 0.4)])
+    def test_qhull_csv_matches_per_point_walk(self, tmp_path, rng, q):
+        # the CSV that testing each point with the copy-by-copy walk writes
+        disk = [{"re": 1.0, "im": 0.0, "radius": 0.1}]
+        probe = [[0.0, 0.0], [0.5, 0.0], [0.3, 0.0], [1.05, 0.0], [0.25, 0.0],
+                 [1.1, 0.0], [1.0999999, 0.0]]
+        u = np.sqrt(rng.uniform(0, 1, 128)) * np.exp(2j * np.pi * rng.uniform(0, 1, 128))
+        near = complex(*q) ** rng.integers(0, 12, 128) * (1.0 + 0.15 * u)
+        cloud = [[z.real, z.imag] for z in near] + rng.uniform(-1.1, 1.1, (128, 2)).tolist()
+        hull = QHull(fileio.diskunion_from_payload(disk), complex(*q))
+        disks = tmp_path / "disks.json"
+        disks.write_text(json.dumps(disk))
+        for name, pts in (("probe", probe), ("cloud", cloud)):
+            points, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            points.write_text(json.dumps(pts))
+            assert run(["qhull", disks, points, "--q-re", q[0], "--q-im", q[1],
+                        "--output", out]) == 0
+            want = fileio.csv_text(
+                ["z_re", "z_im", "member"],
+                [[re, im, int(naive_hull_contains(hull, complex(re, im)))] for re, im in pts],
+            )
+            assert out.read_bytes() == want.encode()
+
     def test_qhull_membership_csv(self, tmp_path):
         disks = tmp_path / "disks.json"
         points = tmp_path / "pts.json"

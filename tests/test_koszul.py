@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from qplane import koszul as kz
 from qplane import opcalc as oc
 from qplane.errors import PreconditionError
 
-from oracles import oracle_homology
+from oracles import naive_spectrum_scan, oracle_homology
 
 Q = 0.5
 
@@ -191,3 +193,94 @@ class TestSpectrumScan:
         a = kz.spectrum_scan(pair, "y", grid)
         b = kz.spectrum_scan(pair, "y", grid)
         assert a == b
+
+
+class TestBatchedScan:
+    """Stacked chunks against the point-by-point rows."""
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("n, steps", [(8, 1025), (64, 65)])
+    def test_rows_equal_per_point(self, n, steps, axis):
+        pair = oc.model_pair(Q, n)
+        grid = kz.GridSpec(0.0, 1.0, 0.0, 0.0, steps)
+        assert kz.spectrum_scan(pair, axis, grid) == naive_spectrum_scan(pair, axis, grid)
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_complex_grid_on_conjugated_pair(self, axis, rng):
+        pair = conjugated_pair(rng, 0.5 + 0.3j, 6)
+        grid = kz.GridSpec(-1.5, 1.5, -1.0, 1.0, 23)
+        rows = kz.spectrum_scan(pair, axis, grid, rank_tol=1e-8)
+        assert rows == naive_spectrum_scan(pair, axis, grid, rank_tol=1e-8)
+
+    def test_bad_rank_tol_lands_in_every_row(self):
+        pair = oc.model_pair(Q, 4)
+        grid = kz.GridSpec(0.0, 1.0, 0.0, 0.0, 5)
+        rows = kz.spectrum_scan(pair, "y", grid, rank_tol=0.0)
+        assert rows == naive_spectrum_scan(pair, "y", grid, rank_tol=0.0)
+        assert all("rank_tol must be positive" in r.error for r in rows)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_non_finite_point_is_an_error_row(self, value, axis):
+        # no RuntimeWarning on the way: the suite turns those into errors
+        pair = oc.model_pair(Q, 4)
+        rows = kz.spectrum_scan(pair, axis, kz.GridSpec(value, value, 0.0, 0.0, 1))
+        (row,) = rows
+        assert "is not finite" in row.error
+        assert (row.h0, row.h1, row.h2, row.member, row.stable) == (-1, -1, -1, False, False)
+        gamma = (complex(value), 0j) if axis == "x" else (0j, complex(value))
+        with pytest.raises(PreconditionError, match="is not finite"):
+            kz.build(pair, gamma)
+
+    def test_non_finite_point_keeps_its_place(self):
+        class Listed:  # GridSpec's linspace itself warns on infinite ranges
+            def points(self):
+                return [0.5 + 0j, complex(math.nan, 0), 0.25 + 0j, complex(0, math.inf), 1 + 0j]
+
+        pair = oc.model_pair(Q, 4)
+        rows = kz.spectrum_scan(pair, "y", Listed())
+        assert [bool(r.error) for r in rows] == [False, True, False, True, False]
+        assert [r.member for r in rows] == [False, False, False, False, True]
+
+    @pytest.mark.parametrize("g", [1e155, 1e200, complex(1e300, -1e300)])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_huge_character_without_overflow(self, g, axis):
+        pair = oc.model_pair(Q, 4)
+        grid = kz.GridSpec(g.real, g.real, g.imag, g.imag, 1) if isinstance(g, complex) \
+            else kz.GridSpec(g, g, 0.0, 0.0, 1)
+        (row,) = kz.spectrum_scan(pair, axis, grid)
+        assert row.error == "" and (row.h0, row.h1, row.h2) == (0, 0, 0)
+        assert [row] == naive_spectrum_scan(pair, axis, grid)
+
+    def test_huge_character_bound_still_rejects(self, monkeypatch):
+        # (||T|| + ||S|| + 1e155)^2 overflows a double; the bound must not
+        # turn into "accept anything"
+        pair = oc.model_pair(Q, 4)
+        monkeypatch.setattr(kz, "composite_defect", lambda comp, q: 1e305)
+        with pytest.raises(PreconditionError, match="composite identity violated"):
+            kz.build(pair, (0j, 1e155 + 0j))
+        monkeypatch.setattr(kz, "composite_defect", lambda comp, q: math.nan)
+        with pytest.raises(PreconditionError, match="composite identity violated"):
+            kz.build(pair, (0j, 1e200 + 0j))
+
+    def test_failed_stacked_svd_lands_in_its_own_rows(self, monkeypatch):
+        pair = oc.model_pair(Q, 8)
+        grid = kz.GridSpec(0.0, 1.0, 0.0, 0.0, 513)  # two chunks of 256 and one of 1
+        want = naive_spectrum_scan(pair, "y", grid)
+        bad = 0.375
+        real_svd = np.linalg.svd
+
+        def svd(a, *args, **kwargs):
+            if a.ndim > 2:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            if a.shape[0] > a.shape[1] and a[0, 0] == bad - Q:  # d0 at (0, bad)
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        rows = kz.spectrum_scan(pair, "y", grid)
+        failed = [i for i, r in enumerate(rows) if r.error]
+        assert [rows[i].g_re for i in failed] == [bad]
+        assert rows[failed[0]].error == "SVD did not converge"
+        (i,) = failed
+        assert rows[:i] + rows[i + 1 :] == want[:i] + want[i + 1 :]

@@ -9,7 +9,7 @@ from qplane.errors import PreconditionError
 from qplane.holo import HoloSeries, log_series
 from qplane.qalgebra import QSeries
 
-from oracles import random_qseries
+from oracles import naive_calc, random_qseries
 
 Q = 0.5
 LOG32 = math.log(1.5)
@@ -154,6 +154,89 @@ class TestCalcQSeries:
         for m in range(pair.n):
             expected = rep.char_value((0.0, Q**m))
             assert a[m, m] == pytest.approx(expected, abs=1e-12)
+
+
+def conjugated_pair(q, n, stretch=1.5):
+    """A non-triangular q-commuting pair with ``||T|| > 1``: the model, T
+    stretched, conjugated by a well-conditioned dense matrix."""
+    base = oc.model_pair(q, n)
+    gen = np.random.default_rng(n)
+    noise = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+    v = np.eye(n) + 0.3 * noise / np.sqrt(n)
+    vinv = np.linalg.inv(v)
+    return oc.OperatorPair(v @ (stretch * base.t) @ vinv, v @ base.s @ vinv, q)
+
+
+def coefficient_table(rep):
+    width = max(fn.coeffs.size for fn in rep.f_list)
+    cols = np.zeros((len(rep.f_list), width), dtype=complex)
+    for m, fn in enumerate(rep.f_list):
+        cols[m, : fn.coeffs.size] = fn.coeffs
+    return cols
+
+
+def assert_close_to_majorant(got, want, cols, pair, rtol=1e-12):
+    """``|got - want|_F <= rtol * sum |c_mk| ||T||^k ||S||^m``."""
+    nt, ns = np.linalg.norm(pair.t, 2), np.linalg.norm(pair.s, 2)
+    k = np.arange(cols.shape[1])
+    m = np.arange(cols.shape[0])[:, None]
+    majorant = float(np.sum(np.abs(cols) * nt**k * ns**m))
+    assert np.linalg.norm(got - want) <= rtol * max(majorant, 1e-300)
+
+
+class TestCalcAgainstHorner:
+    """Blocked evaluation against per-column Horner."""
+
+    @staticmethod
+    def functions(q):
+        return {
+            "log_xy": log_xy_rep(q),
+            "second": second_example_rep(q),
+            "zero": oc.QFunctionRep(q, (HoloSeries.zero(5), HoloSeries.zero(5)), 2.0, 2.0),
+            "single_column": oc.QFunctionRep(q, (log_series(1.5, 17),), 2.0, 2.0),
+            "top_zero": oc.QFunctionRep(
+                q,
+                (HoloSeries([0.0, 1.0]), HoloSeries([2.0, 0.0, -1.0]), HoloSeries.zero(4)),
+                2.0,
+                2.0,
+            ),
+        }
+
+    @pytest.mark.parametrize("q", [Q, 0.5 + 0.25j])
+    @pytest.mark.parametrize("n", [8, 32])
+    @pytest.mark.parametrize("kind", ["model", "conjugated"])
+    def test_calc(self, q, n, kind):
+        pair = oc.model_pair(q, n) if kind == "model" else conjugated_pair(q, n)
+        if kind == "conjugated":
+            assert np.linalg.norm(pair.t, 2) > 1 and np.count_nonzero(np.triu(pair.t)) > 0
+        for name, rep in self.functions(q).items():
+            cols = coefficient_table(rep)
+            got = oc.calc(rep, pair, check_spectra=False)
+            assert_close_to_majorant(got, naive_calc(cols, pair.t, pair.s), cols, pair)
+            if name == "zero":
+                assert not got.any()
+
+    def test_calc_at_128(self):
+        pair = oc.model_pair(Q, 128)
+        rep = second_example_rep()
+        cols = coefficient_table(rep)
+        assert_close_to_majorant(oc.calc(rep, pair), naive_calc(cols, pair.t, pair.s), cols, pair)
+
+    @pytest.mark.parametrize("kind", ["model", "conjugated"])
+    def test_calc_qseries(self, kind, rng):
+        pair = oc.model_pair(Q, 12) if kind == "model" else conjugated_pair(Q, 12)
+        for _ in range(5):
+            f = random_qseries(rng, Q, 9, 12, 9)
+            cols = f.coeffs.T
+            assert_close_to_majorant(
+                oc.calc_qseries(f, pair), naive_calc(cols, pair.t, pair.s), cols, pair
+            )
+        one_column = QSeries.from_terms(Q, 9, [(i, 0, 1.0 / (i + 1)) for i in range(10)])
+        cols = one_column.coeffs.T
+        assert_close_to_majorant(
+            oc.calc_qseries(one_column, pair), naive_calc(cols, pair.t, pair.s), cols, pair
+        )
+        assert not oc.calc_qseries(QSeries.zero(Q, 4), pair).any()
 
 
 class TestQfMul:

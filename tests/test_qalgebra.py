@@ -231,6 +231,46 @@ class TestKernels:
         assert np.array_equal(~np.isfinite(got), reached)
         assert_scaled_close(got[~reached], want[~reached])
 
+    @pytest.mark.parametrize("layout", ["plain", "twisted"])
+    def test_cross_check_routes_drop_overflow_outside_the_table(self, layout):
+        # the example above through both reference routes: qmul's finite
+        # table, lossy, no RuntimeWarning (the suite turns those into errors)
+        f = QSeries.monomial(2.0, 40, 10, 30)
+        g = QSeries.from_terms(2.0, 40, [(35, 0, 1.0), (0, 0, 1.0)])
+        a, b = (f, g) if layout == "plain" else (qa.twist(g), qa.twist(f))
+        rowwise, want = qa.qmul_rowwise(a, b), qa.qmul(a, b)
+        assert rowwise.lossy and want.lossy
+        assert rowwise == want
+        # twist(g' f') = twist(f') *_opposite twist(g')
+        opposite, want = qa.qmul_opposite(a, b), qa.twist(qa.qmul(qa.twist(b), qa.twist(a)))
+        assert opposite.lossy and want.lossy
+        assert opposite == want
+        assert want.terms() in ([(10, 30, 1 + 0j)], [(30, 10, 1 + 0j)])
+
+    @pytest.mark.parametrize("f_ik, g_ik", [((0, 35), (35, 0)), ((10, 40), (30, 0))])
+    def test_cross_check_routes_raise_on_overflow_inside_the_table(self, f_ik, g_ik):
+        # the second pair lands on the table's last row, (40, 40)
+        f = QSeries.monomial(2.0, 40, *f_ik)
+        g = QSeries.monomial(2.0, 40, *g_ik)
+        with pytest.raises(PreconditionError, match="overflows"):
+            qa.qmul(f, g)
+        for route in (qa.qmul_rowwise, qa.qmul_opposite):
+            with pytest.raises(PreconditionError, match=r"\|q\| = 2 inside the degree-40"):
+                route(f, g)
+        with pytest.raises(PreconditionError, match="overflows"):
+            qa.qmul_opposite(qa.twist(g), qa.twist(f))
+
+    def test_cross_check_routes_agree_at_q_above_one(self, rng):
+        # finite twists at q = 1.5, the benchmark's reference setting
+        for _ in range(5):
+            f = random_qseries(rng, 1.5, 16, 8, 16)
+            g = random_qseries(rng, 1.5, 16, 8, 16)
+            want = qa.qmul(f, g)
+            opposite = qa.twist(qa.qmul_opposite(qa.twist(g), qa.twist(f)))
+            for got in (qa.qmul_rowwise(f, g), opposite):
+                assert got.lossy == want.lossy
+                assert_scaled_close(got.coeffs, want.coeffs)
+
     @pytest.mark.parametrize("q", [0.5, 2.0])
     @pytest.mark.parametrize(
         "case, m, s",

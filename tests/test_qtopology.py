@@ -1,3 +1,7 @@
+import cmath
+import math
+
+import numpy as np
 import pytest
 
 from qplane.errors import PreconditionError
@@ -10,6 +14,8 @@ from qplane.qtopology import (
     qhull_contains,
     spiral_neighborhood,
 )
+
+from oracles import naive_hull_contains, naive_is_q_spiraling
 
 Q = 0.5
 
@@ -154,3 +160,121 @@ class TestIsQSpiraling:
     def test_spiral_neighborhood_union_is_spiraling(self):
         du = spiral_neighborhood(1.0, 0.3, 0.1, Q)
         assert is_q_spiraling(du, Q, samples=5000, seed=3)
+
+
+HULLS = {
+    "real_q": lambda: QHull(base_disk(), Q),
+    "rotating_q": lambda: QHull(DiskUnion([(1.0, 0.1), (0.3 + 0.7j, 0.2)]), 0.6 * cmath.exp(0.7j)),
+    "same_q_nested": lambda: QHull(QHull(QHull(base_disk(), Q), Q), Q),
+    "other_q_nested": lambda: QHull(QHull(base_disk(), Q), 0.7j),
+    "disk_holds_0": lambda: QHull(DiskUnion([(0.2, 0.3), (1.0, 0.1)]), Q),
+    "disk_touches_0": lambda: QHull(DiskUnion.single(0.4 + 0.3j, 0.5), 0.8),
+    "empty_base": lambda: QHull(DiskUnion(), Q),
+}
+
+
+class TestHullAgainstWalk:
+    """Windowed membership against the copy-by-copy walk."""
+
+    @staticmethod
+    def cloud(rng):
+        pts = rng.uniform(-1.3, 1.3, (300, 2)) @ np.array([1, 1j])
+        boundary = [1.1, 1.0999999, 0.55, 0.5499999, 0.9, 0.9000001, 1.1j, -0.9, 0.0]
+        return np.concatenate([pts, pts[:100] * 1e-3, pts[:50] * 1e-12, boundary])
+
+    @pytest.mark.parametrize("name", sorted(HULLS))
+    def test_contains_matches_walk(self, name, rng):
+        hull = HULLS[name]()
+        pts = self.cloud(rng)
+        want = np.array([naive_hull_contains(hull, z) for z in pts])
+        assert np.array_equal([hull.contains(z) for z in pts], want)
+        assert np.array_equal(hull.contains_many(pts), want)
+
+    def test_contains_many_keeps_shape(self, rng):
+        hull = QHull(base_disk(), Q)
+        pts = rng.uniform(-1.2, 1.2, (6, 7)) + 1j * rng.uniform(-1.2, 1.2, (6, 7))
+        got = hull.contains_many(pts)
+        assert got.shape == (6, 7) and got.dtype == bool
+        assert got.tolist() == [[hull.contains(z) for z in row] for row in pts]
+        assert hull.contains_many(0.5).shape == ()
+        assert hull.contains_many([]).shape == (0,)
+
+    def test_non_finite_points_are_outside(self):
+        hull = QHull(QHull(base_disk(), Q), 0.7j)
+        bad = [complex(math.inf, 0), complex(0, -math.inf), complex(math.nan, 0.5)]
+        for h in (hull, hull.base):
+            assert not any(h.contains(z) for z in bad)
+            assert not h.contains_many(bad).any()
+
+    def test_disk_union_many_matches_scalar(self, rng):
+        du = spiral_neighborhood(1.0, 0.3, 0.1, Q)
+        pts = rng.uniform(-1.2, 1.2, 500) + 1j * rng.uniform(-1.2, 1.2, 500)
+        assert du.contains_many(pts).tolist() == [du.contains(z) for z in pts]
+
+
+class TestSpiralingAgainstLoop:
+    """Chunked draws give the per-draw loop's answer."""
+
+    def test_chunked_draws_read_the_per_draw_stream(self):
+        box = (-1.1, 0.7, -0.3, 1.9)
+        chunked = np.random.default_rng(5).uniform(
+            (box[0], box[2]), (box[1], box[3]), size=(5000, 2)
+        )
+        rng = np.random.default_rng(5)
+        single = [(rng.uniform(box[0], box[1]), rng.uniform(box[2], box[3])) for _ in range(5000)]
+        assert np.array_equal(chunked, np.array(single))
+
+    @pytest.mark.parametrize(
+        "region, q, samples, seed",
+        [
+            (DiskUnion.single(0.0, 0.7), Q, 2000, 3),
+            (base_disk(), Q, 100, 3),
+            (spiral_neighborhood(1.0, 0.3, 0.1, Q), Q, 5000, 3),
+            # the hull at 300 samples: the per-draw loop needs about 7 s for 10000
+            (QHull(base_disk(), Q), Q, 300, 3),
+            (QHull(base_disk(), Q), Q, 300, 4),
+            (QHull(base_disk(), Q), 0.7, 300, 3),
+            (QHull(DiskUnion.single(0.4 + 0.3j, 0.5), 0.8), 0.8j, 300, 3),
+        ],
+    )
+    def test_same_answer_as_per_draw_loop(self, region, q, samples, seed):
+        want = naive_is_q_spiraling(region.contains, region.bounding_box(), q, samples, seed)
+        assert is_q_spiraling(region, q, samples=samples, seed=seed) == want
+
+    @pytest.mark.parametrize("radius, want", [(0.7, True), (None, False)])
+    def test_scalar_predicate(self, radius, want):
+        if radius is None:  # 0.8 is in, 0.4 is not
+            def pred(z):
+                return abs(z) < 0.2 or abs(z - 0.8) < 0.3
+        else:
+            def pred(z):
+                return abs(z) < radius
+        box = (-1.1, 1.1, -1.1, 1.1)
+        oracle = naive_is_q_spiraling(pred, box, Q, 3000, 7)
+        assert oracle == want
+        assert is_q_spiraling(None, Q, samples=3000, seed=7, predicate=pred, box=box) == want
+
+    def test_checks_q_times_exactly_the_first_members(self):
+        calls = []
+
+        def pred(z):
+            calls.append(z)
+            return abs(z) < 0.7
+
+        box = (-1.1, 1.1, -1.1, 1.1)
+        assert is_q_spiraling(None, Q, samples=3000, seed=7, predicate=pred, box=box)
+        rng = np.random.default_rng(7)
+        stream = [complex(rng.uniform(-1.1, 1.1), rng.uniform(-1.1, 1.1)) for _ in calls]
+        drawn = set(stream)
+        checked = [z for z in calls[1:] if z not in drawn]
+        members = [z for z in stream if abs(z) < 0.7][:3000]
+        assert calls[0] == 0 and sorted(checked, key=repr) == sorted((Q * z for z in members), key=repr)
+
+    def test_no_member_draws_still_raise(self):
+        from qplane.errors import NonConvergenceError
+
+        with pytest.raises(NonConvergenceError):
+            is_q_spiraling(
+                None, Q, samples=10, seed=0, predicate=lambda z: z == 0,
+                box=(0.5, 1.0, 0.5, 1.0), retry_factor=3,
+            )
