@@ -156,10 +156,10 @@ def cmd_decay(cfg: RunConfig, args) -> int:
     if f.terms():
         norm_f = qalgebra.seminorm(f, cfg.rho)
         profile = qalgebra.decay_profile(f, cfg.rho, cfg.smax)
-        for s, value in enumerate(profile.values, start=1):
+        for s, (value, lossy) in enumerate(zip(profile.values, profile.lossy_at), start=1):
             bound = abs(f.q) ** ((s - 1) / 2.0) * norm_f
             ratio = value / bound if bound > 0 else 0.0
-            rows.append([s, value, bound, ratio, int(profile.lossy)])
+            rows.append([s, value, bound, ratio, int(lossy)])
     with _open_out(cfg.output) as fp:
         fileio.write_csv(fp, ["s", "root_norm", "bound", "ratio", "lossy"], rows)
     return EXIT_OK

@@ -22,6 +22,7 @@ from .errors import PreconditionError
 __all__ = [
     "HoloSeries",
     "log_series",
+    "scale_coeffs",
     "sup_norm_on_circle",
 ]
 
@@ -34,6 +35,19 @@ def _as_coeffs(values) -> np.ndarray:
         raise ValueError("series coefficients must be finite")
     arr.flags.writeable = False
     return arr
+
+
+def scale_coeffs(coeffs: np.ndarray, c: complex) -> np.ndarray:
+    """``a_n -> c^n a_n`` on a coefficient array, the rule behind
+    :meth:`HoloSeries.scale_arg`.
+
+    Exact zeros stay zero (``0 * inf`` is never formed).  A product that
+    overflows is left non-finite, without a warning, for the caller to
+    drop or reject.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.power(complex(c), np.arange(coeffs.size))
+        return np.where(coeffs != 0, coeffs * powers, 0)
 
 
 @dataclass(frozen=True)
@@ -138,10 +152,11 @@ class HoloSeries:
     def scale_arg(self, c: complex) -> "HoloSeries":
         """The substituted series ``z -> c*z``, i.e. ``a_n -> c^n a_n``.
 
-        Exact: no truncation is involved.
+        Exact: no truncation is involved.  A coefficient that overflows
+        is a ``ValueError``, as for any non-finite coefficient; see
+        :func:`scale_coeffs` to handle it instead.
         """
-        powers = np.power(complex(c), np.arange(self.coeffs.size))
-        return HoloSeries(self.coeffs * powers, lossy=self.lossy)
+        return HoloSeries(scale_coeffs(self.coeffs, c), lossy=self.lossy)
 
     # -- norms and evaluation ------------------------------------------
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _accel
 from .errors import PreconditionError
-from .holo import HoloSeries
+from .holo import HoloSeries, scale_coeffs
 
 __all__ = [
     "weight",
@@ -300,7 +300,6 @@ def qmul_rowwise(f: QSeries, g: QSeries) -> QSeries:
     d = f.trunc_degree
     cols = [HoloSeries.zero(d) for _ in range(d + 1)]
     lost = False
-    xdeg = np.arange(d + 1)
     for i in range(d + 1):
         fi = f.series_in_x(i)
         if fi.max_degree < 0:
@@ -310,9 +309,9 @@ def qmul_rowwise(f: QSeries, g: QSeries) -> QSeries:
             if gj.max_degree < 0:
                 continue
             # gj.scale_arg(q**i), with overflowed coefficients taken apart
-            with np.errstate(over="ignore", invalid="ignore"):
-                scaled = np.where(gj.coeffs != 0, gj.coeffs * np.power(complex(f.q**i), xdeg), 0)
-            scaled, dropped = _drop_overflow(scaled, fi.coeffs, i + j, f.q, d)
+            scaled, dropped = _drop_overflow(
+                scale_coeffs(gj.coeffs, f.q**i), fi.coeffs, i + j, f.q, d
+            )
             term = fi * HoloSeries(scaled, lossy=gj.lossy)
             if i + j > d:
                 lost = lost or dropped or term.lossy or term.max_degree >= 0
@@ -479,7 +478,12 @@ def p_seminorm(f: QSeries, rho_x: float, rho_y: float) -> float:
 
 class DecayProfile(NamedTuple):
     values: list[float]
-    lossy: bool
+    lossy_at: list[bool]
+
+    @property
+    def lossy(self) -> bool:
+        """Whether some power up to ``s_max`` lost mass to truncation."""
+        return self.lossy_at[-1]
 
 
 def decay_profile(f: QSeries, rho: float, s_max: int) -> DecayProfile:
@@ -487,21 +491,21 @@ def decay_profile(f: QSeries, rho: float, s_max: int) -> DecayProfile:
 
     For mixed-ideal series at ``|q| < 1`` the entries obey the bound
     ``|q|^((s-1)/2) ||f||_rho``, with equality for the single monomial
-    ``x y``; a flat profile signals a non-quasinilpotent element.  The
-    ``lossy`` field reports whether some power overflowed the truncation
-    degree (making later entries underestimates).
+    ``x y``; a flat profile signals a non-quasinilpotent element.
+    ``lossy_at[s - 1]`` reports whether some power up to ``f^s``
+    overflowed the truncation degree (making that entry an
+    underestimate); ``lossy`` is its last entry.
     """
     if s_max < 1:
         raise PreconditionError(f"s_max must be >= 1, got {s_max}")
-    values = []
+    values, lossy_at = [], []
     acc = f
-    lossy = f.lossy
     for s in range(1, s_max + 1):
         if s > 1:
             acc = qmul(acc, f)
-        lossy = lossy or acc.lossy
+        lossy_at.append(acc.lossy)
         values.append(seminorm(acc, rho) ** (1.0 / s))
-    return DecayProfile(values, lossy)
+    return DecayProfile(values, lossy_at)
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,8 @@ class QHull:
 
         The same windows as :meth:`contains`, stepped through for all
         points at once; a point leaves the loop once it is found or its
-        window is used up.
+        window is used up.  Over a hull with another ``q`` each point is
+        walked as in :meth:`contains`.
         """
         z = np.asarray(zs, dtype=np.complex128)
         out = z == 0
@@ -222,7 +223,9 @@ class QHull:
         zl = z.reshape(-1)[live]
         base, disks = self._plan
         if disks is None:
-            hit = self._walk_contains_many(base, zl)
+            hit = np.fromiter(
+                (self._walk_contains(base, complex(v)) for v in zl), dtype=bool, count=zl.size
+            )
         else:
             hit = np.zeros(zl.size, dtype=bool)
             log_az = np.log(np.abs(zl))
@@ -241,26 +244,6 @@ class QHull:
                     todo = todo[~hit[todo] & (n[todo] <= n_hi[todo])]
         out.reshape(-1)[live] = hit
         return out
-
-    def _walk_contains_many(self, base: "QHull", zl: np.ndarray) -> np.ndarray:
-        r = base.bounding_radius()
-        az = np.abs(zl)
-        hit = np.zeros(zl.size, dtype=bool)
-        if r == 0.0:
-            return hit
-        near = np.flatnonzero(az < r)
-        steps = (np.log(az[near]) - math.log(r)) / math.log(abs(self.q))
-        n_stop = np.minimum(np.trunc(steps) + 2, _MAX_HULL_STEPS).astype(np.int64)
-        scale = 1.0 + 0.0j
-        todo = np.arange(near.size)
-        for n in range(int(n_stop.max(initial=0)) + 1):
-            if todo.size == 0:
-                break
-            idx = near[todo]
-            hit[idx] = base.contains_many(zl[idx] / scale)
-            scale *= self.q
-            todo = todo[~hit[idx] & (n < n_stop[todo]) & (abs(scale) * r > az[idx])]
-        return hit
 
     def bounding_radius(self) -> float:
         return self.base.bounding_radius()

@@ -219,18 +219,44 @@ def naive_is_q_spiraling(member, box, q: complex, samples: int, seed: int,
     return True
 
 
+def _naive_rank_with_stability(m: np.ndarray, rank_tol: float) -> tuple[int, bool]:
+    sv = np.linalg.svd(m, compute_uv=False)
+    if sv.size == 0 or sv[0] == 0:
+        return 0, True
+    threshold = rank_tol * sv[0]
+    rank = int(np.count_nonzero(sv > threshold))
+    near = np.any((sv > threshold / 10.0) & (sv < threshold * 10.0))
+    return rank, not bool(near)
+
+
+def naive_homology_dims(comp, rank_tol: float):
+    """``(h0, h1, h2, stable)`` of one complex, ranking ``d0`` and ``d1`` one SVD each."""
+    from qplane.errors import PreconditionError
+
+    if not rank_tol > 0:
+        raise PreconditionError(f"rank_tol must be positive, got {rank_tol}")
+    r0, stable0 = _naive_rank_with_stability(comp.d0, rank_tol)
+    r1, stable1 = _naive_rank_with_stability(comp.d1, rank_tol)
+    n = comp.n
+    h0, h1, h2 = n - r0, (2 * n - r1) - r0, n - r1
+    stable = stable0 and stable1
+    if h1 < 0:
+        h1, stable = 0, False
+    return h0, h1, h2, stable
+
+
 def naive_spectrum_scan(pair, axis: str, grid, rank_tol: float = 1e-10) -> list:
-    """Scan rows one grid point at a time through ``build``/``homology_dims``."""
+    """Scan rows one grid point at a time: ``build``, then :func:`naive_homology_dims`."""
     from qplane import koszul as kz
 
     rows = []
     for g in grid.points():
         gamma = (g, 0j) if axis == "x" else (0j, g)
         try:
-            hom = kz.homology_dims(kz.build(pair, gamma), rank_tol)
+            h0, h1, h2, stable = naive_homology_dims(kz.build(pair, gamma), rank_tol)
         except Exception as exc:
             rows.append(kz.ScanRow(g.real, g.imag, axis, -1, -1, -1, False, False, str(exc)))
         else:
-            rows.append(kz.ScanRow(g.real, g.imag, axis, hom.h0, hom.h1, hom.h2,
-                                   hom.member, hom.stable))
+            rows.append(kz.ScanRow(g.real, g.imag, axis, h0, h1, h2,
+                                   h0 > 0 or h1 > 0 or h2 > 0, stable))
     return rows

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qplane.errors import PreconditionError
-from qplane.holo import HoloSeries, log_series, sup_norm_on_circle
+from qplane.holo import HoloSeries, log_series, scale_coeffs, sup_norm_on_circle
 
 from oracles import conv_oracle
 
@@ -108,6 +108,18 @@ class TestScaleArg:
         twice = f.scale_arg(c).scale_arg(cp)
         once = f.scale_arg(c * cp)
         assert np.allclose(twice.coeffs, once.coeffs, rtol=1e-14, atol=0)
+
+    def test_overflow_left_to_the_caller(self):
+        # 2^1100 overflows; the zero at degree 1100 is not turned into 0 * inf,
+        # and no RuntimeWarning escapes (the suite turns those into errors)
+        a = np.zeros(1102, dtype=np.complex128)
+        a[[0, 1, 1101]] = 1.0
+        scaled = scale_coeffs(a, 2.0)
+        assert scaled[0] == 1 and scaled[1] == 2
+        assert np.all(scaled[2:1101] == 0)
+        assert not np.isfinite(scaled[1101])
+        with pytest.raises(ValueError, match="must be finite"):
+            HoloSeries(a).scale_arg(2.0)
 
 
 class TestNorm:

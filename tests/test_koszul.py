@@ -199,11 +199,18 @@ class TestBatchedScan:
     """Stacked chunks against the point-by-point rows."""
 
     @pytest.mark.parametrize("axis", ["x", "y"])
-    @pytest.mark.parametrize("n, steps", [(8, 1025), (64, 65)])
-    def test_rows_equal_per_point(self, n, steps, axis):
+    # on the x-axis at N = 24 and 32 singular values sit next to the rank
+    # threshold: there a changed rank or stability rule shows (at N = 24,
+    # rank_tol = 1e-8 leaves 9 of the 129 rows stable)
+    @pytest.mark.parametrize(
+        "n, steps, rank_tol",
+        [(8, 1025, 1e-10), (24, 129, 1e-8), (32, 129, 1e-10), (64, 65, 1e-10)],
+    )
+    def test_rows_equal_per_point(self, n, steps, rank_tol, axis):
         pair = oc.model_pair(Q, n)
         grid = kz.GridSpec(0.0, 1.0, 0.0, 0.0, steps)
-        assert kz.spectrum_scan(pair, axis, grid) == naive_spectrum_scan(pair, axis, grid)
+        rows = kz.spectrum_scan(pair, axis, grid, rank_tol)
+        assert rows == naive_spectrum_scan(pair, axis, grid, rank_tol)
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_complex_grid_on_conjugated_pair(self, axis, rng):
