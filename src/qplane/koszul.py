@@ -35,6 +35,19 @@ The y-axis membership set is therefore ``{1, q^N}``: ``(0, 1, 1)`` at
 interior ``q^m`` (``1 <= m < N``) included.  For the untruncated shift
 on l^2, ``T`` is an isometry and ``T*(S - mu)T = qS - mu``, so the same
 argument leaves ``{1}`` alone; ``q^N`` comes from ``T e_{N-1} = 0``.
+
+On the x-axis the same pair shows its pseudospectrum.  At ``(gamma, 0)``,
+``d0 = [-qS; T - q gamma I]``, and ``T - q gamma`` is a Jordan-like
+block: ``v`` with ``v_{N-1-k} = (q gamma)^k`` leaves a residual of about
+``|q gamma|^N``, and ``qS`` maps it to a vector of norm about
+``|q|^N``.  So the smallest singular value of ``d0`` is about ``|q|^N``
+times the largest for every ``|gamma| <= 1``.  For ``model_pair(1/2, N)`` and 257 nodes on
+``[0, 1]`` that is ``2^-N`` against the relative threshold ``1e-10``:
+at N = 32 no row is a member and every row is unstable; from N = 36 on
+every row is a member ``(1, 1, 0)``, unstable at N = 36 and stable at
+N = 40, 48 and 64.  A yes/no ``stable`` flag cannot show how near the
+threshold a row sits; the graded columns planned in ROADMAP item 5
+would.
 """
 
 from __future__ import annotations
@@ -239,17 +252,27 @@ class GridSpec:
     def points(self) -> list[complex]:
         if self.steps <= 0:
             return []
-        res = (
-            np.linspace(self.re_min, self.re_max, self.steps)
-            if self.re_max > self.re_min
-            else np.asarray([self.re_min])
-        )
-        ims = (
-            np.linspace(self.im_min, self.im_max, self.steps)
-            if self.im_max > self.im_min
-            else np.asarray([self.im_min])
-        )
+        res = _axis_nodes(self.re_min, self.re_max, self.steps)
+        ims = _axis_nodes(self.im_min, self.im_max, self.steps)
         return [complex(r, i) for r in res for i in ims]
+
+
+def _axis_nodes(lo: float, hi: float, steps: int) -> np.ndarray:
+    """``steps`` evenly spaced nodes from ``lo`` to ``hi``; ``[lo]`` unless ``hi > lo``.
+
+    A span wider than the double range is built from the halved bounds,
+    so its nodes stay finite.  An infinite bound gives non-finite nodes,
+    which a scan records as error rows.
+    """
+    lo, hi = float(lo), float(hi)
+    if not hi > lo:
+        return np.asarray([lo])
+    if math.isfinite(hi - lo):
+        return np.linspace(lo, hi, steps)
+    if math.isfinite(lo) and math.isfinite(hi):
+        return 2.0 * np.linspace(lo / 2.0, hi / 2.0, steps)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.linspace(lo, hi, steps)
 
 
 @dataclass(frozen=True)

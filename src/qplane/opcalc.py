@@ -11,7 +11,6 @@ resolvent/decay identity checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -43,6 +42,10 @@ __all__ = [
 
 # Relative Frobenius tolerance for accepting a pair as q-commuting.
 PAIR_RESIDUAL_TOL = 1e-12
+
+# The calculus works on blocks of rows whose stored powers of T and
+# coefficient blocks fit in this many complex entries (4 MiB).
+_BLOCK_ENTRIES = 2**18
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -214,51 +217,78 @@ def spectral_radius(m: np.ndarray) -> float:
     return float(np.max(np.abs(ev))) if ev.size else 0.0
 
 
+def _power_split(degs: np.ndarray) -> int:
+    """The ``p`` that minimises ``(p - 1) + sum_m (ceil((deg_m + 1) / p) - 1)``.
+
+    ``degs`` holds the top degree of every nonzero column.  ``p - 1``
+    products form the stored powers; column ``m`` then takes
+    ``ceil((deg_m + 1) / p) - 1`` Horner steps in ``T^p``.  Ties go to the
+    larger ``p``, which stores more powers and takes fewer steps.
+    """
+    p = np.arange(1, int(degs.max()) + 2)
+    cost = (p - 1) + (-(-(degs[None, :] + 1) // p[:, None]) - 1).sum(axis=1)
+    return int(p[::-1][np.argmin(cost[::-1])])
+
+
 def _eval_columns(cols: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     """``sum_m c_m(T) S^m`` for the coefficient table ``cols[m] = c_m``.
 
-    Right Horner in ``S`` from the top nonzero column down,
-    ``acc = acc @ S + c_m(T)``.  Each ``c_m(T)`` is evaluated by
-    Paterson-Stockmeyer: with ``p = ceil(sqrt(deg + 1))`` and ``deg`` the
-    top degree of the table, ``T^1 .. T^(p-1)`` and ``T^p`` are formed
-    once, the coefficients of ``c_m`` split into blocks of ``p``, each
-    block becomes a linear combination of the stored powers, and the
-    blocks are combined by Horner in ``T^p``.  Only those ``p`` powers
-    are kept, never a table of all powers or of all ``c_m(T)``.
+    Every step multiplies on the right, so each block of rows of the
+    result needs only the same rows of the left factors.  The
+    coefficients of ``c_m`` split into blocks of ``p`` (see
+    :func:`_power_split`).  For each block of rows the evaluator forms
+    those rows of ``T^0 .. T^(p-1)``, ``T^j = T^(j-1) T``, and gets those
+    rows of every coefficient block of every ``c_m(T)`` from one product
+    of the coefficient blocks with the stored powers.  It combines the
+    blocks of each ``c_m`` by Horner in ``T^p``, ``val = val T^p + block``
+    (only when some column has degree ``>= p``), and the columns by
+    right Horner in ``S`` from the top nonzero column down,
+    ``acc = acc S + c_m(T)``.  The row-block height keeps the stored
+    powers and blocks within ``_BLOCK_ENTRIES`` complex entries.
     """
     n = t.shape[0]
-    rows = np.flatnonzero(cols.any(axis=1))
-    if rows.size == 0:
-        return np.zeros((n, n), dtype=np.complex128)
-    deg = int(np.flatnonzero(cols.any(axis=0))[-1])
-    p = math.ceil(math.sqrt(deg + 1))
-    powers = np.empty((p - 1, n, n), dtype=np.complex128)  # T^1 .. T^(p-1)
-    for j in range(p - 1):
-        powers[j] = powers[j - 1] @ t if j else t
-    t_p = powers[-1] @ t if p > 1 else None
-    flat = powers.reshape(p - 1, n * n)
-
-    def block(c: np.ndarray) -> np.ndarray:
-        """``sum_j c[j] T^j`` over one block of at most ``p`` coefficients."""
-        out = c[1:] @ flat[: c.size - 1]
-        out[:: n + 1] += c[0]
-        return out.reshape(n, n)
-
-    acc = None
-    for m in range(int(rows[-1]), -1, -1):
-        if acc is not None:
-            acc = acc @ s
-        c = cols[m, : deg + 1]
-        nz = np.flatnonzero(c)
-        if nz.size == 0:
-            continue
-        top = int(nz[-1]) // p
-        val = block(c[top * p : (top + 1) * p])
-        for b in range(top - 1, -1, -1):
-            val = val @ t_p
-            val += block(c[b * p : (b + 1) * p])
-        acc = val if acc is None else acc + val
-    return acc
+    out = np.zeros((n, n), dtype=np.complex128)
+    nonzero = cols.any(axis=1)
+    if not nonzero.any():
+        return out
+    live = cols[nonzero]
+    degs = live.shape[1] - 1 - np.argmax(live[:, ::-1] != 0, axis=1)
+    p = _power_split(degs)
+    nblocks = -(-(degs + 1) // p)
+    most = int(nblocks.max())
+    padded = np.zeros((live.shape[0], most * p), dtype=np.complex128)
+    width = min(padded.shape[1], live.shape[1])  # past it every entry is zero
+    padded[:, :width] = live[:, :width]
+    # (block count, p): column by column, low blocks first
+    coef = padded.reshape(-1, most, p)[np.arange(most) < nblocks[:, None]]
+    first = np.cumsum(nblocks) - nblocks
+    t_p = np.linalg.matrix_power(t, p) if p <= degs.max() else None
+    top = int(np.flatnonzero(nonzero)[-1])
+    slot = np.cumsum(nonzero) - 1  # index of column m among the nonzero ones
+    height = max(1, _BLOCK_ENTRIES // ((p + coef.shape[0]) * n))
+    for r0 in range(0, n, height):
+        rows = slice(r0, min(r0 + height, n))
+        h = rows.stop - r0
+        powers = np.zeros((p, h, n), dtype=np.complex128)
+        powers[0, :, r0 : rows.stop] = np.eye(h)
+        if p > 1:
+            powers[1] = t[rows]
+        for j in range(2, p):
+            np.matmul(powers[j - 1], t, out=powers[j])
+        vals = (coef @ powers.reshape(p, h * n)).reshape(-1, h, n)
+        acc = None
+        for m in range(top, -1, -1):
+            if acc is not None:
+                acc = acc @ s
+            if not nonzero[m]:
+                continue
+            lo, nb = first[slot[m]], nblocks[slot[m]]
+            val = vals[lo + nb - 1]
+            for b in range(lo + nb - 2, lo - 1, -1):
+                val = val @ t_p + vals[b]
+            acc = val if acc is None else acc + val
+        out[rows] = acc
+    return out
 
 
 def calc(f: QFunctionRep, pair: OperatorPair, check_spectra: bool = True) -> np.ndarray:
@@ -272,9 +302,12 @@ def calc(f: QFunctionRep, pair: OperatorPair, check_spectra: bool = True) -> np.
     model; see :func:`harte_model_spectrum` for the analytic picture.
 
     Evaluation order: right Horner in ``S`` over the coefficient
-    functions, ``acc = acc @ S + f_n(T)`` from the top ``n`` down, and
-    each ``f_n(T)`` by Paterson-Stockmeyer in ``T`` (powers up to
-    ``T^p``, ``p = ceil(sqrt(deg + 1))``, then Horner in ``T^p``).
+    functions, ``acc = acc @ S + f_n(T)`` from the top ``n`` down, block
+    of rows by block of rows.  Each block forms its rows of
+    ``T^0 .. T^(p-1)`` once and gets its rows of every ``f_n(T)`` from
+    one product with the coefficient table, plus Horner in ``T^p`` for
+    degrees ``>= p``; ``p`` minimises the matrix products (see
+    ``_eval_columns``), so a table of many columns stores every power.
     """
     if f.q != pair.q:
         raise PreconditionError(f"q mismatch: function {f.q} vs pair {pair.q}")
@@ -301,8 +334,8 @@ def calc_qseries(f: QSeries, pair: OperatorPair) -> np.ndarray:
 
     This is the representation ``x -> T``, ``y -> S``; because the pair
     satisfies the same rewriting rule as the plane, it is an algebra
-    homomorphism on tables (products map to products).  The evaluation
-    order is that of :func:`calc`, column ``k`` of the table being the
+    homomorphism on tables (products map to products).  The evaluator
+    is that of :func:`calc`, column ``k`` of the table being the
     coefficient function of ``S^k``.
     """
     if f.q != pair.q:
@@ -394,6 +427,14 @@ def pair_eigenvalues(
     exactly; beyond that a greedy closest-pair sweep keeps it cheap.
     Returns ``(perm, distances)`` where ``predicted[perm[i]]`` is the
     partner of ``actual[i]``.
+
+    Both are skipped when the answer is certified without them: group
+    ``predicted`` into classes of equal values; if every actual value's
+    nearest class is strictly nearer than all others and no class is
+    nearest to more values than it holds, each row takes its own column
+    of its nearest class.  That reaches the sum of the row minima, a
+    lower bound for every assignment, and every optimal or greedy
+    assignment gives each row the same partner value and distance.
     """
     a = np.asarray(actual, dtype=np.complex128)
     p = np.asarray(predicted, dtype=np.complex128)
@@ -401,6 +442,19 @@ def pair_eigenvalues(
         raise PreconditionError(f"multiset size mismatch: {a.size} vs {p.size}")
     if a.size == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0)
+    values, cls, counts = np.unique(p, return_inverse=True, return_counts=True)
+    gap = np.abs(a[:, None] - values[None, :])
+    nearest = np.argmin(gap, axis=1)
+    second = np.partition(gap, 1, axis=1)[:, 1] if values.size > 1 else np.inf
+    strict = gap[np.arange(a.size), nearest] < second
+    if strict.all() and np.all(np.bincount(nearest, minlength=values.size) <= counts):
+        # The r-th row nearest to a class takes the class's r-th column.
+        rows = np.argsort(nearest, kind="stable")
+        rank = np.empty(a.size, dtype=np.intp)
+        rank[rows] = np.arange(a.size) - np.searchsorted(nearest[rows], nearest[rows])
+        columns = np.argsort(cls, kind="stable")
+        perm = columns[np.searchsorted(cls[columns], nearest) + rank]
+        return perm, np.abs(a - p[perm])
     cost = np.abs(a[:, None] - p[None, :])
     if a.size <= 64:
         from scipy.optimize import linear_sum_assignment

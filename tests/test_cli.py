@@ -353,6 +353,19 @@ class TestOperatorCommands:
         assert len(lines) == 33
         assert (tmp_path / "map.xbranch.csv").exists()
 
+    def test_specmap_on_worked_input_leaves_scipy_optimize_out(self, tmp_path):
+        from test_opcalc import log_xy_rep
+
+        src, out = tmp_path / "f.json", tmp_path / "map.csv"
+        write_function(src, log_xy_rep())
+        code = (
+            "import sys; from qplane import cli; "
+            f"code = cli.main(['specmap', {str(src)!r}, '--n', '32', '--output', {str(out)!r}]); "
+            "print(code, 'scipy.optimize' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.stdout.rstrip().endswith("\n0 False"), proc.stderr
+
 
 class TestKoszulCommands:
     def test_single_character_row(self, tmp_path):
@@ -370,6 +383,25 @@ class TestKoszulCommands:
         assert run(["scan", "--axis", "y", "--re-min", "0", "--re-max", "1",
                     "--steps", "0", "--output", out]) == 0
         assert out.read_text() == "g_re,g_im,axis,h0,h1,h2,member,stable\n"
+
+    def test_scan_span_wider_than_doubles(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qplane.cli", "scan", "--axis", "x", "--re-min=-1e308",
+             "--re-max=1e308", "--steps", "5", "--n", "4", "--output", "-"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+        assert [float(r[0]) for r in rows] == [-1e308, -5e307, 0.0, 5e307, 1e308]
+        assert all(r[3] != "-1" for r in rows)
+
+    def test_scan_infinite_bound_is_error_rows(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert run(["scan", "--axis", "y", "--re-min", "0", "--re-max", "inf",
+                    "--steps", "3", "--output", out]) == 0
+        assert capsys.readouterr().err == ""
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 3 and all(r.split(",")[3:6] == ["-1"] * 3 for r in rows)
 
     def test_scan_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -154,6 +154,21 @@ class TestGridSpec:
         pts = kz.GridSpec(0.0, 1.0, -1.0, 1.0, 2).points()
         assert pts == [complex(0, -1), complex(0, 1), complex(1, -1), complex(1, 1)]
 
+    def test_finite_span_is_linspace(self):
+        pts = kz.GridSpec(-1.3, 2.9, 0.0, 0.0, 17).points()
+        assert pts == [complex(r, 0.0) for r in np.linspace(-1.3, 2.9, 17)]
+
+    def test_span_wider_than_doubles_has_finite_nodes(self):
+        # no RuntimeWarning on the way: the suite turns those into errors
+        pts = kz.GridSpec(-1e308, 1e308, 0.0, 0.0, 5).points()
+        assert pts == [-1e308, -5e307, 0.0, 5e307, 1e308]
+
+    @pytest.mark.parametrize("bounds", [(-1.0, math.inf), (-math.inf, math.inf), (math.inf, math.inf)])
+    def test_infinite_bound_gives_error_rows(self, bounds):
+        grid = kz.GridSpec(0.5, 0.5, *bounds, 3)
+        rows = kz.spectrum_scan(oc.model_pair(Q, 4), "y", grid)
+        assert rows and all("is not finite" in r.error for r in rows)
+
 
 class TestSpectrumScan:
     def test_empty_grid(self):
@@ -240,7 +255,7 @@ class TestBatchedScan:
             kz.build(pair, gamma)
 
     def test_non_finite_point_keeps_its_place(self):
-        class Listed:  # GridSpec's linspace itself warns on infinite ranges
+        class Listed:  # non-finite points between finite ones
             def points(self):
                 return [0.5 + 0j, complex(math.nan, 0), 0.25 + 0j, complex(0, math.inf), 1 + 0j]
 

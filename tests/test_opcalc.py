@@ -1,4 +1,6 @@
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -239,6 +241,65 @@ class TestCalcAgainstHorner:
         assert not oc.calc_qseries(QSeries.zero(Q, 4), pair).any()
 
 
+def split_cost(degs, p):
+    return (p - 1) + sum(-(-(d + 1) // p) - 1 for d in degs)
+
+
+class TestRowBlocks:
+    """The row-blocked evaluator on the shapes its bookkeeping must handle."""
+
+    @staticmethod
+    def tables(rng):
+        high = np.zeros((1, 101), dtype=complex)
+        high[0] = (rng.standard_normal(101) + 1j * rng.standard_normal(101)) * 0.9 ** np.arange(101)
+        gaps = np.zeros((7, 12), dtype=complex)  # zero columns 1, 3, 4 and 6
+        gaps[[0, 2, 5]] = rng.standard_normal((3, 12)) + 1j * rng.standard_normal((3, 12))
+        gaps[2, 9:] = 0.0  # a lower degree than its neighbours
+        constant = np.zeros((3, 5), dtype=complex)
+        constant[0, 0] = 2.5 - 1j
+        return {
+            "second": coefficient_table(second_example_rep()),
+            "log_xy": coefficient_table(log_xy_rep()),
+            "high_degree_column": high,
+            "zero_columns": gaps,
+            "constant": constant,
+        }
+
+    @staticmethod
+    def row_height(cols, n, height):
+        """A ``_BLOCK_ENTRIES`` that gives blocks of ``height`` rows."""
+        live = cols[cols.any(axis=1)]
+        degs = np.array([np.flatnonzero(c)[-1] for c in live])
+        p = oc._power_split(degs)
+        return height * (p + int(np.sum(-(-(degs + 1) // p)))) * n
+
+    @pytest.mark.parametrize("height", [None, 1, 5])
+    @pytest.mark.parametrize("kind", ["model", "conjugated"])
+    def test_against_horner(self, height, kind, rng, monkeypatch):
+        n = 23  # blocks of 5 rows leave a last block of 3
+        pair = oc.model_pair(Q, n) if kind == "model" else conjugated_pair(Q, n)
+        for name, cols in self.tables(rng).items():
+            if height is not None:
+                monkeypatch.setattr(oc, "_BLOCK_ENTRIES", self.row_height(cols, n, height))
+            got = oc._eval_columns(cols, pair.t, pair.s)
+            assert_close_to_majorant(got, naive_calc(cols, pair.t, pair.s), cols, pair)
+
+    def test_constant_is_a_multiple_of_the_identity(self):
+        rep = oc.QFunctionRep(Q, (HoloSeries([2.5, 0.0]), HoloSeries.zero(1)), 2.0, 2.0)
+        pair = conjugated_pair(Q, 9)
+        assert np.array_equal(oc.calc(rep, pair, check_spectra=False), 2.5 * np.eye(9))
+
+    @pytest.mark.parametrize(
+        "degs, want",
+        [([0], 1), ([1], 2), ([100], 13), ([40] * 41, 41), (list(range(41)), 41), ([3, 30], 8)],
+    )
+    def test_power_split(self, degs, want):
+        ps = range(1, max(degs) + 2)
+        best = min(split_cost(degs, p) for p in ps)
+        assert want == max(p for p in ps if split_cost(degs, p) == best)
+        assert oc._power_split(np.array(degs)) == want
+
+
 class TestQfMul:
     def test_calculus_is_multiplicative(self, rng):
         pair = oc.model_pair(Q, 12)
@@ -332,6 +393,48 @@ class TestPairing:
     def test_size_mismatch(self):
         with pytest.raises(PreconditionError):
             oc.pair_eigenvalues([1.0], [1.0, 2.0])
+
+    @staticmethod
+    def certified(rng, name):
+        """``(actual, predicted)`` where each actual value has a strictly nearest class."""
+        if name == "near_diagonal":
+            orbit = Q ** np.arange(24) + 0j
+            noise = 1e-10 * (rng.standard_normal(24) + 1j * rng.standard_normal(24))
+            return orbit[rng.permutation(24)] + noise, orbit
+        if name == "tied":
+            tied = np.repeat([1.0, 0.5 + 0.5j, -2.0, 3j], [5, 1, 3, 2])
+            noise = 1e-3 * (rng.standard_normal(11) + 1j * rng.standard_normal(11))
+            return tied[rng.permutation(11)] + noise, tied
+        return LOG32 + 1e-9 * rng.standard_normal(32) + 0j, np.full(32, LOG32 + 0j)
+
+    @pytest.mark.parametrize("name", ["near_diagonal", "tied", "one_class"])
+    def test_certified_pairing_matches_assignment(self, name, rng, monkeypatch):
+        from scipy.optimize import linear_sum_assignment
+
+        actual, predicted = self.certified(rng, name)
+        cost = np.abs(actual[:, None] - predicted[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)  # importing it now fails
+        perm, dist = oc.pair_eigenvalues(actual, predicted)
+        assert np.array_equal(np.sort(perm), np.arange(actual.size))
+        assert np.array_equal(predicted[perm], predicted[cols])
+        assert np.array_equal(dist, cost[rows, cols])
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_optimal_against_brute_force(self, n, rng):
+        cases = [(np.array([0.1, 0.2]), np.array([0.0, 1.0]))] if n == 2 else []
+        for _ in range(12):  # rounded predictions: ties and contested classes
+            predicted = np.round(rng.standard_normal(n)) + 1j * np.round(rng.standard_normal(n))
+            cases.append((rng.standard_normal(n) + 1j * rng.standard_normal(n), predicted))
+        for actual, predicted in cases:
+            cost = np.abs(actual[:, None] - predicted[None, :])
+            best = min(
+                sum(cost[i, j] for i, j in enumerate(p)) for p in itertools.permutations(range(n))
+            )
+            perm, dist = oc.pair_eigenvalues(actual, predicted)
+            assert np.array_equal(np.sort(perm), np.arange(n))
+            assert np.array_equal(dist, cost[np.arange(n), perm])
+            assert dist.sum() <= best + 1e-12
 
 
 class TestResolventTwist:
