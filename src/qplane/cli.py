@@ -10,6 +10,12 @@ byte-identical output files.  ``--seed`` is accepted by every subcommand
 but reserved: no subcommand samples at random, so nothing reads it yet.
 A series that lost mass to truncation says so in its JSON (``"lossy"``)
 and ``decay`` in its ``lossy`` column.
+
+Building the parser and parsing the arguments load no math layer: each
+``cmd_*`` imports the layers it runs, so ``mul`` never imports the
+operator calculus and ``qhull`` never imports the series algebra.  The
+handlers call through module attributes (``qalgebra.qmul(...)``), so a
+wrapper set on a module attribute sees the call.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fileio, koszul, opcalc, qalgebra, qtopology
+from . import fileio
 from .errors import InputFormatError, NonConvergenceError, PreconditionError
 
 EXIT_OK = 0
@@ -39,7 +45,7 @@ class RunConfig:
     rho_x: float
     rho_y: float
     smax: int
-    rank_tol: float
+    rank_tol: float | None  # None: koszul.DEFAULT_RANK_TOL
     seed: int
     output: str
 
@@ -94,7 +100,15 @@ def _write_series(cfg: RunConfig, series) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _rank_tol(cfg: RunConfig) -> float:
+    from . import koszul
+
+    return koszul.DEFAULT_RANK_TOL if cfg.rank_tol is None else cfg.rank_tol
+
+
 def cmd_mul(cfg: RunConfig, args) -> int:
+    from . import qalgebra
+
     f = fileio.qseries_from_payload(_load_payload(args.left))
     g = fileio.qseries_from_payload(_load_payload(args.right))
     _write_series(cfg, qalgebra.qmul(f, g))
@@ -102,12 +116,16 @@ def cmd_mul(cfg: RunConfig, args) -> int:
 
 
 def cmd_pow(cfg: RunConfig, args) -> int:
+    from . import qalgebra
+
     f = fileio.qseries_from_payload(_load_payload(args.series))
     _write_series(cfg, qalgebra.qpow(f, args.s, method=args.method))
     return EXIT_OK
 
 
 def cmd_decompose(cfg: RunConfig, args) -> int:
+    from . import qalgebra
+
     f = fileio.qseries_from_payload(_load_payload(args.series))
     parts = qalgebra.decompose(f)
     payloads = {
@@ -128,6 +146,8 @@ def cmd_decompose(cfg: RunConfig, args) -> int:
 
 
 def cmd_norm(cfg: RunConfig, args) -> int:
+    from . import qalgebra
+
     f = fileio.qseries_from_payload(_load_payload(args.series))
     row = [
         cfg.rho,
@@ -142,6 +162,8 @@ def cmd_norm(cfg: RunConfig, args) -> int:
 
 
 def cmd_decay(cfg: RunConfig, args) -> int:
+    from . import qalgebra
+
     f = fileio.qseries_from_payload(_load_payload(args.series))
     parts = qalgebra.decompose(f)
     stray = parts.f_x.terms() + parts.f_y.terms()
@@ -166,12 +188,16 @@ def cmd_decay(cfg: RunConfig, args) -> int:
 
 
 def cmd_twist(cfg: RunConfig, args) -> int:
+    from . import qalgebra
+
     f = fileio.qseries_from_payload(_load_payload(args.series))
     _write_series(cfg, qalgebra.twist(f))
     return EXIT_OK
 
 
 def cmd_qhull(cfg: RunConfig, args) -> int:
+    from . import qtopology
+
     base = fileio.diskunion_from_payload(_load_payload(args.disks))
     points = fileio.points_from_payload(_load_payload(args.points))
     hull = qtopology.QHull(base, cfg.q)
@@ -183,6 +209,8 @@ def cmd_qhull(cfg: RunConfig, args) -> int:
 
 
 def cmd_spiral(cfg: RunConfig, args) -> int:
+    from . import qtopology
+
     du = qtopology.spiral_neighborhood(
         complex(args.lam_re, args.lam_im), args.eps, args.delta, cfg.q
     )
@@ -192,6 +220,8 @@ def cmd_spiral(cfg: RunConfig, args) -> int:
 
 
 def cmd_modelpair(cfg: RunConfig, args) -> int:
+    from . import opcalc
+
     pair = opcalc.model_pair(cfg.q, cfg.n)
     payload = {
         "n": pair.n,
@@ -206,6 +236,8 @@ def cmd_modelpair(cfg: RunConfig, args) -> int:
 
 
 def cmd_calc(cfg: RunConfig, args) -> int:
+    from . import opcalc
+
     rep = fileio.qfunction_from_payload(_load_payload(args.function))
     pair = opcalc.model_pair(rep.q, cfg.n)
     matrix = opcalc.calc(rep, pair)
@@ -215,6 +247,8 @@ def cmd_calc(cfg: RunConfig, args) -> int:
 
 
 def cmd_specmap(cfg: RunConfig, args) -> int:
+    from . import opcalc
+
     rep = fileio.qfunction_from_payload(_load_payload(args.function))
     pair = opcalc.model_pair(rep.q, cfg.n)
     report = opcalc.spectral_mapping_check(rep, pair)
@@ -237,11 +271,13 @@ def cmd_specmap(cfg: RunConfig, args) -> int:
 
 
 def cmd_koszul(cfg: RunConfig, args) -> int:
+    from . import koszul, opcalc
+
     pair = opcalc.model_pair(cfg.q, cfg.n)
     g = complex(args.gamma_re, args.gamma_im)
     gamma = (g, 0j) if args.axis == "x" else (0j, g)
     comp = koszul.build(pair, gamma)
-    hom = koszul.homology_dims(comp, cfg.rank_tol)
+    hom = koszul.homology_dims(comp, _rank_tol(cfg))
     defect = koszul.composite_defect(comp, pair.q)
     row = [
         g.real, g.imag, args.axis,
@@ -254,9 +290,11 @@ def cmd_koszul(cfg: RunConfig, args) -> int:
 
 
 def cmd_scan(cfg: RunConfig, args) -> int:
+    from . import koszul, opcalc
+
     pair = opcalc.model_pair(cfg.q, cfg.n)
     grid = koszul.GridSpec(args.re_min, args.re_max, args.im_min, args.im_max, args.steps)
-    rows = koszul.spectrum_scan(pair, args.axis, grid, cfg.rank_tol)
+    rows = koszul.spectrum_scan(pair, args.axis, grid, _rank_tol(cfg))
     table = [
         [r.g_re, r.g_im, r.axis, r.h0, r.h1, r.h2, int(r.member), int(r.stable)]
         for r in rows
@@ -282,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--rho-x", type=float, default=1.0, help="x seminorm radius")
     shared.add_argument("--rho-y", type=float, default=1.0, help="y seminorm radius")
     shared.add_argument("--smax", type=int, default=8, help="largest power in decay profiles")
-    shared.add_argument("--rank-tol", type=float, default=koszul.DEFAULT_RANK_TOL,
+    shared.add_argument("--rank-tol", type=float, default=None,
                         help="relative singular-value threshold for ranks")
     shared.add_argument("--seed", type=int, default=0,
                         help="reserved for sampled checks; no subcommand reads it yet")

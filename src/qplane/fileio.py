@@ -23,15 +23,19 @@ import csv
 import io
 import json
 import math
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .errors import InputFormatError
-from .holo import HoloSeries
-from .opcalc import QFunctionRep
-from .qalgebra import QSeries
-from .qtopology import Disk, DiskUnion
+
+# The readers import the types they build, so that reading a series
+# loads no operator or topology layer.
+if TYPE_CHECKING:
+    from .holo import HoloSeries
+    from .opcalc import QFunctionRep
+    from .qalgebra import QSeries
+    from .qtopology import DiskUnion
 
 __all__ = [
     "fmt",
@@ -90,7 +94,28 @@ def qseries_to_payload(f: QSeries) -> dict:
     }
 
 
+def _is_index(value) -> bool:
+    """A nonnegative ``int``; JSON ``true``/``false`` are not degrees."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _checked_term(rec, trunc: int) -> tuple[int, int, float, float]:
+    """``(i, k, re, im)`` of one series term, or the first failing check's error."""
+    _require(isinstance(rec, dict), f"term must be an object, got {rec!r}")
+    for key in ("i", "k", "re", "im"):
+        _require(key in rec, f"term missing field {key!r}")
+    i, k = rec["i"], rec["k"]
+    _require(_is_index(i) and _is_index(k),
+             f"term degrees must be nonnegative integers, got ({i!r}, {k!r})")
+    _require(i <= trunc and k <= trunc,
+             f"term ({i}, {k}) exceeds truncation degree {trunc}")
+    return (i, k, _finite_float(rec["re"], "term re"),
+            _finite_float(rec["im"], "term im"))
+
+
 def qseries_from_payload(payload) -> QSeries:
+    from .qalgebra import QSeries
+
     _require(isinstance(payload, dict), "series payload must be an object")
     for key in ("q", "trunc", "terms"):
         _require(key in payload, f"series payload missing field {key!r}")
@@ -99,21 +124,32 @@ def qseries_from_payload(payload) -> QSeries:
     lossy = payload.get("lossy", False)
     _require(isinstance(lossy, bool), f"lossy must be true or false, got {lossy!r}")
     trunc = payload["trunc"]
-    _require(isinstance(trunc, int) and trunc >= 0,
-             f"trunc must be a nonnegative integer, got {trunc!r}")
+    _require(_is_index(trunc), f"trunc must be a nonnegative integer, got {trunc!r}")
+    terms = payload["terms"]
+    _require(isinstance(terms, list), "terms must be a list")
+    ii, kk, values = [], [], []
+    isfinite = math.isfinite
+    for rec in terms:
+        # A well-formed term passes on exact types alone; anything else
+        # goes through _checked_term, which accepts it or names the
+        # first check it fails.
+        try:
+            i, k, re, im = rec["i"], rec["k"], rec["re"], rec["im"]
+            ok = (type(rec) is dict and type(i) is int and type(k) is int
+                  and 0 <= i <= trunc and 0 <= k <= trunc
+                  and type(re) is float and type(im) is float
+                  and isfinite(re) and isfinite(im))
+        except (KeyError, TypeError):
+            ok = False
+        if not ok:
+            i, k, re, im = _checked_term(rec, trunc)
+        ii.append(i)
+        kk.append(k)
+        values.append(complex(re, im))
     table = np.zeros((trunc + 1, trunc + 1), dtype=np.complex128)
-    _require(isinstance(payload["terms"], list), "terms must be a list")
-    for rec in payload["terms"]:
-        _require(isinstance(rec, dict), f"term must be an object, got {rec!r}")
-        for key in ("i", "k", "re", "im"):
-            _require(key in rec, f"term missing field {key!r}")
-        i, k = rec["i"], rec["k"]
-        _require(isinstance(i, int) and isinstance(k, int) and i >= 0 and k >= 0,
-                 f"term degrees must be nonnegative integers, got ({i!r}, {k!r})")
-        _require(i <= trunc and k <= trunc,
-                 f"term ({i}, {k}) exceeds truncation degree {trunc}")
-        table[i, k] += complex(_finite_float(rec["re"], "term re"),
-                               _finite_float(rec["im"], "term im"))
+    # unbuffered and in term order: repeated terms add up as they are listed
+    np.add.at(table, (np.asarray(ii, dtype=np.intp), np.asarray(kk, dtype=np.intp)),
+              np.asarray(values, dtype=np.complex128))
     return QSeries(q, table, lossy=lossy)
 
 
@@ -127,6 +163,8 @@ def _holo_to_pairs(f: HoloSeries) -> list[list[float]]:
 
 
 def _holo_from_pairs(pairs, what: str) -> HoloSeries:
+    from .holo import HoloSeries
+
     _require(isinstance(pairs, list) and len(pairs) >= 1,
              f"{what} must be a nonempty list of [re, im] pairs")
     return HoloSeries([_complex_pair(p, what) for p in pairs])
@@ -142,6 +180,8 @@ def qfunction_to_payload(f: QFunctionRep) -> dict:
 
 
 def qfunction_from_payload(payload) -> QFunctionRep:
+    from .opcalc import QFunctionRep
+
     _require(isinstance(payload, dict), "function payload must be an object")
     for key in ("q", "r_x", "r_y", "f_list"):
         _require(key in payload, f"function payload missing field {key!r}")
@@ -169,6 +209,8 @@ def diskunion_to_payload(du: DiskUnion) -> list:
 
 
 def diskunion_from_payload(payload) -> DiskUnion:
+    from .qtopology import Disk, DiskUnion
+
     _require(isinstance(payload, list), "disk union payload must be a list")
     disks = []
     for rec in payload:

@@ -190,9 +190,7 @@ def _homology(
     r0, stable0 = _ranks(sv0, rank_tol)
     r1, stable1 = _ranks(sv1, rank_tol)
     dims = np.stack([n - r0, (2 * n - r1) - r0, n - r1], axis=-1)
-    stable = stable0 & stable1 & (dims[..., 1] >= 0)
-    np.maximum(dims[..., 1], 0, out=dims[..., 1])
-    return dims, stable
+    return dims, stable0 & stable1
 
 
 def _rank_tol_error(rank_tol: float) -> str | None:
@@ -207,9 +205,9 @@ def homology_dims(
 
     ``h0 = dim ker d0``, ``h2 = codim im d1`` and
     ``h1 = dim ker d1 - rank d0`` via SVD ranks with relative threshold
-    ``rank_tol``.  Exactness of the middle square on the axes makes
-    ``h1 >= 0``; a negative raw value can only come from rank
-    misestimates and is clamped with ``stable = False``.
+    ``rank_tol``.  Both ranks are at most ``N`` (``d0`` has ``N`` columns,
+    ``d1`` has ``N`` rows), so ``h1 = 2N - r0 - r1 = h0 + h2 >= 0`` by
+    construction, whatever the ranks.
     """
     gx, gy = comp.gamma
     if gx != 0 and gy != 0:
@@ -240,7 +238,8 @@ class GridSpec:
 
     ``steps`` points span each of the real and imaginary ranges
     (a degenerate range contributes a single point); ``steps = 0``
-    gives the empty grid.
+    gives the empty grid and a negative count is a
+    :class:`PreconditionError`.
     """
 
     re_min: float
@@ -249,8 +248,12 @@ class GridSpec:
     im_max: float
     steps: int
 
+    def __post_init__(self):
+        if self.steps < 0:
+            raise PreconditionError(f"steps must be >= 0, got {self.steps}")
+
     def points(self) -> list[complex]:
-        if self.steps <= 0:
+        if self.steps == 0:
             return []
         res = _axis_nodes(self.re_min, self.re_max, self.steps)
         ims = _axis_nodes(self.im_min, self.im_max, self.steps)

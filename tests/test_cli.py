@@ -79,6 +79,98 @@ class TestRoundTrip:
         assert run(["norm", tmp_path / "nope.json"]) == cli.EXIT_INPUT
 
 
+def _series(terms, **fields):
+    return {"q": [0.5, 0.0], "trunc": 2, "terms": terms, **fields}
+
+
+def _term(i=1, k=0, re=1.0, im=0.0):
+    return {"i": i, "k": k, "re": re, "im": im}
+
+
+GOOD = _term()
+
+
+class TestSeriesPayloadErrors:
+    """Every series-payload error, by its exact message."""
+
+    @pytest.mark.parametrize("payload, message", [
+        ([], "series payload must be an object"),
+        ({"trunc": 2, "terms": []}, "series payload missing field 'q'"),
+        ({"q": [0.5, 0], "terms": []}, "series payload missing field 'trunc'"),
+        ({"q": [0.5, 0], "trunc": 2}, "series payload missing field 'terms'"),
+        (_series([], q=0.5), "q must be a [re, im] pair, got 0.5"),
+        (_series([], q=[0.5]), "q must be a [re, im] pair, got [0.5]"),
+        (_series([], q=["a", 0]), "q must be a number, got 'a'"),
+        (_series([], q=[0.5, math.inf]), "q must be finite, got inf"),
+        (_series([], q=[0, 0.0]), "q must be nonzero"),
+        (_series([], lossy="yes"), "lossy must be true or false, got 'yes'"),
+        (_series([], lossy=0), "lossy must be true or false, got 0"),
+        (_series([], trunc=-1), "trunc must be a nonnegative integer, got -1"),
+        (_series([], trunc=2.0), "trunc must be a nonnegative integer, got 2.0"),
+        (_series({}), "terms must be a list"),
+        (_series([GOOD, 3]), "term must be an object, got 3"),
+        (_series([{"i": 0, "k": 0, "re": 1.0}]), "term missing field 'im'"),
+        (_series([{"k": 0}]), "term missing field 'i'"),
+        (_series([GOOD, _term(i=-1)]),
+         "term degrees must be nonnegative integers, got (-1, 0)"),
+        (_series([_term(k=1.0)]), "term degrees must be nonnegative integers, got (1, 1.0)"),
+        (_series([_term(i="1")]), "term degrees must be nonnegative integers, got ('1', 0)"),
+        (_series([_term(i=3)]), "term (3, 0) exceeds truncation degree 2"),
+        (_series([_term(k=3)], trunc=2), "term (1, 3) exceeds truncation degree 2"),
+        (_series([_term(re="x")]), "term re must be a number, got 'x'"),
+        (_series([_term(re=None)]), "term re must be a number, got None"),
+        (_series([_term(re=math.nan)]), "term re must be finite, got nan"),
+        (_series([_term(im=[1.0])]), "term im must be a number, got [1.0]"),
+        (_series([_term(im=-math.inf)]), "term im must be finite, got -inf"),
+        # the first failing check wins, within a payload and within a term
+        (_series({}, trunc=-1, lossy=1), "lossy must be true or false, got 1"),
+        (_series({}, trunc=-1), "trunc must be a nonnegative integer, got -1"),
+        (_series([_term(i=-1, re="x"), 3]),
+         "term degrees must be nonnegative integers, got (-1, 0)"),
+        (_series([_term(i=5, re=math.nan)]), "term (5, 0) exceeds truncation degree 2"),
+        (_series([_term(re=math.nan, im="y")]), "term re must be finite, got nan"),
+        (_series([_term(re="x", im="y")]), "term re must be a number, got 'x'"),
+        (_series([_term(im=math.nan), _term(i=9)]), "term im must be finite, got nan"),
+    ])
+    def test_message(self, payload, message):
+        with pytest.raises(InputFormatError) as info:
+            fileio.qseries_from_payload(payload)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("payload, message", [
+        (_series([_term(i=True, k=False)]),
+         "term degrees must be nonnegative integers, got (True, False)"),
+        (_series([GOOD, _term(k=True)]),
+         "term degrees must be nonnegative integers, got (1, True)"),
+        (_series([], trunc=True), "trunc must be a nonnegative integer, got True"),
+        (_series([], trunc=False), "trunc must be a nonnegative integer, got False"),
+    ])
+    def test_boolean_degrees_rejected(self, payload, message):
+        with pytest.raises(InputFormatError) as info:
+            fileio.qseries_from_payload(payload)
+        assert str(info.value) == message
+
+    def test_boolean_degrees_exit_2_from_the_cli(self, tmp_path, capsys):
+        # a bool indexed the table as a mask, and the term vanished
+        src = tmp_path / "f.json"
+        src.write_text(json.dumps(_series([_term(i=True, k=False, re=2.0)])))
+        assert run(["twist", src]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: input: term degrees must be nonnegative integers, got (True, False)"
+        ]
+
+    def test_accepted_values_sum_in_order(self):
+        terms = [_term(1, 0, 0.1, -0.0), _term(1, 0, 0.2, 3), _term(0, 2, -0.0, 0.0),
+                 _term(2, 2, 1, 2.5)]
+        f = fileio.qseries_from_payload(_series(terms))
+        want = np.zeros((3, 3), dtype=np.complex128)
+        for t in terms:
+            want[t["i"], t["k"]] += complex(t["re"], t["im"])
+        assert f.coeffs.tobytes() == want.tobytes()
+
+
 class TestSeriesCommands:
     def test_mul_reorders_y_x(self, tmp_path, capsys):
         y = QSeries.monomial(Q, 4, 0, 1)
@@ -384,6 +476,14 @@ class TestKoszulCommands:
                     "--steps", "0", "--output", out]) == 0
         assert out.read_text() == "g_re,g_im,axis,h0,h1,h2,member,stable\n"
 
+    def test_scan_negative_steps_is_precondition(self, capsys):
+        # it used to print an empty table and exit 0, like --steps 0
+        assert run(["scan", "--axis", "y", "--re-min", "0", "--re-max", "1",
+                    "--steps", "-3"]) == cli.EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: precondition: steps must be >= 0, got -3"]
+
     def test_scan_span_wider_than_doubles(self):
         proc = subprocess.run(
             [sys.executable, "-m", "qplane.cli", "scan", "--axis", "x", "--re-min=-1e308",
@@ -422,3 +522,59 @@ def test_console_entry_smoke(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("rho,")
+
+
+SERIES_LAYERS = {"qplane.qalgebra"}
+OPERATOR_LAYERS = {"qplane.opcalc", "qplane.koszul", "qplane.qtopology"}
+LOADS = [
+    # (argv, layers it must load, layers it must leave out)
+    (["mul", "{xy}", "{xy}"], SERIES_LAYERS, OPERATOR_LAYERS),
+    (["pow", "{xy}", "--s", "3"], SERIES_LAYERS, OPERATOR_LAYERS),
+    (["decompose", "{xy}"], SERIES_LAYERS, OPERATOR_LAYERS),
+    (["norm", "{xy}"], SERIES_LAYERS, OPERATOR_LAYERS),
+    (["decay", "{xy}"], SERIES_LAYERS, OPERATOR_LAYERS),
+    (["twist", "{xy}"], SERIES_LAYERS, OPERATOR_LAYERS),
+    (["qhull", "{disks}", "{points}"], {"qplane.qtopology"},
+     {"qplane.qalgebra", "qplane.opcalc", "qplane.koszul"}),
+    (["spiral", "--lam-re", "1.0", "--eps", "0.3", "--delta", "0.1"], {"qplane.qtopology"},
+     {"qplane.qalgebra", "qplane.opcalc", "qplane.koszul"}),
+    (["modelpair", "--n", "4"], {"qplane.opcalc"}, {"qplane.koszul", "qplane.qtopology"}),
+    (["calc", "{fn}", "--n", "8"], {"qplane.opcalc"}, {"qplane.koszul", "qplane.qtopology"}),
+    (["specmap", "{fn}", "--n", "8"], {"qplane.opcalc"},
+     {"qplane.koszul", "qplane.qtopology"}),
+    (["koszul", "--gamma-re", "1.0", "--axis", "y", "--n", "4"], {"qplane.koszul"},
+     {"qplane.qtopology"}),
+    (["scan", "--axis", "y", "--re-min", "0", "--re-max", "1", "--steps", "5", "--n", "4"],
+     {"qplane.koszul"}, {"qplane.qtopology"}),
+]
+
+
+@pytest.mark.parametrize("argv, needed, left_out", LOADS, ids=[c[0][0] for c in LOADS])
+def test_subcommand_loads_only_its_layers(tmp_path, argv, needed, left_out):
+    from test_opcalc import log_xy_rep
+
+    files = {name: tmp_path / f"{name}.json" for name in ("xy", "disks", "points", "fn")}
+    write_series(files["xy"], QSeries.monomial(Q, 3, 1, 1))
+    files["disks"].write_text(json.dumps([{"re": 1.0, "im": 0.0, "radius": 0.1}]))
+    files["points"].write_text(json.dumps([[0.5, 0.0], [0.3, 0.0]]))
+    write_function(files["fn"], log_xy_rep(terms=4, degree=4))
+    argv = [a.format(**files) for a in argv] + ["--output", str(tmp_path / "out")]
+    code = (
+        "import sys; from qplane import cli; "
+        f"code = cli.main({argv!r}); "
+        "print(code, *sorted(m for m in sys.modules if m.startswith('qplane.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    status, *loaded = proc.stdout.splitlines()[-1].split()
+    assert status == "0", proc.stderr
+    assert needed <= set(loaded)
+    assert not left_out & set(loaded), loaded
+
+
+def test_building_the_parser_loads_no_math_layer():
+    code = (
+        "import sys; from qplane import cli; cli._build_parser(); "
+        "print(*sorted(m for m in sys.modules if m.startswith('qplane.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout.split() == ["qplane.cli", "qplane.errors", "qplane.fileio"], proc.stderr

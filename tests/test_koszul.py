@@ -117,6 +117,15 @@ class TestHomologyDims:
         with pytest.raises(PreconditionError, match="off both axes"):
             kz.homology_dims(comp)
 
+    def test_middle_dimension_is_the_sum_for_any_ranks(self, rng):
+        # r0, r1 <= N, so h1 = 2N - r0 - r1 = h0 + h2 >= 0 with no clamp
+        n = 6
+        sv0 = np.sort(rng.uniform(0, 1, (200, n)) * (rng.uniform(size=(200, n)) < 0.6))[:, ::-1]
+        sv1 = np.sort(rng.uniform(0, 1, (200, n)) * (rng.uniform(size=(200, n)) < 0.6))[:, ::-1]
+        dims, _ = kz._homology(sv0, sv1, n, 1e-10)
+        assert np.array_equal(dims[:, 1], dims[:, 0] + dims[:, 2])
+        assert dims.min() >= 0
+
     def test_bad_rank_tol(self):
         pair = oc.model_pair(Q, 4)
         comp = kz.build(pair, (0.0, 0.0))
@@ -145,6 +154,11 @@ class TestHomologyDims:
 class TestGridSpec:
     def test_empty(self):
         assert kz.GridSpec(0, 1, 0, 1, 0).points() == []
+
+    @pytest.mark.parametrize("steps", [-1, -3])
+    def test_negative_steps_is_precondition(self, steps):
+        with pytest.raises(PreconditionError, match=f"steps must be >= 0, got {steps}"):
+            kz.GridSpec(0.0, 1.0, 0.0, 0.0, steps)
 
     def test_degenerate_imaginary_range(self):
         pts = kz.GridSpec(0.0, 1.0, 0.0, 0.0, 3).points()
