@@ -67,7 +67,12 @@ def _require(cond: bool, message: str) -> None:
 def _finite_float(value, what: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"{what} must be a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # a JSON integer beyond the double range
+        raise InputFormatError(
+            f"{what} must be finite, got an integer too large for a double"
+        ) from None
     _require(math.isfinite(out), f"{what} must be finite, got {value!r}")
     return out
 
@@ -258,7 +263,7 @@ def dump_json(payload, fp) -> None:
 def load_json(fp):
     try:
         return json.load(fp)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer past Python's digit limit
         raise InputFormatError(f"invalid JSON: {exc}") from exc
 
 

@@ -92,30 +92,55 @@ class KoszulComplexAt:
     n: int
 
 
-def _not_finite(gx: complex, gy: complex) -> str | None:
-    """The error text for a character with a non-finite coordinate, else ``None``."""
-    if all(math.isfinite(v) for v in (gx.real, gx.imag, gy.real, gy.imag)):
-        return None
-    return f"character ({gx}, {gy}) is not finite"
-
-
 def _pair_scale(pair: OperatorPair) -> float:
     """``||T||_2 + ||S||_2``, the pair's part of the defect bound."""
     return float(np.linalg.norm(pair.t, 2) + np.linalg.norm(pair.s, 2))
 
 
-def _defect_error(defect: float, scale: float) -> str | None:
-    """The error text when ``defect`` exceeds ``1e-12 * scale^2``, else ``None``.
+def _defect_error(defect: float, scale: float) -> str:
+    """The error text when ``defect`` exceeds ``1e-12 * scale^2``, else ``""``.
 
     Compared as ``defect / scale <= 1e-12 * scale`` so that a huge
-    character cannot overflow the bound.
+    character cannot overflow the bound; a NaN defect fails it.
     """
     if defect == 0 or defect / scale <= _BUILD_TOL * scale:
-        return None
+        return ""
     return (
         f"composite identity violated: defect {defect:.3e} "
         f"exceeds {_BUILD_TOL:.0e} * {scale:.3e}^2"
     )
+
+
+def _complexes(
+    pair: OperatorPair, gx: np.ndarray, gy: np.ndarray, pair_scale: float
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Stacked differentials at the characters ``(gx[i], gy[i])``.
+
+    Returns ``(d0, d1, errors)``: ``d0[i]`` and ``d1[i]`` are the maps at
+    character ``i`` and ``errors[i]`` is ``""`` or why that character has
+    no complex: a non-finite coordinate, or a composite ``d1 d0`` more
+    than ``1e-12 * (pair_scale + |gx| + |gy|)^2`` from
+    ``(q-1) gx gy I``.  A non-finite character's maps are built at 0.
+    """
+    finite = np.isfinite(gx) & np.isfinite(gy)
+    x, y = np.where(finite, gx, 0), np.where(finite, gy, 0)
+    n = pair.n
+    eye = np.eye(n, dtype=np.complex128)
+    x3, y3 = x[:, None, None], y[:, None, None]
+    d0 = np.concatenate(
+        [y3 * eye - pair.q * pair.s, pair.t - (pair.q * x)[:, None, None] * eye], axis=1
+    )
+    d1 = np.concatenate([pair.t - x3 * eye, pair.s - y3 * eye], axis=2)
+    target = ((pair.q - 1.0) * x * y)[:, None, None] * eye
+    defects = np.linalg.norm(d1 @ d0 - target, axis=(1, 2))
+    scales = pair_scale + np.abs(x) + np.abs(y)
+    errors = [
+        _defect_error(d, s) if ok else f"character ({a}, {b}) is not finite"
+        for a, b, ok, d, s in zip(
+            gx.tolist(), gy.tolist(), finite.tolist(), defects.tolist(), scales.tolist()
+        )
+    ]
+    return d0, d1, errors
 
 
 def build(pair: OperatorPair, gamma: tuple[complex, complex]) -> KoszulComplexAt:
@@ -124,23 +149,16 @@ def build(pair: OperatorPair, gamma: tuple[complex, complex]) -> KoszulComplexAt
     ``d1 @ d0`` must equal ``(q-1) gamma_x gamma_y I`` up to
     ``1e-12 * (||T|| + ||S|| + |gamma|)^2``; a violation means the pair
     does not satisfy the commutation relation to working precision.  A
-    non-finite character is a :class:`PreconditionError`.
+    non-finite character is a :class:`PreconditionError`.  The maps are
+    those a scan stacks, for one character.
     """
     gx, gy = complex(gamma[0]), complex(gamma[1])
-    bad = _not_finite(gx, gy)
-    if bad:
-        raise PreconditionError(bad)
-    n = pair.n
-    eye = np.eye(n, dtype=np.complex128)
-    d0 = np.vstack([gy * eye - pair.q * pair.s, pair.t - pair.q * gx * eye])
-    d1 = np.hstack([pair.t - gx * eye, pair.s - gy * eye])
-    comp = KoszulComplexAt((gx, gy), d0, d1, n)
-    bad = _defect_error(
-        composite_defect(comp, pair.q), _pair_scale(pair) + abs(gx) + abs(gy)
+    d0, d1, (error,) = _complexes(
+        pair, np.asarray([gx]), np.asarray([gy]), _pair_scale(pair)
     )
-    if bad:
-        raise PreconditionError(bad)
-    return comp
+    if error:
+        raise PreconditionError(error)
+    return KoszulComplexAt((gx, gy), d0[0], d1[0], pair.n)
 
 
 def composite_defect(comp: KoszulComplexAt, q: complex) -> float:
@@ -183,6 +201,11 @@ def _ranks(sv: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
     return rank, ~near
 
 
+def _sv(a: np.ndarray) -> np.ndarray:
+    """Singular values of a matrix, or of each matrix of a stack, largest first."""
+    return np.linalg.svd(a, compute_uv=False)
+
+
 def _homology(
     sv0: np.ndarray, sv1: np.ndarray, n: int, rank_tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -193,9 +216,9 @@ def _homology(
     return dims, stable0 & stable1
 
 
-def _rank_tol_error(rank_tol: float) -> str | None:
-    """The error text for a rank threshold that is not positive, else ``None``."""
-    return None if rank_tol > 0 else f"rank_tol must be positive, got {rank_tol}"
+def _rank_tol_error(rank_tol: float) -> str:
+    """The error text for a rank threshold that is not positive, else ``""``."""
+    return "" if rank_tol > 0 else f"rank_tol must be positive, got {rank_tol}"
 
 
 def homology_dims(
@@ -218,12 +241,7 @@ def homology_dims(
     bad = _rank_tol_error(rank_tol)
     if bad:
         raise PreconditionError(bad)
-    dims, stable = _homology(
-        np.linalg.svd(comp.d0, compute_uv=False),
-        np.linalg.svd(comp.d1, compute_uv=False),
-        comp.n,
-        rank_tol,
-    )
+    dims, stable = _homology(_sv(comp.d0), _sv(comp.d1), comp.n, rank_tol)
     return Homology(int(dims[0]), int(dims[1]), int(dims[2]), bool(stable))
 
 
@@ -291,57 +309,35 @@ class ScanRow:
     error: str = ""
 
 
-def _scan_point(
-    pair: OperatorPair, axis: str, g: complex, rank_tol: float
-) -> ScanRow:
-    """One scan row through :func:`build` and :func:`homology_dims`."""
-    gamma = (g, 0.0 + 0.0j) if axis == "x" else (0.0 + 0.0j, g)
-    try:
-        hom = homology_dims(build(pair, gamma), rank_tol)
-    except Exception as exc:  # recorded, not raised
-        return ScanRow(g.real, g.imag, axis, -1, -1, -1, False, False, str(exc))
-    return ScanRow(
-        g.real, g.imag, axis, hom.h0, hom.h1, hom.h2, hom.member, hom.stable
-    )
-
-
-def _scan_chunk(
+def _chunk_homology(
     pair: OperatorPair,
     gx: np.ndarray,
     gy: np.ndarray,
     pair_scale: float,
     rank_tol: float,
-) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Homology at finite characters ``(gx[i], gy[i])`` from stacked matrices.
+) -> tuple[list[list[int]], np.ndarray, list[str]]:
+    """``(dims, stable, errors)`` at the characters ``(gx[i], gy[i])``.
 
-    The stacked counterpart of :func:`build` plus :func:`homology_dims`:
-    returns ``(dims, stable, errors)``, with dims ``-1`` and the error
-    text where a point failed.  A LAPACK failure propagates.
+    The complexes come from :func:`_complexes` and are ranked by one
+    stacked SVD of each map; if LAPACK fails, one SVD per character.
+    Where ``errors[i]`` is set, ``dims[i]`` is ``[-1, -1, -1]``.
     """
-    n = pair.n
-    eye = np.eye(n, dtype=np.complex128)
-    gx3, gy3 = gx[:, None, None], gy[:, None, None]
-    d0 = np.concatenate(
-        [gy3 * eye - pair.q * pair.s, pair.t - (pair.q * gx)[:, None, None] * eye], axis=1
-    )
-    d1 = np.concatenate([pair.t - gx3 * eye, pair.s - gy3 * eye], axis=2)
-    target = ((pair.q - 1.0) * gx * gy)[:, None, None] * eye
-    defects = np.linalg.norm(d1 @ d0 - target, axis=(1, 2))
-    scales = pair_scale + np.abs(gx) + np.abs(gy)
-    errors = [_defect_error(float(d), float(s)) for d, s in zip(defects, scales)]
-    ok = np.flatnonzero([e is None for e in errors])
+    d0, d1, errors = _complexes(pair, gx, gy, pair_scale)
     tol_error = _rank_tol_error(rank_tol)
-    errors = [e or tol_error or "" for e in errors]
-    dims = np.full((gx.size, 3), -1, dtype=np.int64)
-    stable = np.zeros(gx.size, dtype=bool)
-    if ok.size and tol_error is None:
-        dims[ok], stable[ok] = _homology(
-            np.linalg.svd(d0[ok], compute_uv=False),
-            np.linalg.svd(d1[ok], compute_uv=False),
-            n,
-            rank_tol,
-        )
-    return dims, stable, errors
+    errors = [e or tol_error for e in errors]
+    ok = np.flatnonzero([not e for e in errors])
+    dims = np.full((len(errors), 3), -1, dtype=np.int64)
+    stable = np.zeros(len(errors), dtype=bool)
+    if ok.size:
+        try:
+            dims[ok], stable[ok] = _homology(_sv(d0[ok]), _sv(d1[ok]), pair.n, rank_tol)
+        except np.linalg.LinAlgError:
+            for i in ok:
+                try:
+                    dims[i], stable[i] = _homology(_sv(d0[i]), _sv(d1[i]), pair.n, rank_tol)
+                except np.linalg.LinAlgError as exc:
+                    errors[i] = str(exc)
+    return dims.tolist(), stable, errors
 
 
 def spectrum_scan(
@@ -359,10 +355,12 @@ def spectrum_scan(
     a non-finite grid point is an error row.
 
     ``||T||_2 + ||S||_2`` is computed once per scan.  The differentials
-    of as many points as fit in 2^15 complex entries are built as
-    stacked arrays and ranked by one stacked SVD each; the rows
-    equal those of :func:`build` and :func:`homology_dims` point by
-    point.  A chunk where LAPACK fails is redone that way.
+    of as many points as fit in 2^15 complex entries are built by the
+    assembly :func:`build` uses, as stacked arrays, and ranked by one
+    stacked SVD each; the rows equal those of :func:`build` and
+    :func:`homology_dims` point by point.  When LAPACK fails on a chunk
+    its rows are ranked one SVD at a time, and a row that fails again
+    holds the LAPACK error.
     """
     if axis not in ("x", "y"):
         raise PreconditionError(f"axis must be 'x' or 'y', got {axis!r}")
@@ -370,32 +368,16 @@ def spectrum_scan(
     g = np.asarray(points, dtype=np.complex128).reshape(-1)
     zero = np.zeros_like(g)
     gx, gy = (g, zero) if axis == "x" else (zero, g)
-
-    def row(i, dims=(-1, -1, -1), stable=False, error="") -> ScanRow:
-        h0, h1, h2 = (int(v) for v in dims)
-        return ScanRow(
-            points[i].real, points[i].imag, axis,
-            h0, h1, h2, h0 > 0 or h1 > 0 or h2 > 0, bool(stable), error,
-        )
-
-    rows: list[ScanRow | None] = [None] * g.size
-    finite = np.isfinite(g)
-    for i in np.flatnonzero(~finite):
-        rows[i] = row(i, error=_not_finite(complex(gx[i]), complex(gy[i])))
-    finite = np.flatnonzero(finite)
-    if finite.size:
-        pair_scale = _pair_scale(pair)
-        step = max(1, _STACK_ENTRIES // (2 * pair.n * pair.n))
-        for start in range(0, finite.size, step):
-            idx = finite[start : start + step]
-            try:
-                dims, stable, errors = _scan_chunk(
-                    pair, gx[idx], gy[idx], pair_scale, rank_tol
-                )
-            except np.linalg.LinAlgError:
-                for i in idx:
-                    rows[i] = _scan_point(pair, axis, points[i], rank_tol)
-                continue
-            for j, i in enumerate(idx):
-                rows[i] = row(i, dims[j], stable[j], errors[j])
+    pair_scale = _pair_scale(pair)
+    step = max(1, _STACK_ENTRIES // (2 * pair.n * pair.n))
+    rows: list[ScanRow] = []
+    for start in range(0, g.size, step):
+        chunk = slice(start, start + step)
+        dims, stable, errors = _chunk_homology(pair, gx[chunk], gy[chunk], pair_scale, rank_tol)
+        for j, (h0, h1, h2) in enumerate(dims):
+            g_j = points[start + j]
+            rows.append(ScanRow(
+                g_j.real, g_j.imag, axis, h0, h1, h2,
+                h0 > 0 or h1 > 0 or h2 > 0, bool(stable[j]), errors[j],
+            ))
     return rows

@@ -47,6 +47,9 @@ PAIR_RESIDUAL_TOL = 1e-12
 # coefficient blocks fit in this many complex entries (4 MiB).
 _BLOCK_ENTRIES = 2**18
 
+# Points on the sampled x-branch curve of a spectral mapping report.
+_CURVE_SAMPLES = 64
+
 
 def _as_matrix(m) -> np.ndarray:
     arr = np.asarray(m, dtype=np.complex128)
@@ -168,12 +171,6 @@ class QFunctionRep:
             return self.f_list[0](z)
         constants = HoloSeries([fn.coeffs[0] for fn in self.f_list])
         return constants(w)
-
-    def p_norm(self, rho_x: float, rho_y: float) -> float:
-        """Seminorm ``sum_n ||f_n||_{rho_x} rho_y^n``."""
-        return float(
-            sum(fn.norm(rho_x) * rho_y**n for n, fn in enumerate(self.f_list))
-        )
 
 
 def qf_mul(f: QFunctionRep, g: QFunctionRep) -> QFunctionRep:
@@ -423,18 +420,18 @@ def pair_eigenvalues(
     """Match two eigenvalue multisets and report the pair distances.
 
     Multisets of nearly coincident eigenvalues make naive index pairing
-    meaningless, so up to 64 points this solves the assignment problem
-    exactly; beyond that a greedy closest-pair sweep keeps it cheap.
-    Returns ``(perm, distances)`` where ``predicted[perm[i]]`` is the
-    partner of ``actual[i]``.
+    meaningless, so this solves the assignment problem exactly (SciPy's
+    ``linear_sum_assignment``) at every size.  Returns
+    ``(perm, distances)`` where ``predicted[perm[i]]`` is the partner of
+    ``actual[i]``.
 
-    Both are skipped when the answer is certified without them: group
+    The solver is skipped when the answer is certified without it: group
     ``predicted`` into classes of equal values; if every actual value's
     nearest class is strictly nearer than all others and no class is
     nearest to more values than it holds, each row takes its own column
     of its nearest class.  That reaches the sum of the row minima, a
-    lower bound for every assignment, and every optimal or greedy
-    assignment gives each row the same partner value and distance.
+    lower bound for every assignment, and every optimal assignment gives
+    each row the same partner value and distance.
     """
     a = np.asarray(actual, dtype=np.complex128)
     p = np.asarray(predicted, dtype=np.complex128)
@@ -455,21 +452,11 @@ def pair_eigenvalues(
         columns = np.argsort(cls, kind="stable")
         perm = columns[np.searchsorted(cls[columns], nearest) + rank]
         return perm, np.abs(a - p[perm])
-    cost = np.abs(a[:, None] - p[None, :])
-    if a.size <= 64:
-        from scipy.optimize import linear_sum_assignment
+    from scipy.optimize import linear_sum_assignment
 
-        rows, cols = linear_sum_assignment(cost)
-        return cols, cost[rows, cols]
-    # Greedy fallback: repeatedly take the globally closest unmatched pair.
-    work = cost.copy()
-    perm = np.zeros(a.size, dtype=np.intp)
-    for _ in range(a.size):
-        i, j = np.unravel_index(np.argmin(work), work.shape)
-        perm[i] = j
-        work[i, :] = np.inf
-        work[:, j] = np.inf
-    return perm, cost[np.arange(a.size), perm]
+    cost = np.abs(a[:, None] - p[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return cols, cost[rows, cols]
 
 
 @dataclass(frozen=True)
@@ -481,16 +468,15 @@ class SpectralMappingReport:
     x_branch_curve: tuple[tuple[complex, complex], ...]
 
 
-def spectral_mapping_check(
-    f: QFunctionRep, pair: OperatorPair, curve_samples: int = 64
-) -> SpectralMappingReport:
+def spectral_mapping_check(f: QFunctionRep, pair: OperatorPair) -> SpectralMappingReport:
     """Compare the spectrum of ``f(T, S)`` with its predicted image.
 
     For the triangular model the diagonal of ``f(T, S)`` carries exactly
     the character values ``f(0, q^m)``, so the y-branch prediction is
     that multiset; the report pairs it optimally against the computed
     eigenvalues.  The x-branch image ``{f(z, 0): |z| <= 1}`` is returned
-    as a sampled boundary curve for side-by-side inspection.
+    as the boundary curve sampled at 64 points, for side-by-side
+    inspection.
     """
     a = calc(f, pair)
     ev = eigenvalues(a)
@@ -498,7 +484,7 @@ def spectral_mapping_check(
         [f.char_value((0.0, pair.q**m)) for m in range(pair.n)], dtype=np.complex128
     )
     perm, distances = pair_eigenvalues(ev, predicted)
-    theta = 2.0 * np.pi * np.arange(max(curve_samples, 1)) / max(curve_samples, 1)
+    theta = 2.0 * np.pi * np.arange(_CURVE_SAMPLES) / _CURVE_SAMPLES
     curve = tuple(
         (complex(z), f.char_value((z, 0.0))) for z in np.exp(1j * theta)
     )

@@ -547,23 +547,23 @@ def spec_eval(f: QSeries, gamma: tuple[complex, complex]) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def log_shifted(c: float, g: QSeries, n_terms: int | None = None) -> QSeries:
+def log_shifted(c: float, g: QSeries) -> QSeries:
     """Truncated ``ln(c + g)`` for a series ``g`` without constant term.
 
-    Sums ``ln c + sum_{n>=1} (-1)^(n+1)/(n c^n) g^n``; with ``g``
-    lacking a constant term the sum stabilizes inside the truncation
-    box once ``n`` exceeds the degree.
+    Sums ``ln c + sum_{n=1..D} (-1)^(n+1)/(n c^n) g^n``, ``D`` the
+    truncation degree.  When every term of ``g`` has total degree at
+    least 2 (as for ``xy``), ``g^n`` leaves the box beyond ``n = D`` and
+    the truncated sum is exact; a degree-1 term of ``g`` leaves out the
+    powers ``D < n <= 2D``, which still reach the box.
     """
     if not c > 0:
         raise PreconditionError(f"log offset must be positive, got {c}")
     if g.coeffs[0, 0] != 0:
         raise PreconditionError("log_shifted needs a series with zero constant term")
     d = g.trunc_degree
-    if n_terms is None:
-        n_terms = d
     acc = QSeries.monomial(g.q, d, 0, 0, np.log(c)).coeffs.copy()
     gn = g
-    for n in range(1, n_terms + 1):
+    for n in range(1, d + 1):
         if n > 1:
             gn = qmul(gn, g)
         acc += ((-1.0) ** (n + 1) / (n * c**n)) * gn.coeffs

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "Disk",
     "DiskUnion",
     "QHull",
-    "qhull_contains",
     "spiral_neighborhood",
     "point_q_closure",
     "is_quasicompact_d",
@@ -256,14 +255,6 @@ class QHull:
         return (lo, hi, lo, hi)
 
 
-Region = Union[DiskUnion, QHull]
-
-
-def qhull_contains(hull: QHull, z: complex) -> bool:
-    """True iff ``z`` is 0 or lands in some ``q^n`` copy of the base."""
-    return hull.contains(z)
-
-
 def spiral_neighborhood(
     lam: complex, eps: float, delta: float, q: complex
 ) -> DiskUnion:
@@ -332,42 +323,27 @@ def is_q_spiraling(
     q: complex,
     samples: int = 1000,
     seed: int = 0,
-    predicate: Callable[[complex], bool] | None = None,
-    box: tuple[float, float, float, float] | None = None,
     retry_factor: int = 50,
 ) -> bool:
     """Probabilistic, one-sided check that a set spirals into itself.
 
+    ``region`` is any set with ``contains``, ``contains_many`` and
+    ``bounding_box`` (a :class:`DiskUnion` or a :class:`QHull`).
     Rejection-samples points of the set inside its bounding box and
     tests ``q * z`` membership plus membership of the origin.  Any
     counterexample returns ``False``; otherwise ``True`` (which can be
-    a false positive, never a false negative).  ``predicate``/``box``
-    override the region's own membership and bounding box.
+    a false positive, never a false negative).
 
     Draws come 4096 at a time from the seeded stream, each as
     ``(Re z, Im z)``, so the answer for a seed is that of drawing one
-    point at a time; the region tests them with ``contains_many`` (a
-    ``predicate`` is called point by point).  At most
-    ``samples * retry_factor`` points are drawn; the first ``samples``
-    members are checked.
+    point at a time; the region tests them with ``contains_many``.  At
+    most ``samples * retry_factor`` points are drawn; the first
+    ``samples`` members are checked.
     """
     q = _check_contractive(q)
-    if box is None:
-        box = region.bounding_box()
-    re_lo, re_hi, im_lo, im_hi = box
-    if predicate is None:
-        if not region.contains(0.0 + 0.0j):
-            return False
-        member_many = region.contains_many
-    else:
-        if not predicate(0.0 + 0.0j):
-            return False
-
-        def member_many(zs: np.ndarray) -> np.ndarray:
-            return np.fromiter(
-                (bool(predicate(complex(z))) for z in zs), dtype=bool, count=zs.size
-            )
-
+    re_lo, re_hi, im_lo, im_hi = region.bounding_box()
+    if not region.contains(0.0 + 0.0j):
+        return False
     if samples < 1:
         return True
     rng = np.random.default_rng(seed)
@@ -378,9 +354,9 @@ def is_q_spiraling(
         drawn += k
         pts = rng.uniform((re_lo, im_lo), (re_hi, im_hi), size=(k, 2))
         z = pts.view(np.complex128)[:, 0]
-        hits = z[member_many(z)][: samples - accepted]
+        hits = z[region.contains_many(z)][: samples - accepted]
         accepted += hits.size
-        if not member_many(q * hits).all():
+        if not region.contains_many(q * hits).all():
             return False
     if accepted == 0:
         raise NonConvergenceError(

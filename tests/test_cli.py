@@ -171,6 +171,56 @@ class TestSeriesPayloadErrors:
         assert f.coeffs.tobytes() == want.tobytes()
 
 
+HUGE = 10**400  # a JSON integer beyond the double range
+TOO_LARGE = "must be finite, got an integer too large for a double"
+
+
+class TestHugeIntegers:
+    """An integer that overflows a double is an input error, not a crash."""
+
+    @pytest.mark.parametrize("reader, payload, what", [
+        (fileio.qseries_from_payload, _series([_term(re=HUGE)]), "term re"),
+        (fileio.qseries_from_payload, _series([], q=[0.5, -HUGE]), "q"),
+        (fileio.qfunction_from_payload,
+         {"q": [0.5, 0.0], "r_x": HUGE, "r_y": 1.0, "f_list": [[[1.0, 0.0]]]}, "r_x"),
+        (fileio.diskunion_from_payload,
+         [{"re": 1.0, "im": 0.0, "radius": HUGE}], "disk radius"),
+        (fileio.points_from_payload, [[0.5, 0.0], [HUGE, 0.0]], "point"),
+    ])
+    def test_message(self, reader, payload, what):
+        with pytest.raises(InputFormatError) as info:
+            reader(json.loads(json.dumps(payload)))
+        assert str(info.value) == f"{what} {TOO_LARGE}"
+
+    @pytest.mark.parametrize("command", ["twist", "qhull"])
+    def test_exit_2_from_the_cli(self, tmp_path, capsys, command):
+        src, points = tmp_path / "in.json", tmp_path / "pts.json"
+        if command == "twist":
+            src.write_text(json.dumps(_series([_term(re=HUGE)])))
+            argv = ["twist", src]
+            what = "term re"
+        else:
+            src.write_text(json.dumps([{"re": 1.0, "im": 0.0, "radius": HUGE}]))
+            points.write_text(json.dumps([[0.5, 0.0]]))
+            argv = ["qhull", src, points]
+            what = "disk radius"
+        assert run(argv) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: input: {what} {TOO_LARGE}"]
+
+    def test_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        # json refuses to parse an integer literal of more than 4300 digits
+        # (on an interpreter without that limit, the double overflows)
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(_series([_term(re=0)])).replace('"re": 0', '"re": 1' + "0" * 5000))
+        assert run(["twist", src]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: input: invalid JSON: Exceeds the limit") or line == (
+            f"error: input: term re {TOO_LARGE}")
+
+
 class TestSeriesCommands:
     def test_mul_reorders_y_x(self, tmp_path, capsys):
         y = QSeries.monomial(Q, 4, 0, 1)

@@ -210,3 +210,12 @@ class TestValidation:
 def test_sup_norm_circle_of_monomial():
     f = HoloSeries.monomial(5, 3)
     assert sup_norm_on_circle(f, 2.0) == pytest.approx(8.0)
+
+
+def test_difference_truncates_to_the_smaller_degree():
+    a = HoloSeries([1.0, 2.0, 3.0])
+    b = HoloSeries([0.5, 1.0])
+    d = a - b
+    assert np.array_equal(d.coeffs, [0.5, 1.0])
+    assert d.lossy  # the 3 x^2 of a was dropped
+    assert b - b == HoloSeries.zero(1) and not (b - b).lossy

@@ -32,6 +32,17 @@ class TestBuild:
         assert np.array_equal(comp.d1[:, 4:], pair.s)
         assert np.max(np.abs(comp.d1 @ comp.d0)) == 0.0
 
+    def test_blocks_equal_definition_at_random_characters(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(2, 10))
+            pair = conjugated_pair(rng, 0.5 + 0.3j, n)
+            gx, gy = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(2))
+            comp = kz.build(pair, (gx, gy))
+            eye = np.eye(n, dtype=complex)
+            q, t, s = pair.q, pair.t, pair.s
+            assert np.array_equal(comp.d0, np.vstack([gy * eye - q * s, t - q * gx * eye]))
+            assert np.array_equal(comp.d1, np.hstack([t - gx * eye, s - gy * eye]))
+
     def test_composite_scalar_off_axis(self):
         # at gamma = (1, 1): d1 d0 = (q - 1) I
         pair = oc.model_pair(Q, 4)
@@ -288,16 +299,14 @@ class TestBatchedScan:
         assert row.error == "" and (row.h0, row.h1, row.h2) == (0, 0, 0)
         assert [row] == naive_spectrum_scan(pair, axis, grid)
 
-    def test_huge_character_bound_still_rejects(self, monkeypatch):
+    def test_huge_character_bound_still_rejects(self):
         # (||T|| + ||S|| + 1e155)^2 overflows a double; the bound must not
-        # turn into "accept anything"
+        # turn into "accept anything".  The defects go through the check
+        # the builder applies, with the scale it uses at that character.
         pair = oc.model_pair(Q, 4)
-        monkeypatch.setattr(kz, "composite_defect", lambda comp, q: 1e305)
-        with pytest.raises(PreconditionError, match="composite identity violated"):
-            kz.build(pair, (0j, 1e155 + 0j))
-        monkeypatch.setattr(kz, "composite_defect", lambda comp, q: math.nan)
-        with pytest.raises(PreconditionError, match="composite identity violated"):
-            kz.build(pair, (0j, 1e200 + 0j))
+        for defect, g in [(1e305, 1e155), (math.nan, 1e200)]:
+            error = kz._defect_error(defect, kz._pair_scale(pair) + abs(g))
+            assert error.startswith("composite identity violated")
 
     def test_failed_stacked_svd_lands_in_its_own_rows(self, monkeypatch):
         pair = oc.model_pair(Q, 8)

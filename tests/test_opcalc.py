@@ -385,10 +385,23 @@ class TestPairing:
         assert np.max(dist) == 0.0
         assert np.array_equal(np.sort(perm), np.arange(20))
 
-    def test_greedy_branch_beyond_64(self, rng):
+    def test_self_pairing_beyond_64_is_exact(self, rng):
         vals = rng.standard_normal(80) + 1j * rng.standard_normal(80)
         perm, dist = oc.pair_eigenvalues(vals, vals)
         assert np.max(dist) == 0.0
+
+    def test_uncertified_beyond_64_is_optimal(self):
+        # k + 0.6 and k + 1.7 are both nearest to the class k + 1, which
+        # holds one value, so the solver runs.  On a line the sorted
+        # matching is optimal: 0.6 + 0.7 per k, 52 in all (taking the
+        # closest pair first gives 0.4 + 1.7 per k, 84).
+        k = 10.0 * np.arange(40)
+        predicted = np.concatenate([k, k + 1])
+        actual = np.concatenate([k + 0.6, k + 1.7])
+        perm, dist = oc.pair_eigenvalues(actual, predicted)
+        assert np.array_equal(np.sort(perm), np.arange(80))
+        assert np.array_equal(dist, np.abs(actual - predicted[perm]))
+        assert dist.sum() == pytest.approx(52.0, abs=1e-9)
 
     def test_size_mismatch(self):
         with pytest.raises(PreconditionError):

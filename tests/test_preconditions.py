@@ -1,0 +1,45 @@
+"""Precondition raises across the layers, one row per guard."""
+
+import pytest
+
+from qplane import opcalc as oc
+from qplane import qtopology as qt
+from qplane.errors import PreconditionError
+from qplane.holo import HoloSeries
+from qplane.qalgebra import QSeries
+
+Q = 0.5
+H = HoloSeries([0.0, 1.0])
+PAIR = oc.model_pair(Q, 3)
+MIXED = oc.QFunctionRep(Q, (HoloSeries.zero(2), H), 2.0, 2.0)  # f = xy
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: oc.QFunctionRep(0, (H,), 1.0, 1.0), PreconditionError, "q must be nonzero"),
+    (lambda: oc.QFunctionRep(Q, (), 1.0, 1.0), PreconditionError, "at least the n = 0"),
+    (lambda: oc.QFunctionRep(Q, (H,), 0.0, 1.0), PreconditionError, "radii must be positive"),
+    (lambda: oc.QFunctionRep(Q, (H,), 1.0, -1.0), PreconditionError, "radii must be positive"),
+    (lambda: oc.calc_qseries(QSeries.one(0.3, 2), PAIR), PreconditionError, "q mismatch"),
+    (lambda: oc.resolvent_twist_residual(PAIR, 1, -1, 0, 0.5), PreconditionError,
+     "exponents must be nonnegative"),
+    (lambda: oc.radical_decay_check(MIXED, PAIR, 0), PreconditionError, "s_max must be >= 1"),
+    (lambda: qt.spiral_neighborhood(1.0, 0.0, 0.1, Q), PreconditionError,
+     "radii must be positive"),
+    (lambda: qt.spiral_neighborhood(1.0, 0.3, -0.1, Q), PreconditionError,
+     "radii must be positive"),
+    (lambda: qt.point_q_closure(1.0, -1, Q), PreconditionError, "k_max must be >= 0"),
+    (lambda: qt.Disk(1.0, 0.0), ValueError, "disk radius must be positive"),
+    (lambda: QSeries.one(Q, 2) - QSeries.one(Q, 3), PreconditionError, "truncation mismatch"),
+    (lambda: QSeries.one(Q, 2) * None, TypeError, "unsupported operand"),
+    (lambda: None * QSeries.one(Q, 2), TypeError, "unsupported operand"),
+    (lambda: H - 1, TypeError, "unsupported operand"),
+], ids=[
+    "qfunction-q-zero", "qfunction-empty-f-list", "qfunction-r-x-zero",
+    "qfunction-r-y-negative", "calc-qseries-q-mismatch", "resolvent-negative-exponent",
+    "decay-check-s-max-zero", "spiral-eps-zero", "spiral-delta-negative",
+    "closure-k-max-negative", "disk-radius-zero", "qseries-sub-mismatch",
+    "qseries-mul-non-number", "qseries-rmul-non-number", "holo-sub-non-series",
+])
+def test_raises(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -481,3 +481,30 @@ class TestLogShifted:
         expected = log_series(1.5, 10)
         assert np.allclose(f.coeffs[:, 0], expected.coeffs, rtol=1e-12)
         assert np.count_nonzero(f.coeffs[:, 1:]) == 0
+
+
+class TestOperators:
+    """``*``, ``-`` and scalar products on series."""
+
+    def test_star_is_qmul_and_keeps_loss(self, rng):
+        f = random_qseries(rng, Q, 4, 6, 4)
+        g = random_qseries(rng, Q, 4, 6, 4)
+        x = QSeries.monomial(Q, 2, 1, 0)
+        y = QSeries.monomial(Q, 2, 0, 1)
+        lossy_x = QSeries(Q, x.coeffs, lossy=True)
+        # f g drops mass past degree 4; x y does not; a lossy factor stays lossy
+        for a, b, lossy in [(f, g, True), (x, y, False), (y, lossy_x, True)]:
+            prod = a * b
+            assert prod == qa.qmul(a, b)
+            assert prod.lossy == qa.qmul(a, b).lossy == lossy
+
+    def test_scalar_product_commutes(self, rng):
+        f = QSeries(Q, random_qseries(rng, Q, 3, 5, 3).coeffs, lossy=True)
+        assert 2 * f == f * 2 == QSeries(Q, 2 * f.coeffs)
+        assert (2 * f).lossy and (f * 2).lossy
+
+    def test_difference_with_itself_is_zero(self, rng):
+        f = random_qseries(rng, Q, 3, 5, 3)
+        assert f - f == QSeries.zero(Q, 3)
+        assert not (f - f).lossy
+        assert (QSeries(Q, f.coeffs, lossy=True) - f).lossy

@@ -11,13 +11,28 @@ from qplane.qtopology import (
     is_q_spiraling,
     is_quasicompact_d,
     point_q_closure,
-    qhull_contains,
     spiral_neighborhood,
 )
 
 from oracles import naive_hull_contains, naive_is_q_spiraling
 
 Q = 0.5
+
+
+class PredicateRegion:
+    """The set where ``pred`` holds, inside ``box``, asked one point at a time."""
+
+    def __init__(self, pred, box):
+        self.pred, self.box = pred, box
+
+    def contains(self, z) -> bool:
+        return bool(self.pred(complex(z)))
+
+    def contains_many(self, zs) -> np.ndarray:
+        return np.fromiter((self.contains(z) for z in zs), dtype=bool, count=len(zs))
+
+    def bounding_box(self):
+        return self.box
 
 
 def base_disk():
@@ -27,29 +42,29 @@ def base_disk():
 class TestQHullMembership:
     def test_origin_always_inside(self):
         hull = QHull(base_disk(), Q)
-        assert qhull_contains(hull, 0.0)
+        assert hull.contains(0.0)
 
     def test_halved_point_inside(self):
         # n = 1 copy of B(1, 0.1) is B(0.5, 0.05)
         hull = QHull(base_disk(), Q)
-        assert qhull_contains(hull, 0.5)
+        assert hull.contains(0.5)
 
     def test_point_between_copies_outside(self):
         # 0.3 misses B(1,.1), B(.5,.05), B(.25,.025), and every later
         # copy has reach below 0.3
         hull = QHull(base_disk(), Q)
-        assert not qhull_contains(hull, 0.3)
+        assert not hull.contains(0.3)
 
     def test_boundary_is_excluded(self):
         hull = QHull(base_disk(), Q)
-        assert not qhull_contains(hull, 1.1)
-        assert qhull_contains(hull, 1.0999999)
+        assert not hull.contains(1.1)
+        assert hull.contains(1.0999999)
 
     def test_rotating_q_follows_spiral(self):
         q = 0.5j
         hull = QHull(base_disk(), q)
-        assert qhull_contains(hull, 0.5j)
-        assert not qhull_contains(hull, 0.5)
+        assert hull.contains(0.5j)
+        assert not hull.contains(0.5)
 
     def test_requires_contractive_q(self):
         with pytest.raises(PreconditionError):
@@ -59,8 +74,8 @@ class TestQHullMembership:
 
     def test_empty_base(self):
         hull = QHull(DiskUnion(), Q)
-        assert qhull_contains(hull, 0.0)
-        assert not qhull_contains(hull, 0.25)
+        assert hull.contains(0.0)
+        assert not hull.contains(0.25)
 
     def test_idempotent_on_random_points(self, rng):
         hull = QHull(base_disk(), Q)
@@ -252,7 +267,7 @@ class TestSpiralingAgainstLoop:
         box = (-1.1, 1.1, -1.1, 1.1)
         oracle = naive_is_q_spiraling(pred, box, Q, 3000, 7)
         assert oracle == want
-        assert is_q_spiraling(None, Q, samples=3000, seed=7, predicate=pred, box=box) == want
+        assert is_q_spiraling(PredicateRegion(pred, box), Q, samples=3000, seed=7) == want
 
     def test_checks_q_times_exactly_the_first_members(self):
         calls = []
@@ -262,7 +277,7 @@ class TestSpiralingAgainstLoop:
             return abs(z) < 0.7
 
         box = (-1.1, 1.1, -1.1, 1.1)
-        assert is_q_spiraling(None, Q, samples=3000, seed=7, predicate=pred, box=box)
+        assert is_q_spiraling(PredicateRegion(pred, box), Q, samples=3000, seed=7)
         rng = np.random.default_rng(7)
         stream = [complex(rng.uniform(-1.1, 1.1), rng.uniform(-1.1, 1.1)) for _ in calls]
         drawn = set(stream)
@@ -275,6 +290,6 @@ class TestSpiralingAgainstLoop:
 
         with pytest.raises(NonConvergenceError):
             is_q_spiraling(
-                None, Q, samples=10, seed=0, predicate=lambda z: z == 0,
-                box=(0.5, 1.0, 0.5, 1.0), retry_factor=3,
+                PredicateRegion(lambda z: z == 0, (0.5, 1.0, 0.5, 1.0)),
+                Q, samples=10, seed=0, retry_factor=3,
             )
