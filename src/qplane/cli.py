@@ -5,10 +5,10 @@ see ``qplane --help``.  Exit codes: 0 success, 2 malformed input,
 3 precondition violation, 4 numerical non-convergence -- with a single
 machine-readable ``error: ...`` line on stderr.
 
-Every command is deterministic end to end: equal configurations produce
-byte-identical output files.  ``--seed`` is accepted by every subcommand
-but reserved: no subcommand samples at random, so nothing reads it yet.
-A series that lost mass to truncation says so in its JSON (``"lossy"``)
+Each subcommand declares only the options it reads, so any other
+option is an argparse error (exit 2).  Every command is deterministic
+end to end: equal arguments produce byte-identical output files.  A
+series that lost mass to truncation says so in its JSON (``"lossy"``)
 and ``decay`` in its ``lossy`` column.
 
 Building the parser and parsing the arguments load no math layer: each
@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,40 +36,32 @@ EXIT_PRECONDITION = 3
 EXIT_NONCONVERGENCE = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    q: complex
-    n: int
-    rho: float
-    rho_x: float
-    rho_y: float
-    smax: int
-    rank_tol: float | None  # None: koszul.DEFAULT_RANK_TOL
-    seed: int
-    output: str
-
-    def __post_init__(self):
-        if self.q == 0:
-            raise PreconditionError("q must be nonzero")
-        if self.n < 1:
-            raise PreconditionError(f"dimension must be >= 1, got {self.n}")
-        for name, val in (("rho", self.rho), ("rho-x", self.rho_x), ("rho-y", self.rho_y)):
-            if not val > 0:
-                raise PreconditionError(f"--{name} must be positive, got {val}")
+# Input checks on the options a handler reads; a failed one exits 3.
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        q=complex(args.q_re, args.q_im),
-        n=args.n,
-        rho=args.rho,
-        rho_x=args.rho_x,
-        rho_y=args.rho_y,
-        smax=args.smax,
-        rank_tol=args.rank_tol,
-        seed=args.seed,
-        output=args.output,
-    )
+def _q(args) -> complex:
+    q = complex(args.q_re, args.q_im)
+    if q == 0:
+        raise PreconditionError("q must be nonzero")
+    return q
+
+
+def _n(args) -> int:
+    if args.n < 1:
+        raise PreconditionError(f"dimension must be >= 1, got {args.n}")
+    return args.n
+
+
+def _radius(name: str, val: float) -> float:
+    if not val > 0:
+        raise PreconditionError(f"--{name} must be positive, got {val}")
+    return val
+
+
+def _rank_tol(args) -> float:
+    from . import koszul
+
+    return koszul.DEFAULT_RANK_TOL if args.rank_tol is None else args.rank_tol
 
 
 @contextmanager
@@ -90,8 +81,8 @@ def _load_payload(path: str):
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _write_series(cfg: RunConfig, series) -> None:
-    with _open_out(cfg.output) as fp:
+def _write_series(args, series) -> None:
+    with _open_out(args.output) as fp:
         fileio.dump_json(fileio.qseries_to_payload(series), fp)
 
 
@@ -100,30 +91,24 @@ def _write_series(cfg: RunConfig, series) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _rank_tol(cfg: RunConfig) -> float:
-    from . import koszul
-
-    return koszul.DEFAULT_RANK_TOL if cfg.rank_tol is None else cfg.rank_tol
-
-
-def cmd_mul(cfg: RunConfig, args) -> int:
+def cmd_mul(args) -> int:
     from . import qalgebra
 
     f = fileio.qseries_from_payload(_load_payload(args.left))
     g = fileio.qseries_from_payload(_load_payload(args.right))
-    _write_series(cfg, qalgebra.qmul(f, g))
+    _write_series(args, qalgebra.qmul(f, g))
     return EXIT_OK
 
 
-def cmd_pow(cfg: RunConfig, args) -> int:
+def cmd_pow(args) -> int:
     from . import qalgebra
 
     f = fileio.qseries_from_payload(_load_payload(args.series))
-    _write_series(cfg, qalgebra.qpow(f, args.s, method=args.method))
+    _write_series(args, qalgebra.qpow(f, args.s, method=args.method))
     return EXIT_OK
 
 
-def cmd_decompose(cfg: RunConfig, args) -> int:
+def cmd_decompose(args) -> int:
     from . import qalgebra
 
     f = fileio.qseries_from_payload(_load_payload(args.series))
@@ -133,10 +118,10 @@ def cmd_decompose(cfg: RunConfig, args) -> int:
         "xy": fileio.qseries_to_payload(parts.f_xy),
         "y": fileio.qseries_to_payload(parts.f_y),
     }
-    if cfg.output == "-":
+    if args.output == "-":
         fileio.dump_json(payloads, sys.stdout)
     else:
-        stem = Path(cfg.output)
+        stem = Path(args.output)
         for name, payload in payloads.items():
             with open(
                 stem.with_suffix(f".{name}.json"), "w", encoding="utf-8"
@@ -145,25 +130,22 @@ def cmd_decompose(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_norm(cfg: RunConfig, args) -> int:
+def cmd_norm(args) -> int:
     from . import qalgebra
 
+    rho = _radius("rho", args.rho)
+    rho_x, rho_y = _radius("rho-x", args.rho_x), _radius("rho-y", args.rho_y)
     f = fileio.qseries_from_payload(_load_payload(args.series))
-    row = [
-        cfg.rho,
-        cfg.rho_x,
-        cfg.rho_y,
-        qalgebra.seminorm(f, cfg.rho),
-        qalgebra.p_seminorm(f, cfg.rho_x, cfg.rho_y),
-    ]
-    with _open_out(cfg.output) as fp:
+    row = [rho, rho_x, rho_y, qalgebra.seminorm(f, rho), qalgebra.p_seminorm(f, rho_x, rho_y)]
+    with _open_out(args.output) as fp:
         fileio.write_csv(fp, ["rho", "rho_x", "rho_y", "seminorm", "p_seminorm"], [row])
     return EXIT_OK
 
 
-def cmd_decay(cfg: RunConfig, args) -> int:
+def cmd_decay(args) -> int:
     from . import qalgebra
 
+    rho = _radius("rho", args.rho)
     f = fileio.qseries_from_payload(_load_payload(args.series))
     parts = qalgebra.decompose(f)
     stray = parts.f_x.terms() + parts.f_y.terms()
@@ -176,53 +158,54 @@ def cmd_decay(cfg: RunConfig, args) -> int:
         )
     rows = []
     if f.terms():
-        norm_f = qalgebra.seminorm(f, cfg.rho)
-        profile = qalgebra.decay_profile(f, cfg.rho, cfg.smax)
+        norm_f = qalgebra.seminorm(f, rho)
+        profile = qalgebra.decay_profile(f, rho, args.smax)
         for s, (value, lossy) in enumerate(zip(profile.values, profile.lossy_at), start=1):
             bound = abs(f.q) ** ((s - 1) / 2.0) * norm_f
             ratio = value / bound if bound > 0 else 0.0
             rows.append([s, value, bound, ratio, int(lossy)])
-    with _open_out(cfg.output) as fp:
+    with _open_out(args.output) as fp:
         fileio.write_csv(fp, ["s", "root_norm", "bound", "ratio", "lossy"], rows)
     return EXIT_OK
 
 
-def cmd_twist(cfg: RunConfig, args) -> int:
+def cmd_twist(args) -> int:
     from . import qalgebra
 
     f = fileio.qseries_from_payload(_load_payload(args.series))
-    _write_series(cfg, qalgebra.twist(f))
+    _write_series(args, qalgebra.twist(f))
     return EXIT_OK
 
 
-def cmd_qhull(cfg: RunConfig, args) -> int:
+def cmd_qhull(args) -> int:
     from . import qtopology
 
+    q = _q(args)
     base = fileio.diskunion_from_payload(_load_payload(args.disks))
     points = fileio.points_from_payload(_load_payload(args.points))
-    hull = qtopology.QHull(base, cfg.q)
+    hull = qtopology.QHull(base, q)
     member = hull.contains_many(np.asarray(points, dtype=np.complex128))
     rows = [[z.real, z.imag, int(m)] for z, m in zip(points, member)]
-    with _open_out(cfg.output) as fp:
+    with _open_out(args.output) as fp:
         fileio.write_csv(fp, ["z_re", "z_im", "member"], rows)
     return EXIT_OK
 
 
-def cmd_spiral(cfg: RunConfig, args) -> int:
+def cmd_spiral(args) -> int:
     from . import qtopology
 
     du = qtopology.spiral_neighborhood(
-        complex(args.lam_re, args.lam_im), args.eps, args.delta, cfg.q
+        complex(args.lam_re, args.lam_im), args.eps, args.delta, _q(args)
     )
-    with _open_out(cfg.output) as fp:
+    with _open_out(args.output) as fp:
         fileio.dump_json(fileio.diskunion_to_payload(du), fp)
     return EXIT_OK
 
 
-def cmd_modelpair(cfg: RunConfig, args) -> int:
+def cmd_modelpair(args) -> int:
     from . import opcalc
 
-    pair = opcalc.model_pair(cfg.q, cfg.n)
+    pair = opcalc.model_pair(_q(args), _n(args))
     payload = {
         "n": pair.n,
         "q": [pair.q.real, pair.q.imag],
@@ -230,77 +213,79 @@ def cmd_modelpair(cfg: RunConfig, args) -> int:
         "T": fileio.matrix_to_payload(pair.t)["entries"],
         "S": fileio.matrix_to_payload(pair.s)["entries"],
     }
-    with _open_out(cfg.output) as fp:
+    with _open_out(args.output) as fp:
         fileio.dump_json(payload, fp)
     return EXIT_OK
 
 
-def cmd_calc(cfg: RunConfig, args) -> int:
+def cmd_calc(args) -> int:
     from . import opcalc
 
+    n = _n(args)
     rep = fileio.qfunction_from_payload(_load_payload(args.function))
-    pair = opcalc.model_pair(rep.q, cfg.n)
+    pair = opcalc.model_pair(rep.q, n)
     matrix = opcalc.calc(rep, pair)
-    with _open_out(cfg.output) as fp:
+    with _open_out(args.output) as fp:
         fileio.dump_json(fileio.matrix_to_payload(matrix), fp)
     return EXIT_OK
 
 
-def cmd_specmap(cfg: RunConfig, args) -> int:
+def cmd_specmap(args) -> int:
     from . import opcalc
 
+    n = _n(args)
     rep = fileio.qfunction_from_payload(_load_payload(args.function))
-    pair = opcalc.model_pair(rep.q, cfg.n)
+    pair = opcalc.model_pair(rep.q, n)
     report = opcalc.spectral_mapping_check(rep, pair)
     rows = [
         [ev.real, ev.imag, pr.real, pr.imag, d]
         for ev, pr, d in zip(report.eigenvalues, report.predicted, report.distances)
     ]
     header = ["actual_re", "actual_im", "predicted_re", "predicted_im", "distance"]
-    with _open_out(cfg.output) as fp:
+    with _open_out(args.output) as fp:
         fileio.write_csv(fp, header, rows)
-    if cfg.output != "-":
+    if args.output != "-":
         curve_rows = [
             [z.real, z.imag, v.real, v.imag] for z, v in report.x_branch_curve
         ]
-        curve_path = Path(cfg.output).with_suffix(".xbranch.csv")
+        curve_path = Path(args.output).with_suffix(".xbranch.csv")
         with open(curve_path, "w", encoding="utf-8", newline="") as fp:
             fileio.write_csv(fp, ["z_re", "z_im", "f_re", "f_im"], curve_rows)
     print(fileio.fmt(report.max_distance))
     return EXIT_OK
 
 
-def cmd_koszul(cfg: RunConfig, args) -> int:
+def cmd_koszul(args) -> int:
     from . import koszul, opcalc
 
-    pair = opcalc.model_pair(cfg.q, cfg.n)
+    pair = opcalc.model_pair(_q(args), _n(args))
     g = complex(args.gamma_re, args.gamma_im)
     gamma = (g, 0j) if args.axis == "x" else (0j, g)
     comp = koszul.build(pair, gamma)
-    hom = koszul.homology_dims(comp, _rank_tol(cfg))
+    hom = koszul.homology_dims(comp, _rank_tol(args))
     defect = koszul.composite_defect(comp, pair.q)
     row = [
         g.real, g.imag, args.axis,
         hom.h0, hom.h1, hom.h2, int(hom.member), int(hom.stable), defect,
     ]
     header = ["g_re", "g_im", "axis", "h0", "h1", "h2", "member", "stable", "defect"]
-    with _open_out(cfg.output) as fp:
+    with _open_out(args.output) as fp:
         fileio.write_csv(fp, header, [row])
     return EXIT_OK
 
 
-def cmd_scan(cfg: RunConfig, args) -> int:
+def cmd_scan(args) -> int:
     from . import koszul, opcalc
 
-    pair = opcalc.model_pair(cfg.q, cfg.n)
+    pair = opcalc.model_pair(_q(args), _n(args))
     grid = koszul.GridSpec(args.re_min, args.re_max, args.im_min, args.im_max, args.steps)
-    rows = koszul.spectrum_scan(pair, args.axis, grid, _rank_tol(cfg))
+    rows = koszul.spectrum_scan(pair, args.axis, grid, _rank_tol(args))
     table = [
         [r.g_re, r.g_im, r.axis, r.h0, r.h1, r.h2, int(r.member), int(r.stable)]
         for r in rows
     ]
     header = ["g_re", "g_im", "axis", "h0", "h1", "h2", "member", "stable"]
-    with _open_out(cfg.output) as fp:
+    with _open_out(args.output) as fp:
         fileio.write_csv(fp, header, table)
     return EXIT_OK
 
@@ -310,101 +295,102 @@ def cmd_scan(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    shared = common.add_argument_group("shared options")
-    shared.add_argument("--q-re", type=float, default=0.5, help="Re q (default 0.5)")
-    shared.add_argument("--q-im", type=float, default=0.0, help="Im q (default 0)")
-    shared.add_argument("--n", type=int, default=16, help="matrix dimension N")
-    shared.add_argument("--rho", type=float, default=1.0, help="seminorm radius")
-    shared.add_argument("--rho-x", type=float, default=1.0, help="x seminorm radius")
-    shared.add_argument("--rho-y", type=float, default=1.0, help="y seminorm radius")
-    shared.add_argument("--smax", type=int, default=8, help="largest power in decay profiles")
-    shared.add_argument("--rank-tol", type=float, default=None,
-                        help="relative singular-value threshold for ranks")
-    shared.add_argument("--seed", type=int, default=0,
-                        help="reserved for sampled checks; no subcommand reads it yet")
-    shared.add_argument("--output", default="-", help="output path ('-' for stdout)")
+def _add_q(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--q-re", type=float, default=0.5, help="Re q (default 0.5)")
+    p.add_argument("--q-im", type=float, default=0.0, help="Im q (default 0)")
 
+
+def _add_n(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, default=16, help="matrix dimension N")
+
+
+def _add_rank_tol(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--rank-tol", type=float, default=None,
+                   help="relative singular-value threshold for ranks")
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qplane",
         description="Truncated arithmetic and spectral scans on the q-commuting plane.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mul", parents=[common], help="multiply two series files")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--output", default="-", help="output path ('-' for stdout)")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("mul", cmd_mul, "multiply two series files")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(func=cmd_mul)
 
-    p = sub.add_parser("pow", parents=[common], help="raise a series to a power")
+    p = command("pow", cmd_pow, "raise a series to a power")
     p.add_argument("series")
     p.add_argument("--s", type=int, required=True, help="exponent (>= 1)")
     p.add_argument("--method", choices=["repeated", "formula"], default="repeated")
-    p.set_defaults(func=cmd_pow)
 
-    p = sub.add_parser("decompose", parents=[common],
-                       help="split into x-part, mixed part and y-part")
+    p = command("decompose", cmd_decompose, "split into x-part, mixed part and y-part")
     p.add_argument("series")
-    p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("norm", parents=[common], help="seminorms of a series")
+    p = command("norm", cmd_norm, "seminorms of a series")
     p.add_argument("series")
-    p.set_defaults(func=cmd_norm)
+    p.add_argument("--rho", type=float, default=1.0, help="seminorm radius")
+    p.add_argument("--rho-x", type=float, default=1.0, help="x seminorm radius")
+    p.add_argument("--rho-y", type=float, default=1.0, help="y seminorm radius")
 
-    p = sub.add_parser("decay", parents=[common],
-                       help="power-decay profile of a mixed-ideal series")
+    p = command("decay", cmd_decay, "power-decay profile of a mixed-ideal series")
     p.add_argument("series")
-    p.set_defaults(func=cmd_decay)
+    p.add_argument("--rho", type=float, default=1.0, help="seminorm radius")
+    p.add_argument("--smax", type=int, default=8, help="largest power in the profile")
 
-    p = sub.add_parser("twist", parents=[common], help="swap the variable layout")
+    p = command("twist", cmd_twist, "swap the variable layout")
     p.add_argument("series")
-    p.set_defaults(func=cmd_twist)
 
-    p = sub.add_parser("qhull", parents=[common],
-                       help="membership of points in the q-hull of a disk union")
+    p = command("qhull", cmd_qhull, "membership of points in the q-hull of a disk union")
     p.add_argument("disks")
     p.add_argument("points")
-    p.set_defaults(func=cmd_qhull)
+    _add_q(p)
 
-    p = sub.add_parser("spiral", parents=[common],
-                       help="disk chain covering a point's forward orbit")
+    p = command("spiral", cmd_spiral, "disk chain covering a point's forward orbit")
     p.add_argument("--lam-re", type=float, required=True)
     p.add_argument("--lam-im", type=float, default=0.0)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.set_defaults(func=cmd_spiral)
+    _add_q(p)
 
-    p = sub.add_parser("modelpair", parents=[common],
-                       help="emit the truncated shift/diagonal model pair")
-    p.set_defaults(func=cmd_modelpair)
+    p = command("modelpair", cmd_modelpair, "emit the truncated shift/diagonal model pair")
+    _add_q(p)
+    _add_n(p)
 
-    p = sub.add_parser("calc", parents=[common],
-                       help="evaluate a function file on the model pair")
+    p = command("calc", cmd_calc, "evaluate a function file on the model pair")
     p.add_argument("function")
-    p.set_defaults(func=cmd_calc)
+    _add_n(p)
 
-    p = sub.add_parser("specmap", parents=[common],
-                       help="spectral mapping report for a function file")
+    p = command("specmap", cmd_specmap, "spectral mapping report for a function file")
     p.add_argument("function")
-    p.set_defaults(func=cmd_specmap)
+    _add_n(p)
 
-    p = sub.add_parser("koszul", parents=[common],
-                       help="homology of the parametrized complex at one character")
+    p = command("koszul", cmd_koszul,
+                "homology of the parametrized complex at one character")
     p.add_argument("--gamma-re", type=float, required=True)
     p.add_argument("--gamma-im", type=float, default=0.0)
     p.add_argument("--axis", choices=["x", "y"], required=True)
-    p.set_defaults(func=cmd_koszul)
+    _add_q(p)
+    _add_n(p)
+    _add_rank_tol(p)
 
-    p = sub.add_parser("scan", parents=[common],
-                       help="axis scan of the truncation joint spectrum")
+    p = command("scan", cmd_scan, "axis scan of the truncation joint spectrum")
     p.add_argument("--axis", choices=["x", "y"], required=True)
     p.add_argument("--re-min", type=float, required=True)
     p.add_argument("--re-max", type=float, required=True)
     p.add_argument("--im-min", type=float, default=0.0)
     p.add_argument("--im-max", type=float, default=0.0)
     p.add_argument("--steps", type=int, required=True)
-    p.set_defaults(func=cmd_scan)
+    _add_q(p)
+    _add_n(p)
+    _add_rank_tol(p)
 
     return parser
 
@@ -413,8 +399,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config(args)
-        return args.func(cfg, args)
+        return args.func(args)
     except InputFormatError as exc:
         print(f"error: input: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -131,8 +131,11 @@ def _complexes(
         [y3 * eye - pair.q * pair.s, pair.t - (pair.q * x)[:, None, None] * eye], axis=1
     )
     d1 = np.concatenate([pair.t - x3 * eye, pair.s - y3 * eye], axis=2)
-    target = ((pair.q - 1.0) * x * y)[:, None, None] * eye
-    defects = np.linalg.norm(d1 @ d0 - target, axis=(1, 2))
+    # A product past the double range makes the defect non-finite, which
+    # the bound rejects; numpy's overflow warning would only precede that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = ((pair.q - 1.0) * x * y)[:, None, None] * eye
+        defects = np.linalg.norm(d1 @ d0 - target, axis=(1, 2))
     scales = pair_scale + np.abs(x) + np.abs(y)
     errors = [
         _defect_error(d, s) if ok else f"character ({a}, {b}) is not finite"

@@ -12,7 +12,7 @@ resolvent/decay identity checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -361,13 +361,10 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectrumDescription:
-    """Joint-spectrum answer placed on the two axes.
+    """Joint-spectrum answer of the untruncated model on the two axes.
 
-    ``analytic`` mode is the untruncated model: the x branch is the full
-    closed unit disk (``x_disk_radius``), the y branch the geometric
-    orbit ``{q^m}`` with its limit 0.  ``numerical`` mode reports the
-    eigenvalues of the N-truncations instead, which collapses the x
-    branch to ``{0}`` -- the truncation gap is real and intentional.
+    The x branch is the full closed unit disk (``x_disk_radius``), the y
+    branch the geometric orbit ``{q^m}`` with its limit 0.
 
     The orbit branch is ``sigma(S)``.  For the N-truncation it is also
     the Harte spectrum of ``(T, S)`` relative to the algebra the pair
@@ -379,39 +376,27 @@ class SpectrumDescription:
     the paper's spectral statements mean is still open.
     """
 
-    mode: str
-    x_disk_radius: float | None
-    x_points: tuple[complex, ...]
+    x_disk_radius: float
     y_points: tuple[complex, ...]
 
 
-def harte_model_spectrum(
-    q: complex, n: int, mode: Literal["analytic", "numerical"]
-) -> SpectrumDescription:
+def harte_model_spectrum(q: complex, n: int) -> SpectrumDescription:
     """Joint spectrum of the model pair on the two axes.
 
-    ``analytic`` lists the first ``n`` orbit points ``q^m`` and the limit
-    0 on the y branch, i.e. ``sigma(S)``, which is also the
-    algebra-relative Harte spectrum (see :class:`SpectrumDescription`),
-    not the Koszul membership set that ``koszul.spectrum_scan`` reports;
-    which one the paper means is open.  ``numerical`` lists the
-    eigenvalues of the N-truncated ``T`` and ``S``.
+    Lists the first ``n`` orbit points ``q^m`` and the limit 0 on the y
+    branch, i.e. ``sigma(S)``, which is also the algebra-relative Harte
+    spectrum (see :class:`SpectrumDescription`), not the Koszul
+    membership set that ``koszul.spectrum_scan`` reports; which one the
+    paper means is open.
     """
     if n < 1:
         raise PreconditionError(f"dimension must be >= 1, got {n}")
-    if mode == "analytic":
-        if not 0 < abs(q) < 1:
-            raise PreconditionError(
-                f"analytic description needs 0 < |q| < 1, got q = {q}"
-            )
-        orbit = tuple(complex(q) ** m for m in range(n)) + (0.0 + 0.0j,)
-        return SpectrumDescription("analytic", 1.0, (), orbit)
-    if mode == "numerical":
-        pair = model_pair(q, n)
-        ev_t = tuple(map(complex, eigenvalues(pair.t)))
-        ev_s = tuple(map(complex, eigenvalues(pair.s)))
-        return SpectrumDescription("numerical", None, ev_t, ev_s)
-    raise ValueError(f"unknown mode {mode!r}")
+    if not 0 < abs(q) < 1:
+        raise PreconditionError(
+            f"analytic description needs 0 < |q| < 1, got q = {q}"
+        )
+    orbit = tuple(complex(q) ** m for m in range(n)) + (0.0 + 0.0j,)
+    return SpectrumDescription(1.0, orbit)
 
 
 def pair_eigenvalues(

@@ -550,11 +550,13 @@ def spec_eval(f: QSeries, gamma: tuple[complex, complex]) -> complex:
 def log_shifted(c: float, g: QSeries) -> QSeries:
     """Truncated ``ln(c + g)`` for a series ``g`` without constant term.
 
-    Sums ``ln c + sum_{n=1..D} (-1)^(n+1)/(n c^n) g^n``, ``D`` the
-    truncation degree.  When every term of ``g`` has total degree at
-    least 2 (as for ``xy``), ``g^n`` leaves the box beyond ``n = D`` and
-    the truncated sum is exact; a degree-1 term of ``g`` leaves out the
-    powers ``D < n <= 2D``, which still reach the box.
+    Sums ``ln c + sum_{n=1..M} (-1)^(n+1)/(n c^n) g^n`` with
+    ``M = floor(2D / m)``, ``D`` the truncation degree and ``m`` the
+    smallest total degree in the support of ``g``.  Every term of
+    ``g^n`` has total degree at least ``n m``, and the box holds total
+    degrees up to ``2D``, so the powers beyond ``M`` leave the box and
+    the truncated sum is exact.  For ``xy``, ``M = D``; for a ``g`` with
+    a degree-1 term, ``M = 2D``.
     """
     if not c > 0:
         raise PreconditionError(f"log offset must be positive, got {c}")
@@ -562,8 +564,10 @@ def log_shifted(c: float, g: QSeries) -> QSeries:
         raise PreconditionError("log_shifted needs a series with zero constant term")
     d = g.trunc_degree
     acc = QSeries.monomial(g.q, d, 0, 0, np.log(c)).coeffs.copy()
+    i, k = np.nonzero(g.coeffs)
+    top = 2 * d // int((i + k).min()) if i.size else 0
     gn = g
-    for n in range(1, d + 1):
+    for n in range(1, top + 1):
         if n > 1:
             gn = qmul(gn, g)
         acc += ((-1.0) ** (n + 1) / (n * c**n)) * gn.coeffs

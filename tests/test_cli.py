@@ -339,7 +339,7 @@ class TestDecayCommand:
             table[i, k] = complex(gen.standard_normal(), gen.standard_normal())
         src, out = tmp_path / "f.json", tmp_path / "d.csv"
         write_series(src, QSeries(Q, table))
-        assert run(["decay", src, "--seed", "42", "--output", out]) == 0
+        assert run(["decay", src, "--output", out]) == 0
         for line in out.read_text().splitlines()[1:]:
             assert float(line.split(",")[3]) <= 1 + 1e-12
 
@@ -628,3 +628,99 @@ def test_building_the_parser_loads_no_math_layer():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.stdout.split() == ["qplane.cli", "qplane.errors", "qplane.fileio"], proc.stderr
+
+
+# Every subcommand with its required arguments; file arguments are only parsed.
+BASE_ARGV = {
+    "mul": ["a.json", "b.json"],
+    "pow": ["f.json", "--s", "2"],
+    "decompose": ["f.json"],
+    "norm": ["f.json"],
+    "decay": ["f.json"],
+    "twist": ["f.json"],
+    "qhull": ["disks.json", "points.json"],
+    "spiral": ["--lam-re", "1.0", "--eps", "0.3", "--delta", "0.1"],
+    "modelpair": [],
+    "calc": ["fn.json"],
+    "specmap": ["fn.json"],
+    "koszul": ["--gamma-re", "1.0", "--axis", "y"],
+    "scan": ["--axis", "y", "--re-min", "0", "--re-max", "1", "--steps", "3"],
+}
+Q_READERS = {"qhull", "spiral", "modelpair", "koszul", "scan"}
+N_READERS = {"modelpair", "calc", "specmap", "koszul", "scan"}
+# The flags every subcommand used to accept: a value each, and who reads it.
+FORMER_SHARED = {
+    "--q-re": ("0.25", Q_READERS),
+    "--q-im": ("0.125", Q_READERS),
+    "--n": ("5", N_READERS),
+    "--rho": ("2.0", {"norm", "decay"}),
+    "--rho-x": ("2.0", {"norm"}),
+    "--rho-y": ("2.0", {"norm"}),
+    "--smax": ("3", {"decay"}),
+    "--rank-tol": ("0.001", {"koszul", "scan"}),
+    "--seed": ("7", set()),
+    "--output": ("out.csv", set(BASE_ARGV)),
+}
+
+
+@pytest.mark.parametrize("flag", list(FORMER_SHARED))
+@pytest.mark.parametrize("command", list(BASE_ARGV))
+def test_subcommand_takes_only_the_flags_it_reads(command, flag, capsys):
+    value, readers = FORMER_SHARED[flag]
+    argv = [command, *BASE_ARGV[command], flag, value]
+    if command in readers:
+        args = cli._build_parser().parse_args(argv)
+        assert str(getattr(args, flag[2:].replace("-", "_"))) == value
+    else:
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+PRECONDITIONS = [
+    *[([name, *argv, "--n", "0"], "dimension must be >= 1, got 0")
+      for name, argv in [
+          ("modelpair", []),
+          ("calc", ["{fn}"]),
+          ("specmap", ["{fn}"]),
+          ("koszul", BASE_ARGV["koszul"]),
+          ("scan", BASE_ARGV["scan"]),
+      ]],
+    *[([name, *argv, "--q-re", "0", "--q-im", "0"], "q must be nonzero")
+      for name, argv in [
+          ("qhull", ["{disks}", "{points}"]),
+          ("spiral", BASE_ARGV["spiral"]),
+          ("modelpair", []),
+          ("koszul", BASE_ARGV["koszul"]),
+          ("scan", BASE_ARGV["scan"]),
+      ]],
+    (["norm", "{xy}", "--rho", "0"], "--rho must be positive, got 0.0"),
+    (["norm", "{xy}", "--rho-x", "0"], "--rho-x must be positive, got 0.0"),
+    (["norm", "{xy}", "--rho-y", "0"], "--rho-y must be positive, got 0.0"),
+    (["decay", "{xy}", "--rho", "0"], "--rho must be positive, got 0.0"),
+    # no library call reads rho on the zero series; the check still holds
+    (["decay", "{zero}", "--rho", "0"], "--rho must be positive, got 0.0"),
+]
+
+
+def _precondition_id(argv):
+    files = [a.strip("{}") for a in argv if a.startswith("{")]
+    return " ".join([argv[0], *files, *argv[-2:]])
+
+
+@pytest.mark.parametrize("argv, message", PRECONDITIONS,
+                         ids=[_precondition_id(c[0]) for c in PRECONDITIONS])
+def test_flag_preconditions_exit_3(tmp_path, capsys, argv, message):
+    from test_opcalc import log_xy_rep
+
+    files = {name: tmp_path / f"{name}.json" for name in ("xy", "zero", "disks", "points", "fn")}
+    write_series(files["xy"], QSeries.monomial(Q, 3, 1, 1))
+    write_series(files["zero"], QSeries.zero(Q, 3))
+    files["disks"].write_text(json.dumps([{"re": 1.0, "im": 0.0, "radius": 0.1}]))
+    files["points"].write_text(json.dumps([[0.5, 0.0], [0.3, 0.0]]))
+    write_function(files["fn"], log_xy_rep(terms=4, degree=4))
+    assert run([a.format(**files) for a in argv]) == cli.EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: precondition: {message}\n"

@@ -68,6 +68,12 @@ class TestBuild:
             ) ** 2
             assert kz.composite_defect(comp, Q) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("g", [1e160, 1e200])
+    def test_product_past_the_double_range_is_rejected_without_warning(self, g):
+        # (q - 1) gx gy overflows; the suite turns a RuntimeWarning into an error
+        with pytest.raises(PreconditionError, match="composite identity violated"):
+            kz.build(oc.model_pair(Q, 4), (g, g))
+
     def test_commutative_case_vanishes_everywhere(self):
         pair = oc.model_pair(1.0, 5)  # q = 1: S is the identity
         comp = kz.build(pair, (0.7, -1.3))

@@ -327,19 +327,13 @@ class TestEigenvalues:
 
 class TestHarteModelSpectrum:
     def test_analytic_branches(self):
-        desc = oc.harte_model_spectrum(Q, 8, "analytic")
+        desc = oc.harte_model_spectrum(Q, 8)
         assert desc.x_disk_radius == 1.0
         assert desc.y_points == tuple(Q**m for m in range(8)) + (0j,)
 
-    def test_numerical_branches(self):
-        desc = oc.harte_model_spectrum(Q, 8, "numerical")
-        assert np.allclose(desc.x_points, 0.0)
-        got = np.sort(np.asarray(desc.y_points).real)
-        assert np.allclose(got, np.sort([Q**m for m in range(8)]))
-
     def test_analytic_needs_contractive_q(self):
         with pytest.raises(PreconditionError):
-            oc.harte_model_spectrum(2.0, 4, "analytic")
+            oc.harte_model_spectrum(2.0, 4)
 
 
 class TestSpectralMapping:

@@ -482,6 +482,23 @@ class TestLogShifted:
         assert np.allclose(f.coeffs[:, 0], expected.coeffs, rtol=1e-12)
         assert np.count_nonzero(f.coeffs[:, 1:]) == 0
 
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("terms", [[(1, 0), (0, 1)], [(1, 0), (1, 1)]],
+                             ids=["x+y", "x+xy"])
+    def test_degree_one_term_sums_every_power_in_the_box(self, d, terms):
+        # g^n reaches the box up to n = 2D when g has a degree-1 term;
+        # the reference sums the powers to n = 2D + 1 with naive_qmul.
+        c = 1.5
+        g = QSeries.from_terms(Q, d, [(i, k, 1.0) for i, k in terms])
+        expected = np.zeros((d + 1, d + 1), dtype=complex)
+        expected[0, 0] = math.log(c)
+        gn = np.array([[1.0 + 0j]])
+        for n in range(1, 2 * d + 2):
+            gn = naive_qmul(gn, g.coeffs, Q)[: d + 1, : d + 1]
+            expected += (-1) ** (n + 1) / (n * c**n) * gn
+        f = qa.log_shifted(c, g)
+        assert np.allclose(f.coeffs, expected, rtol=1e-13, atol=1e-15)
+
 
 class TestOperators:
     """``*``, ``-`` and scalar products on series."""
