@@ -146,6 +146,8 @@ def cmd_decay(args) -> int:
     from . import qalgebra
 
     rho = _radius("rho", args.rho)
+    if args.smax < 1:
+        raise PreconditionError(f"s_max must be >= 1, got {args.smax}")
     f = fileio.qseries_from_payload(_load_payload(args.series))
     parts = qalgebra.decompose(f)
     stray = parts.f_x.terms() + parts.f_y.terms()

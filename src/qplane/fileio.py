@@ -191,6 +191,7 @@ def qfunction_from_payload(payload) -> QFunctionRep:
     for key in ("q", "r_x", "r_y", "f_list"):
         _require(key in payload, f"function payload missing field {key!r}")
     q = _complex_pair(payload["q"], "q")
+    _require(q != 0, "q must be nonzero")
     r_x = _finite_float(payload["r_x"], "r_x")
     r_y = _finite_float(payload["r_y"], "r_y")
     _require(r_x > 0 and r_y > 0, "domain radii must be positive")

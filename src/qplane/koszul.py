@@ -219,9 +219,9 @@ def _homology(
     return dims, stable0 & stable1
 
 
-def _rank_tol_error(rank_tol: float) -> str:
-    """The error text for a rank threshold that is not positive, else ``""``."""
-    return "" if rank_tol > 0 else f"rank_tol must be positive, got {rank_tol}"
+def _check_rank_tol(rank_tol: float) -> None:
+    if not rank_tol > 0:
+        raise PreconditionError(f"rank_tol must be positive, got {rank_tol}")
 
 
 def homology_dims(
@@ -241,9 +241,7 @@ def homology_dims(
             f"gamma = ({gx}, {gy}) is off both axes; the composite does not "
             "vanish there and homology is undefined"
         )
-    bad = _rank_tol_error(rank_tol)
-    if bad:
-        raise PreconditionError(bad)
+    _check_rank_tol(rank_tol)
     dims, stable = _homology(_sv(comp.d0), _sv(comp.d1), comp.n, rank_tol)
     return Homology(int(dims[0]), int(dims[1]), int(dims[2]), bool(stable))
 
@@ -326,8 +324,6 @@ def _chunk_homology(
     Where ``errors[i]`` is set, ``dims[i]`` is ``[-1, -1, -1]``.
     """
     d0, d1, errors = _complexes(pair, gx, gy, pair_scale)
-    tol_error = _rank_tol_error(rank_tol)
-    errors = [e or tol_error for e in errors]
     ok = np.flatnonzero([not e for e in errors])
     dims = np.full((len(errors), 3), -1, dtype=np.int64)
     stable = np.zeros(len(errors), dtype=bool)
@@ -355,7 +351,8 @@ def spectrum_scan(
     spectrum on that axis.  Rows come out in row-major grid order, so
     identical inputs produce identical tables; a numerical failure at
     one point is recorded in its row instead of aborting the sweep, and
-    a non-finite grid point is an error row.
+    a non-finite grid point is an error row.  A ``rank_tol`` that is not
+    positive concerns every point, so it raises before any is built.
 
     ``||T||_2 + ||S||_2`` is computed once per scan.  The differentials
     of as many points as fit in 2^15 complex entries are built by the
@@ -367,6 +364,7 @@ def spectrum_scan(
     """
     if axis not in ("x", "y"):
         raise PreconditionError(f"axis must be 'x' or 'y', got {axis!r}")
+    _check_rank_tol(rank_tol)
     points = grid.points()
     g = np.asarray(points, dtype=np.complex128).reshape(-1)
     zero = np.zeros_like(g)

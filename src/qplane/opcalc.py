@@ -25,7 +25,6 @@ __all__ = [
     "QFunctionRep",
     "model_pair",
     "qcommutation_residual",
-    "qf_mul",
     "qseries_to_qfunction",
     "calc",
     "calc_qseries",
@@ -156,11 +155,6 @@ class QFunctionRep:
                 f"domain radii must be positive, got ({self.r_x}, {self.r_y})"
             )
 
-    @property
-    def order(self) -> int:
-        """Largest y-degree carried (the M in ``n = 0..M``)."""
-        return len(self.f_list) - 1
-
     def char_value(self, gamma: tuple[complex, complex]) -> complex:
         """Value at an axis character: ``f(z, 0) = f_0(z)`` and
         ``f(0, w) = sum_n f_n(0) w^n``."""
@@ -171,31 +165,6 @@ class QFunctionRep:
             return self.f_list[0](z)
         constants = HoloSeries([fn.coeffs[0] for fn in self.f_list])
         return constants(w)
-
-
-def qf_mul(f: QFunctionRep, g: QFunctionRep) -> QFunctionRep:
-    """Product of function representations under the twisted rule.
-
-    ``(fg)_n = sum_{i+j=n} f_i(x) g_j(q^i x)``: pushing ``y^i`` across
-    ``g_j`` rescales its argument by ``q^i``.  Domain radii of the
-    product are the pointwise minima.
-    """
-    if f.q != g.q:
-        raise PreconditionError(f"q mismatch: {f.q} vs {g.q}")
-    order = f.order + g.order
-    cols: list[HoloSeries | None] = [None] * (order + 1)
-    for i, fi in enumerate(f.f_list):
-        if fi.max_degree < 0:
-            continue
-        for j, gj in enumerate(g.f_list):
-            term = fi * gj.scale_arg(f.q**i)
-            prev = cols[i + j]
-            cols[i + j] = term if prev is None else prev + term
-    degree = max(fn.trunc_degree for fn in (*f.f_list, *g.f_list))
-    filled = tuple(
-        c if c is not None else HoloSeries.zero(degree) for c in cols
-    )
-    return QFunctionRep(f.q, filled, min(f.r_x, g.r_x), min(f.r_y, g.r_y))
 
 
 def qseries_to_qfunction(f: QSeries, r_x: float, r_y: float) -> QFunctionRep:
@@ -288,15 +257,17 @@ def _eval_columns(cols: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def calc(f: QFunctionRep, pair: OperatorPair, check_spectra: bool = True) -> np.ndarray:
+def calc(f: QFunctionRep, pair: OperatorPair) -> np.ndarray:
     """Evaluate ``sum_n f_n(T) S^n`` on the pair.
 
-    The domain condition asks the (numerical, truncation-level) spectra
-    to sit strictly inside the declared radii: ``sr(T) < r_x`` and
-    ``sr(S) < r_y``.  Note the truncation spectra can undershoot those
-    of the untruncated model badly -- the shift truncates to a nilpotent
-    matrix -- so passing this check says nothing about the infinite
-    model; see :func:`harte_model_spectrum` for the analytic picture.
+    The domain condition is checked on every call: the (numerical,
+    truncation-level) spectra must sit strictly inside the declared
+    radii, ``sr(T) < r_x`` and ``sr(S) < r_y``, else
+    :class:`~qplane.errors.PreconditionError`.  Note the truncation
+    spectra can undershoot those of the untruncated model badly -- the
+    shift truncates to a nilpotent matrix -- so passing this check says
+    nothing about the infinite model; see :func:`harte_model_spectrum`
+    for the analytic picture.
 
     Evaluation order: right Horner in ``S`` over the coefficient
     functions, ``acc = acc @ S + f_n(T)`` from the top ``n`` down, block
@@ -308,17 +279,16 @@ def calc(f: QFunctionRep, pair: OperatorPair, check_spectra: bool = True) -> np.
     """
     if f.q != pair.q:
         raise PreconditionError(f"q mismatch: function {f.q} vs pair {pair.q}")
-    if check_spectra:
-        sr_t = spectral_radius(pair.t)
-        if not sr_t < f.r_x:
-            raise PreconditionError(
-                f"spectrum outside domain: r_x = {f.r_x} but spectral radius of T is {sr_t}"
-            )
-        sr_s = spectral_radius(pair.s)
-        if not sr_s < f.r_y:
-            raise PreconditionError(
-                f"spectrum outside domain: r_y = {f.r_y} but spectral radius of S is {sr_s}"
-            )
+    sr_t = spectral_radius(pair.t)
+    if not sr_t < f.r_x:
+        raise PreconditionError(
+            f"spectrum outside domain: r_x = {f.r_x} but spectral radius of T is {sr_t}"
+        )
+    sr_s = spectral_radius(pair.s)
+    if not sr_s < f.r_y:
+        raise PreconditionError(
+            f"spectrum outside domain: r_y = {f.r_y} but spectral radius of S is {sr_s}"
+        )
     width = max(fn.coeffs.size for fn in f.f_list)
     cols = np.zeros((len(f.f_list), width), dtype=np.complex128)
     for m, fn in enumerate(f.f_list):

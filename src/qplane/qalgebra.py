@@ -556,7 +556,7 @@ def log_shifted(c: float, g: QSeries) -> QSeries:
     ``g^n`` has total degree at least ``n m``, and the box holds total
     degrees up to ``2D``, so the powers beyond ``M`` leave the box and
     the truncated sum is exact.  For ``xy``, ``M = D``; for a ``g`` with
-    a degree-1 term, ``M = 2D``.
+    a degree-1 term, ``M = 2D``.  The result is ``lossy`` when ``g`` is.
     """
     if not c > 0:
         raise PreconditionError(f"log offset must be positive, got {c}")
@@ -571,4 +571,4 @@ def log_shifted(c: float, g: QSeries) -> QSeries:
         if n > 1:
             gn = qmul(gn, g)
         acc += ((-1.0) ** (n + 1) / (n * c**n)) * gn.coeffs
-    return QSeries(g.q, acc)
+    return QSeries(g.q, acc, lossy=g.lossy)

@@ -121,17 +121,19 @@ class QHull:
     Membership is decidable because the copies shrink geometrically.
     Starting the union at ``n = 0`` makes the hull a superset of its base
     and turns hulling into an idempotent operation, so a hull whose base
-    is a hull with the same ``q`` tests that base's base directly.
+    is a hull with the same ``q`` tests that base's base directly.  A
+    base that is a hull with another ``q`` is a
+    :class:`~qplane.errors.PreconditionError`: the topology is built for
+    one fixed ``q``.
 
-    Over a disk union only a window of copies is tested: ``z`` can lie in
+    Only a window of copies is tested: ``z`` can lie in
     ``q^n B(c, r)`` only when ``|q|^n (|c| - r) < |z| < |q|^n (|c| + r)``,
     and for each base disk the ``n`` in that window, padded by one at
     each end against rounding, are tried (from ``n = 0`` when
     ``|c| <= r``; at most up to ``_MAX_HULL_STEPS``, which only a disk
-    whose boundary passes through 0 can reach).  Over a hull with another
-    ``q`` the copies are walked from ``n = 0`` until they can no longer
-    reach ``z``.  :meth:`contains` takes one point, :meth:`contains_many`
-    an array; non-finite points are outside.
+    whose boundary passes through 0 can reach).  :meth:`contains` takes
+    one point, :meth:`contains_many` an array; non-finite points are
+    outside.
     """
 
     base: Union[DiskUnion, "QHull"]
@@ -139,22 +141,23 @@ class QHull:
 
     def __post_init__(self):
         object.__setattr__(self, "q", _check_contractive(self.q))
+        if isinstance(self.base, QHull) and self.base.q != self.q:
+            raise PreconditionError(
+                f"hull over a hull with another q: base q = {self.base.q}, q = {self.q}"
+            )
 
     @cached_property
-    def _plan(self):
-        """``(base, None)`` to walk a hull with another ``q``, else
-        ``(disk union, [(disk, (log(|c|+r), log(|c|-r) or None))])``."""
+    def _plan(self) -> list[tuple[Disk, tuple[float, float | None]]]:
+        """``[(disk, (log(|c|+r), log(|c|-r) or None))]`` over the innermost disk union."""
         base = self.base
-        while isinstance(base, QHull) and base.q == self.q:
+        while isinstance(base, QHull):
             base = base.base
-        if isinstance(base, QHull):
-            return base, None
         logs = []
         for d in base.disks:
             c = abs(d.center)
             inner = math.log(c - d.radius) if c > d.radius else None
             logs.append((d, (math.log(c + d.radius), inner)))
-        return base, logs
+        return logs
 
     @cached_property
     def _scales(self) -> list[complex]:
@@ -177,12 +180,9 @@ class QHull:
             return True
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             return False
-        base, disks = self._plan
-        if disks is None:
-            return self._walk_contains(base, z)
         log_az = math.log(abs(z))
         log_aq = math.log(abs(self.q))
-        for d, logs in disks:
+        for d, logs in self._plan:
             lo, hi = _copy_bounds(log_az, logs, log_aq)
             scales = self._scales_upto(min(math.ceil(hi), _MAX_HULL_STEPS))
             for n in range(max(math.floor(lo), 0), min(math.ceil(hi), len(scales) - 1) + 1):
@@ -190,29 +190,12 @@ class QHull:
                     return True
         return False
 
-    def _walk_contains(self, base: "QHull", z: complex) -> bool:
-        r = base.bounding_radius()
-        if r == 0.0 or abs(z) >= r:
-            # n = 0 already cannot reach z (copies only shrink).
-            return base.contains(z) if abs(z) < r else False
-        n_stop = int((math.log(abs(z)) - math.log(r)) / math.log(abs(self.q))) + 2
-        n_stop = min(n_stop, _MAX_HULL_STEPS)
-        scale = 1.0 + 0.0j
-        for _ in range(n_stop + 1):
-            if base.contains(z / scale):
-                return True
-            scale *= self.q
-            if abs(scale) * r <= abs(z):
-                break
-        return False
-
     def contains_many(self, zs) -> np.ndarray:
         """Membership of every point of ``zs``, as a boolean array of its shape.
 
         The same windows as :meth:`contains`, stepped through for all
         points at once; a point leaves the loop once it is found or its
-        window is used up.  Over a hull with another ``q`` each point is
-        walked as in :meth:`contains`.
+        window is used up.
         """
         z = np.asarray(zs, dtype=np.complex128)
         out = z == 0
@@ -220,27 +203,21 @@ class QHull:
         if live.size == 0:
             return out
         zl = z.reshape(-1)[live]
-        base, disks = self._plan
-        if disks is None:
-            hit = np.fromiter(
-                (self._walk_contains(base, complex(v)) for v in zl), dtype=bool, count=zl.size
-            )
-        else:
-            hit = np.zeros(zl.size, dtype=bool)
-            log_az = np.log(np.abs(zl))
-            log_aq = math.log(abs(self.q))
-            for d, logs in disks:
-                lo, hi = _copy_bounds(log_az, logs, log_aq)
-                n_hi = np.minimum(np.ceil(hi), _MAX_HULL_STEPS).astype(np.int64)
-                scales = np.asarray(self._scales_upto(int(n_hi.max())), dtype=np.complex128)
-                np.minimum(n_hi, scales.size - 1, out=n_hi)
-                n_lo = np.clip(np.floor(lo), 0, _MAX_HULL_STEPS + 1)
-                n = np.broadcast_to(n_lo, n_hi.shape).astype(np.int64)
-                todo = np.flatnonzero(~hit & (n <= n_hi))
-                while todo.size:
-                    hit[todo] = np.abs(zl[todo] / scales[n[todo]] - d.center) < d.radius
-                    n[todo] += 1
-                    todo = todo[~hit[todo] & (n[todo] <= n_hi[todo])]
+        hit = np.zeros(zl.size, dtype=bool)
+        log_az = np.log(np.abs(zl))
+        log_aq = math.log(abs(self.q))
+        for d, logs in self._plan:
+            lo, hi = _copy_bounds(log_az, logs, log_aq)
+            n_hi = np.minimum(np.ceil(hi), _MAX_HULL_STEPS).astype(np.int64)
+            scales = np.asarray(self._scales_upto(int(n_hi.max())), dtype=np.complex128)
+            np.minimum(n_hi, scales.size - 1, out=n_hi)
+            n_lo = np.clip(np.floor(lo), 0, _MAX_HULL_STEPS + 1)
+            n = np.broadcast_to(n_lo, n_hi.shape).astype(np.int64)
+            todo = np.flatnonzero(~hit & (n <= n_hi))
+            while todo.size:
+                hit[todo] = np.abs(zl[todo] / scales[n[todo]] - d.center) < d.radius
+                n[todo] += 1
+                todo = todo[~hit[todo] & (n[todo] <= n_hi[todo])]
         out.reshape(-1)[live] = hit
         return out
 

@@ -1,7 +1,10 @@
 import json
 import math
+import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -482,6 +485,20 @@ class TestOperatorCommands:
         assert run(["calc", src, "--n", "4"]) == cli.EXIT_PRECONDITION
         assert "spectrum outside domain" in capsys.readouterr().err
 
+    ZERO_Q = {"q": [0, 0], "r_x": 2.0, "r_y": 2.0, "f_list": [[[1.0, 0.0]]]}
+
+    def test_function_payload_with_zero_q_is_input_error(self):
+        with pytest.raises(InputFormatError, match="^q must be nonzero$"):
+            fileio.qfunction_from_payload(self.ZERO_Q)
+
+    def test_calc_on_zero_q_file_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "f.json"
+        src.write_text(json.dumps(self.ZERO_Q))
+        assert run(["calc", src, "--n", "4"]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: input: q must be nonzero\n"
+
     def test_specmap_prints_max_distance_last(self, tmp_path, capsys):
         from test_opcalc import log_xy_rep
 
@@ -560,6 +577,48 @@ class TestKoszulCommands:
         assert run(args + ["--output", a]) == 0
         assert run(args + ["--output", b]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+GENERATED_READERS = {
+    "x.series.json": fileio.qseries_from_payload,
+    "y.series.json": fileio.qseries_from_payload,
+    "log_xy.series.json": fileio.qseries_from_payload,
+    "log_xy_mixed.series.json": fileio.qseries_from_payload,
+    "log_xy.qfn.json": fileio.qfunction_from_payload,
+    "orbit_log.qfn.json": fileio.qfunction_from_payload,
+    "base_disk.disks.json": fileio.diskunion_from_payload,
+    "probe.points.json": fileio.points_from_payload,
+}
+
+
+def readme_tour():
+    """The ``qplane`` lines of README's "CLI tour" block, as argv lists."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI tour", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("qplane ")]
+
+
+def test_generated_inputs_read_back_and_run_the_readme_tour(tmp_path, monkeypatch, capsys):
+    env = {**os.environ, "PYTHONPATH": str(Path(fileio.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "generate_inputs.py"),
+         "--dir", str(tmp_path / "inputs")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in (tmp_path / "inputs").iterdir()) == sorted(GENERATED_READERS)
+    for name, reader in GENERATED_READERS.items():
+        with open(tmp_path / "inputs" / name, "r", encoding="utf-8") as fp:
+            reader(fileio.load_json(fp))
+
+    monkeypatch.chdir(tmp_path)
+    tour = readme_tour()
+    assert len(tour) == 14
+    for argv in tour:
+        assert cli.main(argv) == cli.EXIT_OK, argv
+        assert capsys.readouterr().err == ""
 
 
 def test_console_entry_smoke(tmp_path):
@@ -701,6 +760,11 @@ PRECONDITIONS = [
     (["decay", "{xy}", "--rho", "0"], "--rho must be positive, got 0.0"),
     # no library call reads rho on the zero series; the check still holds
     (["decay", "{zero}", "--rho", "0"], "--rho must be positive, got 0.0"),
+    # the zero series never reaches the library's own s_max check
+    (["decay", "{xy}", "--smax", "0"], "s_max must be >= 1, got 0"),
+    (["decay", "{zero}", "--smax", "0"], "s_max must be >= 1, got 0"),
+    (["koszul", *BASE_ARGV["koszul"], "--rank-tol", "0"], "rank_tol must be positive, got 0.0"),
+    (["scan", *BASE_ARGV["scan"], "--rank-tol", "0"], "rank_tol must be positive, got 0.0"),
 ]
 
 

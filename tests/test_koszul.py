@@ -265,12 +265,16 @@ class TestBatchedScan:
         rows = kz.spectrum_scan(pair, axis, grid, rank_tol=1e-8)
         assert rows == naive_spectrum_scan(pair, axis, grid, rank_tol=1e-8)
 
-    def test_bad_rank_tol_lands_in_every_row(self):
+    @pytest.mark.parametrize("rank_tol", [0.0, -1.0, math.nan])
+    def test_bad_rank_tol_raises_before_any_point(self, rank_tol, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a point was built")
+
+        monkeypatch.setattr(kz.GridSpec, "points", unreachable)
         pair = oc.model_pair(Q, 4)
         grid = kz.GridSpec(0.0, 1.0, 0.0, 0.0, 5)
-        rows = kz.spectrum_scan(pair, "y", grid, rank_tol=0.0)
-        assert rows == naive_spectrum_scan(pair, "y", grid, rank_tol=0.0)
-        assert all("rank_tol must be positive" in r.error for r in rows)
+        with pytest.raises(PreconditionError, match=f"rank_tol must be positive, got {rank_tol}"):
+            kz.spectrum_scan(pair, "y", grid, rank_tol=rank_tol)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("axis", ["x", "y"])

@@ -213,7 +213,7 @@ class TestCalcAgainstHorner:
             assert np.linalg.norm(pair.t, 2) > 1 and np.count_nonzero(np.triu(pair.t)) > 0
         for name, rep in self.functions(q).items():
             cols = coefficient_table(rep)
-            got = oc.calc(rep, pair, check_spectra=False)
+            got = oc.calc(rep, pair)
             assert_close_to_majorant(got, naive_calc(cols, pair.t, pair.s), cols, pair)
             if name == "zero":
                 assert not got.any()
@@ -287,7 +287,7 @@ class TestRowBlocks:
     def test_constant_is_a_multiple_of_the_identity(self):
         rep = oc.QFunctionRep(Q, (HoloSeries([2.5, 0.0]), HoloSeries.zero(1)), 2.0, 2.0)
         pair = conjugated_pair(Q, 9)
-        assert np.array_equal(oc.calc(rep, pair, check_spectra=False), 2.5 * np.eye(9))
+        assert np.array_equal(oc.calc(rep, pair), 2.5 * np.eye(9))
 
     @pytest.mark.parametrize(
         "degs, want",
@@ -298,17 +298,6 @@ class TestRowBlocks:
         best = min(split_cost(degs, p) for p in ps)
         assert want == max(p for p in ps if split_cost(degs, p) == best)
         assert oc._power_split(np.array(degs)) == want
-
-
-class TestQfMul:
-    def test_calculus_is_multiplicative(self, rng):
-        pair = oc.model_pair(Q, 12)
-        for _ in range(5):
-            f = oc.qseries_to_qfunction(random_qseries(rng, Q, 8, 4, 3), 2.0, 2.0)
-            g = oc.qseries_to_qfunction(random_qseries(rng, Q, 8, 4, 3), 2.0, 2.0)
-            lhs = oc.calc(oc.qf_mul(f, g), pair)
-            rhs = oc.calc(f, pair) @ oc.calc(g, pair)
-            assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
 class TestEigenvalues:

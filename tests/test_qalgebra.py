@@ -499,6 +499,14 @@ class TestLogShifted:
         f = qa.log_shifted(c, g)
         assert np.allclose(f.coeffs, expected, rtol=1e-13, atol=1e-15)
 
+    @pytest.mark.parametrize("d", [8, 32, 64])
+    def test_keeps_the_loss_of_its_argument(self, d):
+        xy = QSeries.monomial(Q, d, 1, 1)
+        exact = qa.log_shifted(1.5, xy)
+        lossy = qa.log_shifted(1.5, QSeries(Q, xy.coeffs, lossy=True))
+        assert not exact.lossy and lossy.lossy
+        assert np.array_equal(lossy.coeffs, exact.coeffs)
+
 
 class TestOperators:
     """``*``, ``-`` and scalar products on series."""

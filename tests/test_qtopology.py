@@ -72,6 +72,10 @@ class TestQHullMembership:
         with pytest.raises(PreconditionError):
             QHull(base_disk(), 0.0)
 
+    def test_hull_over_hull_with_other_q_is_rejected(self):
+        with pytest.raises(PreconditionError, match=r"base q = \(0\.5\+0j\), q = 0\.7j"):
+            QHull(QHull(base_disk(), Q), 0.7j)
+
     def test_empty_base(self):
         hull = QHull(DiskUnion(), Q)
         assert hull.contains(0.0)
@@ -181,7 +185,6 @@ HULLS = {
     "real_q": lambda: QHull(base_disk(), Q),
     "rotating_q": lambda: QHull(DiskUnion([(1.0, 0.1), (0.3 + 0.7j, 0.2)]), 0.6 * cmath.exp(0.7j)),
     "same_q_nested": lambda: QHull(QHull(QHull(base_disk(), Q), Q), Q),
-    "other_q_nested": lambda: QHull(QHull(base_disk(), Q), 0.7j),
     "disk_holds_0": lambda: QHull(DiskUnion([(0.2, 0.3), (1.0, 0.1)]), Q),
     "disk_touches_0": lambda: QHull(DiskUnion.single(0.4 + 0.3j, 0.5), 0.8),
     "empty_base": lambda: QHull(DiskUnion(), Q),
@@ -215,7 +218,7 @@ class TestHullAgainstWalk:
         assert hull.contains_many([]).shape == (0,)
 
     def test_non_finite_points_are_outside(self):
-        hull = QHull(QHull(base_disk(), Q), 0.7j)
+        hull = QHull(QHull(base_disk(), Q), Q)
         bad = [complex(math.inf, 0), complex(0, -math.inf), complex(math.nan, 0.5)]
         for h in (hull, hull.base):
             assert not any(h.contains(z) for z in bad)
