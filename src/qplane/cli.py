@@ -21,6 +21,7 @@ wrapper set on a module attribute sees the call.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -55,6 +56,8 @@ def _n(args) -> int:
 def _radius(name: str, val: float) -> float:
     if not val > 0:
         raise PreconditionError(f"--{name} must be positive, got {val}")
+    if val == math.inf:
+        raise PreconditionError(f"--{name} must be finite, got {val}")
     return val
 
 
@@ -161,6 +164,8 @@ def cmd_decay(args) -> int:
     rows = []
     if f.terms():
         norm_f = qalgebra.seminorm(f, rho)
+        if not math.isfinite(norm_f):
+            raise PreconditionError(f"the seminorm of the series overflows at rho = {rho}")
         profile = qalgebra.decay_profile(f, rho, args.smax)
         for s, (value, lossy) in enumerate(zip(profile.values, profile.lossy_at), start=1):
             bound = abs(f.q) ** ((s - 1) / 2.0) * norm_f

@@ -38,8 +38,8 @@ def _as_coeffs(values) -> np.ndarray:
 
 
 def scale_coeffs(coeffs: np.ndarray, c: complex) -> np.ndarray:
-    """``a_n -> c^n a_n`` on a coefficient array, the rule behind
-    :meth:`HoloSeries.scale_arg`.
+    """``a_n -> c^n a_n``: the coefficients of the substituted series
+    ``z -> c*z``.
 
     Exact zeros stay zero (``0 * inf`` is never formed).  A product that
     overflows is left non-finite, without a warning, for the caller to
@@ -48,6 +48,24 @@ def scale_coeffs(coeffs: np.ndarray, c: complex) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         powers = np.power(complex(c), np.arange(coeffs.size))
         return np.where(coeffs != 0, coeffs * powers, 0)
+
+
+def _l1_from_logs(coeffs: np.ndarray, log_weights: np.ndarray) -> float:
+    """``sum |a| w`` over the nonzero ``a``, from the logs of the weights.
+
+    The fallback for a weighted norm whose direct sum came out
+    non-finite: no ``0 * inf`` is formed for a weight past the double
+    range, and a sum that does leave the range is ``inf``, not NaN.
+    """
+    nz = coeffs != 0
+    if not nz.any():
+        return 0.0
+    with np.errstate(over="ignore", under="ignore"):
+        logs = np.log(np.abs(coeffs[nz])) + log_weights[nz]
+        top = logs.max()
+        if not np.isfinite(top):
+            return math.inf
+        return float(np.exp(top) * np.sum(np.exp(logs - top)))
 
 
 @dataclass(frozen=True)
@@ -149,22 +167,21 @@ class HoloSeries:
 
     __rmul__ = __mul__
 
-    def scale_arg(self, c: complex) -> "HoloSeries":
-        """The substituted series ``z -> c*z``, i.e. ``a_n -> c^n a_n``.
-
-        Exact: no truncation is involved.  A coefficient that overflows
-        is a ``ValueError``, as for any non-finite coefficient; see
-        :func:`scale_coeffs` to handle it instead.
-        """
-        return HoloSeries(scale_coeffs(self.coeffs, c), lossy=self.lossy)
-
     # -- norms and evaluation ------------------------------------------
 
     def norm(self, rho: float) -> float:
-        """Weighted l1 norm ``sum_n |a_n| rho^n`` (requires rho > 0)."""
-        if not rho > 0:
-            raise PreconditionError(f"norm radius must be positive, got {rho}")
-        return float(np.sum(np.abs(self.coeffs) * rho ** np.arange(self.coeffs.size)))
+        """Weighted l1 norm ``sum_n |a_n| rho^n`` (requires finite rho > 0).
+
+        ``inf`` when the sum leaves the double range.
+        """
+        if not 0 < rho < math.inf:
+            raise PreconditionError(f"norm radius must be positive and finite, got {rho}")
+        deg = np.arange(self.coeffs.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(np.sum(np.abs(self.coeffs) * float(rho) ** deg))
+        if math.isfinite(total):
+            return total
+        return _l1_from_logs(self.coeffs, deg * math.log(rho))
 
     def __call__(self, z: complex) -> complex:
         """Horner evaluation of the kept polynomial."""
@@ -214,8 +231,8 @@ def sup_norm_on_circle(f: HoloSeries, rho: float, samples: int = 256) -> float:
     estimate of the true sup norm; the sampling density needed for a
     guaranteed bound is not pinned down here.
     """
-    if not rho > 0:
-        raise PreconditionError(f"circle radius must be positive, got {rho}")
+    if not 0 < rho < math.inf:
+        raise PreconditionError(f"circle radius must be positive and finite, got {rho}")
     if samples < 1:
         raise PreconditionError("need at least one sample point")
     theta = 2.0 * np.pi * np.arange(samples) / samples

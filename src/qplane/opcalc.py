@@ -120,7 +120,9 @@ def model_pair(q: complex, n: int) -> OperatorPair:
     t = np.zeros((n, n), dtype=np.complex128)
     for m in range(n - 1):
         t[m + 1, m] = 1.0
-    s = np.diag(np.power(complex(q), np.arange(n)))
+    # a q^m past the double range is left to OperatorPair to reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.diag(np.power(complex(q), np.arange(n)))
     return OperatorPair(t, s, complex(q))
 
 

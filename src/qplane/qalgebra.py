@@ -17,21 +17,17 @@ degree.  Products are truncated back to the common degree and flag
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from . import _accel
 from .errors import PreconditionError
-from .holo import HoloSeries, scale_coeffs
+from .holo import HoloSeries, _l1_from_logs, scale_coeffs
 
 __all__ = [
-    "weight",
-    "inner",
-    "suffix_weights",
-    "q_exponent",
-    "normal_order",
     "QSeries",
     "qmul",
     "qmul_rowwise",
@@ -48,66 +44,6 @@ __all__ = [
     "spec_eval",
     "log_shifted",
 ]
-
-
-# ---------------------------------------------------------------------------
-# multi-index utilities
-# ---------------------------------------------------------------------------
-
-
-def weight(index: Sequence[int]) -> int:
-    """Total weight ``|I| = sum(I)`` of a multi-index."""
-    return int(sum(index))
-
-
-def inner(left: Sequence[int], right: Sequence[int]) -> int:
-    """Pairing ``<I, J> = sum_t i_t j_t`` (indices of equal length)."""
-    if len(left) != len(right):
-        raise PreconditionError(
-            f"index length mismatch: {len(left)} vs {len(right)}"
-        )
-    return int(sum(i * j for i, j in zip(left, right)))
-
-
-def suffix_weights(index: Sequence[int]) -> tuple[int, ...]:
-    """The (s-1)-tuple of strict suffix weights of an s-tuple.
-
-    Entry ``t`` (0-based) is ``i_{t+1} + ... + i_s``, the weight of
-    everything to the right of position ``t``.
-    """
-    if len(index) < 1:
-        raise PreconditionError("multi-indices have length >= 1")
-    out = []
-    suffix = 0
-    for i in reversed(index[1:]):
-        suffix += int(i)
-        out.append(suffix)
-    return tuple(reversed(out))
-
-
-def q_exponent(index_i: Sequence[int], index_k: Sequence[int]) -> int:
-    """Exponent collected when normal-ordering an s-fold product.
-
-    Equals ``sum_{t=1}^{s-1} (i_{t+1}+...+i_s) * k_t``: each y-block of
-    weight ``k_t`` must cross the x-blocks of all later factors.  Zero
-    for ``s = 1``.
-    """
-    if len(index_i) != len(index_k):
-        raise PreconditionError(
-            f"index length mismatch: {len(index_i)} vs {len(index_k)}"
-        )
-    if len(index_i) == 1:
-        return 0
-    return inner(suffix_weights(index_i), tuple(index_k[:-1]))
-
-
-def normal_order(i1: int, k1: int, i2: int, k2: int) -> tuple[int, int, int]:
-    """Order the product of two ordered monomials.
-
-    ``x^i1 y^k1 * x^i2 y^k2 = q^(i2*k1) x^(i1+i2) y^(k1+k2)``; returns
-    the exponent and the combined degrees.
-    """
-    return i2 * k1, i1 + i2, k1 + k2
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +244,7 @@ def qmul_rowwise(f: QSeries, g: QSeries) -> QSeries:
             gj = g.series_in_x(j)
             if gj.max_degree < 0:
                 continue
-            # gj.scale_arg(q**i), with overflowed coefficients taken apart
+            # gj(q^i x), with overflowed coefficients taken apart
             scaled, dropped = _drop_overflow(
                 scale_coeffs(gj.coeffs, f.q**i), fi.coeffs, i + j, f.q, d
             )
@@ -364,9 +300,14 @@ def qpow(f: QSeries, s: int, method: str = "repeated") -> QSeries:
     """``f**s`` for ``s >= 1``.
 
     ``repeated`` multiplies left to right.  ``formula`` enumerates all
-    s-tuples drawn from the support of ``f``: the tuple with x-degrees I
-    and y-degrees K contributes its coefficient product times
-    ``q**q_exponent(I, K)`` to cell ``(|I|, |K|)``.  The enumeration is
+    s-tuples drawn from the support of ``f``: the tuple with x-degrees
+    ``i_1..i_s`` and y-degrees ``k_1..k_s`` contributes its coefficient
+    product times ``q**e`` to cell ``(i_1+...+i_s, k_1+...+k_s)``, where
+
+        e = sum_{t=1}^{s-1} (i_{t+1} + ... + i_s) * k_t
+
+    collects each y-block crossing the x-blocks of all later factors
+    (:func:`qplane._accel.qpow_formula`).  The enumeration is
     refused above :data:`QPOW_FORMULA_CAP` tuples.  Either method raises
     :class:`PreconditionError` when a twist overflows inside the table.
     """
@@ -441,19 +382,26 @@ def seminorm(f: QSeries, rho: float) -> float:
     ``sum |a_ik| rho^(i+k)`` for ``|q| <= 1``; for ``|q| > 1`` each term
     additionally carries ``|q|^(-i*k)`` (the regime is picked from
     ``|q|`` and the two formulas agree at ``|q| = 1``).  Multiplicative
-    on the algebra, hence submultiplicative on truncations.
+    on the algebra, hence submultiplicative on truncations.  ``rho``
+    must be finite; a sum that leaves the double range is ``inf``.
     """
-    if not rho > 0:
-        raise PreconditionError(f"seminorm radius must be positive, got {rho}")
+    if not 0 < rho < math.inf:
+        raise PreconditionError(f"seminorm radius must be positive and finite, got {rho}")
     d = f.trunc_degree
     deg = np.arange(d + 1)
-    w = np.power(float(rho), deg)
-    weights = np.outer(w, w)
     aq = abs(f.q)
-    if aq > 1:
-        with np.errstate(under="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        w = np.power(float(rho), deg)
+        weights = np.outer(w, w)
+        if aq > 1:
             weights = weights * np.power(aq, -np.outer(deg, deg).astype(float))
-    return float(np.sum(np.abs(f.coeffs) * weights))
+        total = float(np.sum(np.abs(f.coeffs) * weights))
+    if math.isfinite(total):
+        return total
+    log_w = np.add.outer(deg, deg) * math.log(rho)
+    if aq > 1:
+        log_w -= np.outer(deg, deg) * math.log(aq)
+    return _l1_from_logs(f.coeffs, log_w)
 
 
 def p_seminorm(f: QSeries, rho_x: float, rho_y: float) -> float:
@@ -461,19 +409,27 @@ def p_seminorm(f: QSeries, rho_x: float, rho_y: float) -> float:
 
     ``f_k`` is the one-variable series multiplying ``y^k`` and its norm
     is the weighted l1 norm (an upper bound for the sup on the disk of
-    radius ``rho_x``).  Submultiplicative for ``|q| <= 1``.
+    radius ``rho_x``).  Submultiplicative for ``|q| <= 1``.  The radii
+    must be finite; a sum that leaves the double range is ``inf``.
     """
-    if not (rho_x > 0 and rho_y > 0):
+    if not (0 < rho_x < math.inf and 0 < rho_y < math.inf):
         raise PreconditionError(
-            f"seminorm radii must be positive, got ({rho_x}, {rho_y})"
+            f"seminorm radii must be positive and finite, got ({rho_x}, {rho_y})"
         )
     d = f.trunc_degree
     total = 0.0
-    for k in range(d + 1):
-        col = np.abs(f.coeffs[:, k])
-        if col.any():
-            total += float(col @ np.power(float(rho_x), np.arange(d + 1))) * rho_y**k
-    return total
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(d + 1):
+                col = np.abs(f.coeffs[:, k])
+                if col.any():
+                    total += float(col @ np.power(float(rho_x), np.arange(d + 1))) * rho_y**k
+    except OverflowError:  # rho_y**k left the double range
+        total = math.inf
+    if math.isfinite(total):
+        return total
+    deg = np.arange(d + 1)
+    return _l1_from_logs(f.coeffs, np.add.outer(deg * math.log(rho_x), deg * math.log(rho_y)))
 
 
 class DecayProfile(NamedTuple):

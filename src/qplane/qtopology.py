@@ -8,6 +8,7 @@ are out.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -244,10 +245,14 @@ def spiral_neighborhood(
     """
     q = _check_contractive(q)
     lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise PreconditionError(f"orbit point must be finite, got {lam}")
     if lam == 0:
         raise PreconditionError("orbit point must be nonzero; use the single disk B(0, eps)")
     if not (eps > 0 and delta > 0):
         raise PreconditionError(f"radii must be positive, got eps={eps}, delta={delta}")
+    if not (eps < math.inf and delta < math.inf):
+        raise PreconditionError(f"radii must be finite, got eps={eps}, delta={delta}")
     reach = abs(lam) + delta
     n = 0
     while abs(q) ** (n + 1) * reach > eps:

@@ -308,6 +308,14 @@ class TestSeriesCommands:
         assert float(row[3]) == 4.0
         assert float(row[4]) == 3.0
 
+    def test_norm_past_the_double_range_reads_inf(self, tmp_path, capsys):
+        src = tmp_path / "f.json"
+        write_series(src, QSeries.monomial(Q, 40, 1, 2))
+        assert run(["norm", src, "--rho", "1e200", "--rho-y", "1e200"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1] == "1e+200,1.0,1e+200,inf,inf"
+        assert captured.err == ""
+
 
 class TestDecayCommand:
     def test_pure_monomial_ratio_one(self, tmp_path):
@@ -765,6 +773,21 @@ PRECONDITIONS = [
     (["decay", "{zero}", "--smax", "0"], "s_max must be >= 1, got 0"),
     (["koszul", *BASE_ARGV["koszul"], "--rank-tol", "0"], "rank_tol must be positive, got 0.0"),
     (["scan", *BASE_ARGV["scan"], "--rank-tol", "0"], "rank_tol must be positive, got 0.0"),
+    # infinite radii are refused before the file is read
+    (["norm", "missing.json", "--rho", "inf"], "--rho must be finite, got inf"),
+    (["norm", "missing.json", "--rho-x", "inf"], "--rho-x must be finite, got inf"),
+    (["norm", "missing.json", "--rho-y", "inf"], "--rho-y must be finite, got inf"),
+    (["decay", "missing.json", "--rho", "inf"], "--rho must be finite, got inf"),
+    # a finite radius whose ||f||_rho overflows leaves no bound to compare with
+    (["decay", "{xy}", "--rho", "1e200"],
+     "the seminorm of the series overflows at rho = 1e+200"),
+    (["spiral", *BASE_ARGV["spiral"], "--lam-re", "inf"], "orbit point must be finite, got (inf+0j)"),
+    (["spiral", *BASE_ARGV["spiral"], "--lam-re", "nan"], "orbit point must be finite, got (nan+0j)"),
+    (["spiral", *BASE_ARGV["spiral"], "--eps", "inf"], "radii must be finite, got eps=inf, delta=0.1"),
+    (["spiral", *BASE_ARGV["spiral"], "--delta", "inf"], "radii must be finite, got eps=0.3, delta=inf"),
+    # q^(n-1) overflows: no RuntimeWarning ahead of the error line
+    (["modelpair", "--n", "3", "--q-re", "1e200"], "matrix entries must be finite"),
+    (["scan", *BASE_ARGV["scan"], "--n", "3", "--q-re", "1e300"], "matrix entries must be finite"),
 ]
 
 
@@ -788,3 +811,16 @@ def test_flag_preconditions_exit_3(tmp_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: precondition: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["modelpair", "--q-re", "1e200", "--n", "3"],
+    ["scan", *BASE_ARGV["scan"], "--q-re", "1e300"],
+], ids=["modelpair", "scan"])
+def test_overflowing_q_prints_one_error_line(argv):
+    # a warning printed by numpy would come ahead of the error line
+    proc = subprocess.run(
+        [sys.executable, "-m", "qplane.cli", *argv], capture_output=True, text=True,
+    )
+    assert proc.returncode == cli.EXIT_PRECONDITION
+    assert proc.stderr == "error: precondition: matrix entries must be finite\n"

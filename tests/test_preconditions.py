@@ -1,11 +1,14 @@
 """Precondition raises across the layers, one row per guard."""
 
+import math
+
 import pytest
 
 from qplane import opcalc as oc
+from qplane import qalgebra as qa
 from qplane import qtopology as qt
 from qplane.errors import PreconditionError
-from qplane.holo import HoloSeries
+from qplane.holo import HoloSeries, sup_norm_on_circle
 from qplane.qalgebra import QSeries
 
 Q = 0.5
@@ -20,6 +23,8 @@ MIXED = oc.QFunctionRep(Q, (HoloSeries.zero(2), H), 2.0, 2.0)  # f = xy
     (lambda: oc.QFunctionRep(Q, (H,), 0.0, 1.0), PreconditionError, "radii must be positive"),
     (lambda: oc.QFunctionRep(Q, (H,), 1.0, -1.0), PreconditionError, "radii must be positive"),
     (lambda: oc.calc_qseries(QSeries.one(0.3, 2), PAIR), PreconditionError, "q mismatch"),
+    # q^2 overflows; no RuntimeWarning comes ahead of the refusal
+    (lambda: oc.model_pair(1e200, 3), PreconditionError, "matrix entries must be finite"),
     (lambda: oc.resolvent_twist_residual(PAIR, 1, -1, 0, 0.5), PreconditionError,
      "exponents must be nonnegative"),
     (lambda: oc.radical_decay_check(MIXED, PAIR, 0), PreconditionError, "s_max must be >= 1"),
@@ -27,7 +32,24 @@ MIXED = oc.QFunctionRep(Q, (HoloSeries.zero(2), H), 2.0, 2.0)  # f = xy
      "radii must be positive"),
     (lambda: qt.spiral_neighborhood(1.0, 0.3, -0.1, Q), PreconditionError,
      "radii must be positive"),
+    (lambda: qt.spiral_neighborhood(math.inf, 0.3, 0.1, Q), PreconditionError,
+     "orbit point must be finite"),
+    (lambda: qt.spiral_neighborhood(complex(1.0, math.nan), 0.3, 0.1, Q), PreconditionError,
+     "orbit point must be finite"),
+    (lambda: qt.spiral_neighborhood(1.0, math.inf, 0.1, Q), PreconditionError,
+     "radii must be finite"),
+    (lambda: qt.spiral_neighborhood(1.0, 0.3, math.inf, Q), PreconditionError,
+     "radii must be finite"),
     (lambda: qt.point_q_closure(1.0, -1, Q), PreconditionError, "k_max must be >= 0"),
+    (lambda: H.norm(math.inf), PreconditionError, "norm radius must be positive and finite"),
+    (lambda: sup_norm_on_circle(H, math.inf), PreconditionError,
+     "circle radius must be positive and finite"),
+    (lambda: qa.seminorm(QSeries.one(Q, 2), math.inf), PreconditionError,
+     "seminorm radius must be positive and finite"),
+    (lambda: qa.p_seminorm(QSeries.one(Q, 2), math.inf, 1.0), PreconditionError,
+     "seminorm radii must be positive and finite"),
+    (lambda: qa.p_seminorm(QSeries.one(Q, 2), 1.0, math.inf), PreconditionError,
+     "seminorm radii must be positive and finite"),
     (lambda: qt.Disk(1.0, 0.0), ValueError, "disk radius must be positive"),
     (lambda: QSeries.one(Q, 2) - QSeries.one(Q, 3), PreconditionError, "truncation mismatch"),
     (lambda: QSeries.one(Q, 2) * None, TypeError, "unsupported operand"),
@@ -35,10 +57,13 @@ MIXED = oc.QFunctionRep(Q, (HoloSeries.zero(2), H), 2.0, 2.0)  # f = xy
     (lambda: H - 1, TypeError, "unsupported operand"),
 ], ids=[
     "qfunction-q-zero", "qfunction-empty-f-list", "qfunction-r-x-zero",
-    "qfunction-r-y-negative", "calc-qseries-q-mismatch", "resolvent-negative-exponent",
-    "decay-check-s-max-zero", "spiral-eps-zero", "spiral-delta-negative",
-    "closure-k-max-negative", "disk-radius-zero", "qseries-sub-mismatch",
-    "qseries-mul-non-number", "qseries-rmul-non-number", "holo-sub-non-series",
+    "qfunction-r-y-negative", "calc-qseries-q-mismatch", "model-pair-q-overflow",
+    "resolvent-negative-exponent", "decay-check-s-max-zero", "spiral-eps-zero",
+    "spiral-delta-negative", "spiral-lambda-inf", "spiral-lambda-nan", "spiral-eps-inf",
+    "spiral-delta-inf", "closure-k-max-negative", "holo-norm-rho-inf", "sup-norm-rho-inf",
+    "seminorm-rho-inf", "p-seminorm-rho-x-inf", "p-seminorm-rho-y-inf", "disk-radius-zero",
+    "qseries-sub-mismatch", "qseries-mul-non-number", "qseries-rmul-non-number",
+    "holo-sub-non-series",
 ])
 def test_raises(call, error, match):
     with pytest.raises(error, match=match):

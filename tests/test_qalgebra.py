@@ -14,44 +14,6 @@ from oracles import naive_qmul, naive_qpow_formula, random_qseries
 Q = 0.5
 
 
-class TestIndexUtilities:
-    def test_weight_and_inner(self):
-        assert qa.weight((2, 0, 1)) == 3
-        assert qa.inner((1, 2), (3, 4)) == 11
-        with pytest.raises(PreconditionError):
-            qa.inner((1,), (1, 2))
-
-    def test_suffix_weights(self):
-        assert qa.suffix_weights((2, 0, 1)) == (1, 1)
-        assert qa.suffix_weights((5,)) == ()
-
-    def test_q_exponent_single_factor_is_zero(self):
-        assert qa.q_exponent((7,), (9,)) == 0
-
-    def test_q_exponent_pair(self):
-        assert qa.q_exponent((1, 1), (1, 1)) == 1
-
-    def test_q_exponent_triple_by_hand(self):
-        # suffix weights of (2,0,1) are (1,1); paired against (1,3): 1+3
-        assert qa.q_exponent((2, 0, 1), (1, 3, 0)) == 4
-
-    def test_q_exponent_length_mismatch(self):
-        with pytest.raises(PreconditionError):
-            qa.q_exponent((1, 2), (1,))
-
-
-class TestNormalOrder:
-    def test_y_times_x(self):
-        assert qa.normal_order(0, 1, 1, 0) == (1, 1, 1)
-
-    def test_already_ordered(self):
-        assert qa.normal_order(3, 0, 2, 4) == (0, 5, 4)
-        assert qa.normal_order(1, 2, 0, 3) == (0, 1, 5)
-
-    def test_xy_squared(self):
-        assert qa.normal_order(1, 1, 1, 1) == (1, 2, 2)
-
-
 class TestQMul:
     def test_one_is_identity(self, rng):
         f = random_qseries(rng, Q, 10, 6, 5)
@@ -119,6 +81,20 @@ class TestQPow:
         g = QSeries.monomial(Q, 8, i, k)
         out = qa.qpow(g, s, "formula")
         assert out.terms() == [(i * s, k * s, Q ** (i * k * s * (s - 1) // 2) + 0j)]
+
+    def test_triple_product_exponent_by_hand(self):
+        # y^k x^i = q^(ik) x^i y^k: in x^2y * y^3 * x both y and y^3 cross
+        # the last x, so the exponent is 1 + 3
+        q = 0.5 + 0.25j
+        x2y, y3, x = (QSeries.monomial(q, 4, i, k) for i, k in [(2, 1), (0, 3), (1, 0)])
+        (cell,) = qa.qmul(qa.qmul(x2y, y3), x).terms()
+        assert cell[:2] == (3, 4) and cell[2] == pytest.approx(q**4, rel=1e-15)
+        # in (x^2y + y^3 + x)^3 the six orders of those three factors reach
+        # cell (3, 4), with exponents sum_t (i_{t+1} + ... + i_s) k_t
+        f = x2y + y3 + x
+        expected = sum(q**e for e in (0, 1, 4, 6, 9, 10))
+        for method in ("repeated", "formula"):
+            assert qa.qpow(f, 3, method).coeffs[3, 4] == pytest.approx(expected, rel=1e-15)
 
     def test_methods_agree_on_random_support(self, rng):
         for _ in range(15):
@@ -369,6 +345,25 @@ class TestSeminorms:
             qa.seminorm(QSeries.one(Q, 2), -1.0)
         with pytest.raises(PreconditionError):
             qa.p_seminorm(QSeries.one(Q, 2), 1.0, 0.0)
+
+    def test_sum_past_the_double_range_is_inf(self):
+        f = QSeries.monomial(Q, 40, 0, 40)
+        assert qa.seminorm(f, 1e20) == math.inf
+        assert qa.p_seminorm(f, 1.0, 1e20) == math.inf  # 1e20**40 overflows in Python
+        assert qa.p_seminorm(QSeries.monomial(Q, 40, 40, 0), 1e20, 1.0) == math.inf
+
+    def test_overflowed_weights_never_give_nan(self):
+        # rho^(i+k) overflows at the empty cells of the table, yet every
+        # nonzero term is finite, so the seminorms are too
+        xy = QSeries.monomial(Q, 40, 1, 1)
+        assert qa.seminorm(xy, 1e20) == pytest.approx(1e40, rel=1e-12)
+        assert qa.p_seminorm(xy, 1e20, 1e20) == pytest.approx(1e40, rel=1e-12)
+        # |q| > 1: rho^16 = 1e320 overflows before |q|^(-64) brings it back
+        f = QSeries.monomial(2.0, 16, 8, 8)
+        assert qa.seminorm(f, 1e20) == pytest.approx(1e300 / 2.0**64 * 1e20, rel=1e-12)
+        # an overflowed x-weight against an underflowed y-weight
+        g = QSeries.monomial(Q, 4, 2, 2)
+        assert qa.p_seminorm(g, 1e300, 1e-300) == pytest.approx(1.0, rel=1e-12)
 
     def test_submultiplicative_contractive(self, rng):
         for _ in range(25):
