@@ -47,9 +47,31 @@ def _q(args) -> complex:
     return q
 
 
+# The --n cap.  A complex N x N matrix takes 16 N^2 bytes.  Counted in
+# such matrices, the peak resident memory of each subcommand grows by
+#   modelpair 21.4   koszul 9.4   scan 10.7   calc 12.9   specmap 8.2
+# (growth of ru_maxrss from N = 384 to N = 768 in a fresh process, one
+# BLAS thread, `calc`/`specmap` on the worked log function, `scan` on 3
+# points).  The pair's check at construction holds about ten at once;
+# `modelpair` adds its JSON payload (a list of two floats per entry).
+# The counts below round those up, and N is capped so that that many fit
+# in _MEMORY_BUDGET bytes.  The check runs before anything is allocated.
+_HELD_MATRICES = {"modelpair": 22, "koszul": 10, "scan": 11, "calc": 13, "specmap": 9}
+_MEMORY_BUDGET = 2**30
+
+
+def _max_n(command: str) -> int:
+    return math.isqrt(_MEMORY_BUDGET // (16 * _HELD_MATRICES[command]))
+
+
 def _n(args) -> int:
     if args.n < 1:
         raise PreconditionError(f"dimension must be >= 1, got {args.n}")
+    cap = _max_n(args.command)
+    if args.n > cap:
+        raise PreconditionError(
+            f"dimension must be <= {cap} for {args.command}, got {args.n}"
+        )
     return args.n
 
 
@@ -307,8 +329,12 @@ def _add_q(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q-im", type=float, default=0.0, help="Im q (default 0)")
 
 
-def _add_n(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=16, help="matrix dimension N")
+def _add_n(p: argparse.ArgumentParser, command: str) -> None:
+    p.add_argument(
+        "--n", type=int, default=16,
+        help=f"matrix dimension N, 1 to {_max_n(command)}: {command} holds about "
+        f"{_HELD_MATRICES[command]} N x N complex matrices, capped at 1 GiB",
+    )
 
 
 def _add_rank_tol(p: argparse.ArgumentParser) -> None:
@@ -369,15 +395,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("modelpair", cmd_modelpair, "emit the truncated shift/diagonal model pair")
     _add_q(p)
-    _add_n(p)
+    _add_n(p, "modelpair")
 
     p = command("calc", cmd_calc, "evaluate a function file on the model pair")
     p.add_argument("function")
-    _add_n(p)
+    _add_n(p, "calc")
 
     p = command("specmap", cmd_specmap, "spectral mapping report for a function file")
     p.add_argument("function")
-    _add_n(p)
+    _add_n(p, "specmap")
 
     p = command("koszul", cmd_koszul,
                 "homology of the parametrized complex at one character")
@@ -385,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-im", type=float, default=0.0)
     p.add_argument("--axis", choices=["x", "y"], required=True)
     _add_q(p)
-    _add_n(p)
+    _add_n(p, "koszul")
     _add_rank_tol(p)
 
     p = command("scan", cmd_scan, "axis scan of the truncation joint spectrum")
@@ -396,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--im-max", type=float, default=0.0)
     p.add_argument("--steps", type=int, required=True)
     _add_q(p)
-    _add_n(p)
+    _add_n(p, "scan")
     _add_rank_tol(p)
 
     return parser

@@ -6,10 +6,13 @@ At a character ``gamma`` on one of the two axes the maps
          [ T - q gamma_x I ]
 
 form a complex ``X -> X (+) X -> X`` (written as a 2N x N and an
-N x 2N matrix).  For any q-commuting pair the composite collapses to a
-scalar: ``d1 d0 = (q - 1) gamma_x gamma_y I``, which vanishes exactly
-on the axes -- homology is therefore only defined there, and off-axis
-requests are a hard error rather than a silent zero.
+N x 2N matrix).  For any pair ``d1 d0 = ST - qTS + (q - 1) gamma_x
+gamma_y I`` exactly, so for a q-commuting pair the composite collapses
+to a scalar: ``d1 d0 = (q - 1) gamma_x gamma_y I``, which vanishes
+exactly on the axes -- homology is therefore only defined there, and
+off-axis requests are a hard error rather than a silent zero.  The
+defect ``||ST - qTS||_F`` belongs to the pair, so it is computed once
+and checked against each character's bound as a scalar.
 
 Ranks come from singular values with a relative threshold; a rank jump
 is exactly what joint-spectrum membership means, so near-threshold
@@ -59,7 +62,7 @@ from typing import Literal, NamedTuple
 import numpy as np
 
 from .errors import PreconditionError
-from .opcalc import OperatorPair
+from .opcalc import OperatorPair, _unit
 
 __all__ = [
     "KoszulComplexAt",
@@ -97,6 +100,16 @@ def _pair_scale(pair: OperatorPair) -> float:
     return float(np.linalg.norm(pair.t, 2) + np.linalg.norm(pair.s, 2))
 
 
+def _pair_defect(pair: OperatorPair) -> float:
+    """``||ST - qTS||_F = |q| * residual``, the composite defect at every character.
+
+    Expanding the product gives ``d1 d0 = ST - qTS + (q-1) gx gy I``
+    exactly, so the defect is a property of the pair.  It comes from the
+    pair's overflow-safe residual; ``inf`` only past the double range.
+    """
+    return abs(pair.q) * pair.residual()
+
+
 def _defect_error(defect: float, scale: float) -> str:
     """The error text when ``defect`` exceeds ``1e-12 * scale^2``, else ``""``.
 
@@ -111,39 +124,78 @@ def _defect_error(defect: float, scale: float) -> str:
     )
 
 
-def _complexes(
-    pair: OperatorPair, gx: np.ndarray, gy: np.ndarray, pair_scale: float
-) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Stacked differentials at the characters ``(gx[i], gy[i])``.
+def _blocks(pair: OperatorPair, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays for ``m`` characters holding the constant blocks of the maps.
 
-    Returns ``(d0, d1, errors)``: ``d0[i]`` and ``d1[i]`` are the maps at
-    character ``i`` and ``errors[i]`` is ``""`` or why that character has
-    no complex: a non-finite coordinate, or a composite ``d1 d0`` more
-    than ``1e-12 * (pair_scale + |gx| + |gy|)^2`` from
-    ``(q-1) gx gy I``.  A non-finite character's maps are built at 0.
+    Every ``d0[i]`` holds ``[-qS; T]`` and every ``d1[i]`` holds
+    ``[T, S]``; :func:`_complexes` writes a character's diagonals over
+    them, which is all that depends on the character.  A ``qS`` past the
+    double range concerns every character, so it is a
+    :class:`PreconditionError`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        qs = pair.q * pair.s
+    if not np.all(np.isfinite(qs)):
+        raise PreconditionError(f"q S leaves the double range at q = {pair.q}")
+    n = pair.n
+    d0 = np.empty((m, 2 * n, n), dtype=np.complex128)
+    d1 = np.empty((m, n, 2 * n), dtype=np.complex128)
+    d0[:, :n] = 0.0 - qs
+    d0[:, n:] = pair.t
+    d1[:, :, :n] = pair.t
+    d1[:, :, n:] = pair.s
+    return d0, d1
+
+
+def _complexes(
+    pair: OperatorPair,
+    gx: np.ndarray,
+    gy: np.ndarray,
+    d0: np.ndarray,
+    d1: np.ndarray,
+    pair_defect: float,
+    pair_scale: float,
+) -> list[str]:
+    """Write the maps at the characters ``(gx[i], gy[i])`` into ``d0[i]``, ``d1[i]``.
+
+    ``d0`` and ``d1`` come from :func:`_blocks` with at least ``len(gx)``
+    rows; only the 2N diagonal entries of each map are written, so the
+    constant blocks are built once however many characters reuse them.
+    Returns one string per character, ``""`` or why it has no complex: a
+    non-finite coordinate (its maps are built at 0), or a composite
+    ``d1 d0`` more than ``1e-12 * (pair_scale + |gx| + |gy|)^2`` from
+    ``(q-1) gx gy I``.  That distance is ``pair_defect`` wherever
+    ``(q-1) gx gy`` and the written diagonals are finite and NaN where
+    they are not, so each character takes a scalar test and no matrix
+    product is formed.
     """
     finite = np.isfinite(gx) & np.isfinite(gy)
     x, y = np.where(finite, gx, 0), np.where(finite, gy, 0)
-    n = pair.n
-    eye = np.eye(n, dtype=np.complex128)
-    x3, y3 = x[:, None, None], y[:, None, None]
-    d0 = np.concatenate(
-        [y3 * eye - pair.q * pair.s, pair.t - (pair.q * x)[:, None, None] * eye], axis=1
-    )
-    d1 = np.concatenate([pair.t - x3 * eye, pair.s - y3 * eye], axis=2)
-    # A product past the double range makes the defect non-finite, which
-    # the bound rejects; numpy's overflow warning would only precede that.
+    n, m = pair.n, x.size
+    t_ii, s_ii = np.diag(pair.t), np.diag(pair.s)
+    # a diagonal entry or product past the double range leaves no defect
+    # to bound: that character is an error row, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        target = ((pair.q - 1.0) * x * y)[:, None, None] * eye
-        defects = np.linalg.norm(d1 @ d0 - target, axis=(1, 2))
-    scales = pair_scale + np.abs(x) + np.abs(y)
-    errors = [
-        _defect_error(d, s) if ok else f"character ({a}, {b}) is not finite"
-        for a, b, ok, d, s in zip(
-            gx.tolist(), gy.tolist(), finite.tolist(), defects.tolist(), scales.tolist()
+        diags = (
+            y[:, None] - pair.q * s_ii,
+            t_ii - (pair.q * x)[:, None],
+            t_ii - x[:, None],
+            s_ii - y[:, None],
+        )
+        bounded = np.isfinite((pair.q - 1.0) * x * y)
+        scales = pair_scale + np.abs(x) + np.abs(y)
+    for diag in diags:
+        bounded &= np.isfinite(diag).all(axis=1)
+    flat0, flat1 = d0[:m].reshape(m, -1), d1[:m].reshape(m, -1)
+    flat0[:, : n * n : n + 1], flat0[:, n * n :: n + 1] = diags[:2]
+    flat1[:, :: 2 * n + 1], flat1[:, n :: 2 * n + 1] = diags[2:]
+    return [
+        _defect_error(pair_defect if b else math.nan, s)
+        if ok else f"character ({a}, {c}) is not finite"
+        for a, c, ok, b, s in zip(
+            gx.tolist(), gy.tolist(), finite.tolist(), bounded.tolist(), scales.tolist()
         )
     ]
-    return d0, d1, errors
 
 
 def build(pair: OperatorPair, gamma: tuple[complex, complex]) -> KoszulComplexAt:
@@ -151,13 +203,18 @@ def build(pair: OperatorPair, gamma: tuple[complex, complex]) -> KoszulComplexAt
 
     ``d1 @ d0`` must equal ``(q-1) gamma_x gamma_y I`` up to
     ``1e-12 * (||T|| + ||S|| + |gamma|)^2``; a violation means the pair
-    does not satisfy the commutation relation to working precision.  A
-    non-finite character is a :class:`PreconditionError`.  The maps are
-    those a scan stacks, for one character.
+    does not satisfy the commutation relation to working precision.  The
+    distance is the pair's ``||ST - qTS||_F``, whatever ``gamma``, so it
+    is checked as a scalar against this character's bound; a character
+    whose coordinates, ``(q-1) gamma_x gamma_y`` or map entries are not
+    finite is a :class:`PreconditionError`.  The maps are those a scan
+    ranks, from the same builder on one character, in arrays of their own.
     """
     gx, gy = complex(gamma[0]), complex(gamma[1])
-    d0, d1, (error,) = _complexes(
-        pair, np.asarray([gx]), np.asarray([gy]), _pair_scale(pair)
+    d0, d1 = _blocks(pair, 1)
+    (error,) = _complexes(
+        pair, np.asarray([gx]), np.asarray([gy]), d0, d1,
+        _pair_defect(pair), _pair_scale(pair),
     )
     if error:
         raise PreconditionError(error)
@@ -169,11 +226,16 @@ def composite_defect(comp: KoszulComplexAt, q: complex) -> float:
 
     Returns ``|| d1 d0 - (q-1) gamma_x gamma_y I ||_F``; in particular
     ``d1 d0`` itself vanishes (within tolerance) exactly when ``gamma``
-    lies on an axis.
+    lies on an axis.  Up to the rounding of the product this is the
+    pair's ``||ST - qTS||_F`` at every character, the number
+    :func:`build` checks; here it is recomputed from the maps as a
+    diagnostic, with the norm taken without overflow.
     """
     gx, gy = comp.gamma
-    target = (complex(q) - 1.0) * gx * gy * np.eye(comp.n, dtype=np.complex128)
-    return float(np.linalg.norm(comp.d1 @ comp.d0 - target))
+    # entries past the double range give an infinite or NaN defect, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = (complex(q) - 1.0) * gx * gy * np.eye(comp.n, dtype=np.complex128)
+        return _unit(comp.d1 @ comp.d0 - target)[1]
 
 
 class Homology(NamedTuple):
@@ -314,22 +376,32 @@ def _chunk_homology(
     pair: OperatorPair,
     gx: np.ndarray,
     gy: np.ndarray,
+    d0: np.ndarray,
+    d1: np.ndarray,
+    pair_defect: float,
     pair_scale: float,
     rank_tol: float,
 ) -> tuple[list[list[int]], np.ndarray, list[str]]:
     """``(dims, stable, errors)`` at the characters ``(gx[i], gy[i])``.
 
-    The complexes come from :func:`_complexes` and are ranked by one
-    stacked SVD of each map; if LAPACK fails, one SVD per character.
-    Where ``errors[i]`` is set, ``dims[i]`` is ``[-1, -1, -1]``.
+    The complexes are written into the leading rows of ``d0`` and ``d1``
+    by :func:`_complexes` and ranked by one stacked SVD of each map, on
+    those rows themselves when no character is an error, else on the
+    rows that are not; if LAPACK fails, one SVD per character.  Where
+    ``errors[i]`` is set, ``dims[i]`` is ``[-1, -1, -1]``.
     """
-    d0, d1, errors = _complexes(pair, gx, gy, pair_scale)
+    errors = _complexes(pair, gx, gy, d0, d1, pair_defect, pair_scale)
+    m = len(errors)
+    d0, d1 = d0[:m], d1[:m]
     ok = np.flatnonzero([not e for e in errors])
-    dims = np.full((len(errors), 3), -1, dtype=np.int64)
-    stable = np.zeros(len(errors), dtype=bool)
+    dims = np.full((m, 3), -1, dtype=np.int64)
+    stable = np.zeros(m, dtype=bool)
     if ok.size:
+        rows = slice(None) if ok.size == m else ok
         try:
-            dims[ok], stable[ok] = _homology(_sv(d0[ok]), _sv(d1[ok]), pair.n, rank_tol)
+            dims[rows], stable[rows] = _homology(
+                _sv(d0[rows]), _sv(d1[rows]), pair.n, rank_tol
+            )
         except np.linalg.LinAlgError:
             for i in ok:
                 try:
@@ -354,10 +426,13 @@ def spectrum_scan(
     a non-finite grid point is an error row.  A ``rank_tol`` that is not
     positive concerns every point, so it raises before any is built.
 
-    ``||T||_2 + ||S||_2`` is computed once per scan.  The differentials
-    of as many points as fit in 2^15 complex entries are built by the
-    assembly :func:`build` uses, as stacked arrays, and ranked by one
-    stacked SVD each; the rows equal those of :func:`build` and
+    The pair's composite defect ``||ST - qTS||_F`` and
+    ``||T||_2 + ||S||_2`` are computed once per scan; each character
+    checks the defect against its own bound as a scalar.  One pair of
+    chunk arrays, for as many points as fit in 2^15 complex entries,
+    gets the constant blocks of the maps once; chunk by chunk only the
+    diagonals are rewritten and the maps are ranked by one stacked SVD
+    each.  The rows equal those of :func:`build` and
     :func:`homology_dims` point by point.  When LAPACK fails on a chunk
     its rows are ranked one SVD at a time, and a row that fails again
     holds the LAPACK error.
@@ -369,12 +444,15 @@ def spectrum_scan(
     g = np.asarray(points, dtype=np.complex128).reshape(-1)
     zero = np.zeros_like(g)
     gx, gy = (g, zero) if axis == "x" else (zero, g)
-    pair_scale = _pair_scale(pair)
+    pair_defect, pair_scale = _pair_defect(pair), _pair_scale(pair)
     step = max(1, _STACK_ENTRIES // (2 * pair.n * pair.n))
+    d0, d1 = _blocks(pair, min(step, g.size))
     rows: list[ScanRow] = []
     for start in range(0, g.size, step):
         chunk = slice(start, start + step)
-        dims, stable, errors = _chunk_homology(pair, gx[chunk], gy[chunk], pair_scale, rank_tol)
+        dims, stable, errors = _chunk_homology(
+            pair, gx[chunk], gy[chunk], d0, d1, pair_defect, pair_scale, rank_tol
+        )
         for j, (h0, h1, h2) in enumerate(dims):
             g_j = points[start + j]
             rows.append(ScanRow(

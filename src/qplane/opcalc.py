@@ -11,7 +11,8 @@ resolvent/decay identity checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +25,6 @@ __all__ = [
     "OperatorPair",
     "QFunctionRep",
     "model_pair",
-    "qcommutation_residual",
     "qseries_to_qfunction",
     "calc",
     "calc_qseries",
@@ -59,26 +59,36 @@ def _as_matrix(m) -> np.ndarray:
     return arr.copy()
 
 
-def qcommutation_residual(t: np.ndarray, s: np.ndarray, q: complex) -> float:
-    """Frobenius norm of ``T S - (1/q) S T``."""
-    t = _as_matrix(t)
-    s = _as_matrix(s)
-    if t.shape != s.shape:
-        raise PreconditionError(f"dimension mismatch: {t.shape} vs {s.shape}")
-    return float(np.linalg.norm(t @ s - (1.0 / q) * (s @ t)))
+def _unit(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(m / ||m||_F, ||m||_F)``; ``(m, 0.0)`` for a zero matrix.
+
+    The norm is taken of ``m`` divided by its largest real or imaginary
+    part, so no step overflows; the returned norm is ``inf`` only when
+    ``||m||_F`` itself lies past the double range.
+    """
+    peak = float(np.max(np.abs(m.view(np.float64)), initial=0.0))
+    if peak == 0:
+        return m, 0.0
+    m = m / peak
+    norm = float(np.linalg.norm(m))
+    return m / norm, peak * norm
 
 
 @dataclass(frozen=True)
 class OperatorPair:
     """A pair of N x N matrices with ``T S = (1/q) S T``.
 
-    The relation is verified at construction up to a relative Frobenius
-    residual of ``1e-12`` (it holds exactly for :func:`model_pair`).
+    The relation is homogeneous in ``T`` and ``S``, so it is verified at
+    construction on ``T/||T||_F`` and ``S/||S||_F``, whose products stay
+    in the double range whatever the size of the entries: that relative
+    residual must be finite and at most ``1e-12``.  The relation holds
+    exactly for :func:`model_pair`.
     """
 
     t: np.ndarray
     s: np.ndarray
     q: complex
+    _residual: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.q == 0:
@@ -90,20 +100,33 @@ class OperatorPair:
             raise PreconditionError(
                 f"dimension mismatch: {self.t.shape} vs {self.s.shape}"
             )
-        scale = np.linalg.norm(self.t) * np.linalg.norm(self.s)
-        residual = qcommutation_residual(self.t, self.s, self.q)
-        if residual > PAIR_RESIDUAL_TOL * max(scale, 1e-300):
+        (t, norm_t), (s, norm_s) = _unit(self.t), _unit(self.s)
+        # ||TS - ST/q|| = ||ST - qTS|| / |q|; the second form has no 1/q
+        # to overflow, and a product past the double range is refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = float(np.linalg.norm(s @ t - self.q * (t @ s))) / abs(self.q)
+        if not math.isfinite(scaled):
             raise PreconditionError(
-                f"pair is not q-commuting: residual {residual:.3e} "
-                f"exceeds {PAIR_RESIDUAL_TOL:.0e} * {scale:.3e}"
+                f"pair is not q-commuting: relative residual {scaled} is not finite"
             )
+        if scaled > PAIR_RESIDUAL_TOL:
+            raise PreconditionError(
+                f"pair is not q-commuting: relative residual {scaled:.3e} "
+                f"exceeds {PAIR_RESIDUAL_TOL:.0e}"
+            )
+        residual = norm_t * norm_s * scaled if scaled else 0.0
+        object.__setattr__(self, "_residual", residual)
 
     @property
     def n(self) -> int:
         return self.t.shape[0]
 
     def residual(self) -> float:
-        return qcommutation_residual(self.t, self.s, self.q)
+        """``||T S - (1/q) S T||_F``, from the check at construction.
+
+        ``inf`` only when the residual itself lies past the double range.
+        """
+        return self._residual
 
 
 def model_pair(q: complex, n: int) -> OperatorPair:

@@ -788,6 +788,11 @@ PRECONDITIONS = [
     # q^(n-1) overflows: no RuntimeWarning ahead of the error line
     (["modelpair", "--n", "3", "--q-re", "1e200"], "matrix entries must be finite"),
     (["scan", *BASE_ARGV["scan"], "--n", "3", "--q-re", "1e300"], "matrix entries must be finite"),
+    # the pair is finite, but q S holds 1e400
+    (["koszul", *BASE_ARGV["koszul"], "--n", "4", "--q-re", "1e100"],
+     "q S leaves the double range at q = (1e+100+0j)"),
+    (["scan", *BASE_ARGV["scan"], "--n", "4", "--q-re", "1e100"],
+     "q S leaves the double range at q = (1e+100+0j)"),
 ]
 
 
@@ -824,3 +829,44 @@ def test_overflowing_q_prints_one_error_line(argv):
     )
     assert proc.returncode == cli.EXIT_PRECONDITION
     assert proc.stderr == "error: precondition: matrix entries must be finite\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["modelpair"],
+    ["koszul", "--gamma-re", "1.0", "--axis", "x"],
+    ["koszul", "--gamma-re", "1.0", "--axis", "y"],
+    ["scan", *BASE_ARGV["scan"]],
+    ["scan", *BASE_ARGV["scan"][:1], "x", *BASE_ARGV["scan"][2:]],
+], ids=["modelpair", "koszul-x", "koszul-y", "scan-y", "scan-x"])
+def test_huge_q_runs_without_warning(argv):
+    # q^2 = 1e200 leaves ||S||_F^2 past the double range, but neither the
+    # pair check nor the composite defect squares it
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qplane.cli",
+         *argv, "--n", "3", "--q-re", "1e100"],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "")
+
+
+@pytest.mark.parametrize("command", sorted(N_READERS))
+def test_dimension_cap_allocates_nothing(command, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an array was allocated")
+
+    for name in ("zeros", "empty", "eye", "diag"):
+        monkeypatch.setattr(np, name, refuse)
+    cap = cli._max_n(command)
+    # the cap is the largest N whose stated matrices fit in the budget
+    held = 16 * cli._HELD_MATRICES[command]
+    assert held * cap**2 <= cli._MEMORY_BUDGET < held * (cap + 1) ** 2
+    argv = [command, *BASE_ARGV[command], "--n", "100000000"]
+    assert run(argv) == cli.EXIT_PRECONDITION
+    assert capsys.readouterr().err == (
+        f"error: precondition: dimension must be <= {cap} for {command}, got 100000000\n"
+    )
+    assert run([command, *BASE_ARGV[command], "--n", str(cap + 1)]) == cli.EXIT_PRECONDITION
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        cli._build_parser().parse_args([command, "--help"])
+    assert f"1 to {cap}:" in " ".join(capsys.readouterr().out.split())

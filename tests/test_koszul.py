@@ -309,20 +309,82 @@ class TestBatchedScan:
         assert row.error == "" and (row.h0, row.h1, row.h2) == (0, 0, 0)
         assert [row] == naive_spectrum_scan(pair, axis, grid)
 
-    def test_huge_character_bound_still_rejects(self):
-        # (||T|| + ||S|| + 1e155)^2 overflows a double; the bound must not
-        # turn into "accept anything".  The defects go through the check
-        # the builder applies, with the scale it uses at that character.
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("defect, rejected", [
+        (0.0, [False, False]),
+        # 1e305 exceeds 1e-12 * (1e155)^2 but not 1e-12 * (1e160)^2
+        (1e305, [True, False]),
+        (math.inf, [True, True]),
+        (math.nan, [True, True]),
+    ])
+    def test_pair_defect_against_each_character_bound(self, axis, defect, rejected, monkeypatch):
+        # The defect is one number per pair, and each character compares it
+        # with its own 1e-12 (||T|| + ||S|| + |g|)^2.  That square overflows a
+        # double from |g| ~ 1e154 on, and the bound must not turn into
+        # "accept anything".  build and the scan run the same scalar test.
+        monkeypatch.setattr(kz, "_pair_defect", lambda pair: defect)
         pair = oc.model_pair(Q, 4)
-        for defect, g in [(1e305, 1e155), (math.nan, 1e200)]:
-            error = kz._defect_error(defect, kz._pair_scale(pair) + abs(g))
-            assert error.startswith("composite identity violated")
+        grid = kz.GridSpec(1e155, 1e160, 0.0, 0.0, 2)
+        rows = kz.spectrum_scan(pair, axis, grid)
+        assert [r.error.startswith("composite identity violated") for r in rows] == rejected
+        assert [r.h0 == -1 for r in rows] == rejected
+        assert rows == naive_spectrum_scan(pair, axis, grid)
+
+    def test_pair_defect_is_the_composite_defect_at_every_character(self, rng):
+        # d1 d0 - (q-1) gx gy I = ST - qTS exactly, so a pair that q-commutes
+        # only to about 1e-14 shows that one defect at every character
+        base = oc.model_pair(Q, 6)
+        e = rng.standard_normal((6, 6))
+        pair = oc.OperatorPair(base.t, base.s + 1e-14 * e, Q)
+        defect = kz._pair_defect(pair)
+        assert defect == pytest.approx(1e-14 * np.linalg.norm(e @ base.t - Q * base.t @ e), rel=1e-2)
+        for gamma in [(0.0, 0.3), (0.7, 0.0), (0.4, -0.9)]:
+            assert kz.composite_defect(kz.build(pair, gamma), Q) == pytest.approx(defect, rel=1e-2)
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_huge_q_scans_without_warning(self, axis):
+        # q^2 = 1e200 leaves ||S||_F^2 past the double range.  The rows are
+        # not pinned: the singular values span 300 decades against one
+        # relative threshold.
+        pair = oc.model_pair(1e100, 3)
+        grid = kz.GridSpec(0.0, 1.0, 0.0, 0.0, 3)
+        rows = kz.spectrum_scan(pair, axis, grid)
+        assert [r.error for r in rows] == ["", "", ""]
+        assert rows == naive_spectrum_scan(pair, axis, grid)
+
+    @pytest.mark.parametrize("q, n, g", [(2.0, 4, 1e308), (1e100, 3, 1e300)])
+    def test_q_gx_past_the_double_range_is_an_error_row(self, q, n, g):
+        # q gx overflows on the diagonal of d0 although gx and (q-1) gx gy = 0
+        # are finite; the maps would hold inf, so that character has no complex
+        pair = oc.model_pair(q, n)
+
+        class Listed:
+            def points(self):
+                return [0.5 + 0j, complex(g), 1.0 + 0j]
+
+        rows = kz.spectrum_scan(pair, "x", Listed())
+        assert [r.error.startswith("composite identity violated") for r in rows] == [
+            False, True, False,
+        ]
+        assert rows[1].h0 == -1
+        assert rows == naive_spectrum_scan(pair, "x", Listed())
+        with pytest.raises(PreconditionError, match="composite identity violated"):
+            kz.build(pair, (g, 0.0))
+
+    def test_q_s_past_the_double_range_raises_before_any_point(self):
+        pair = oc.model_pair(1e100, 4)  # q S holds 1e400
+        grid = kz.GridSpec(0.0, 1.0, 0.0, 0.0, 3)
+        with pytest.raises(PreconditionError, match="q S leaves the double range"):
+            kz.spectrum_scan(pair, "y", grid)
+        with pytest.raises(PreconditionError, match="q S leaves the double range"):
+            kz.build(pair, (0.0, 0.5))
 
     def test_failed_stacked_svd_lands_in_its_own_rows(self, monkeypatch):
         pair = oc.model_pair(Q, 8)
-        grid = kz.GridSpec(0.0, 1.0, 0.0, 0.0, 513)  # two chunks of 256 and one of 1
+        step = kz._STACK_ENTRIES // (2 * 8 * 8)  # points per chunk
+        grid = kz.GridSpec(0.0, 1.0, 0.0, 0.0, 2 * step + 1)  # two full chunks and one point
         want = naive_spectrum_scan(pair, "y", grid)
-        bad = 0.375
+        bad = grid.points()[step + step // 2].real  # inside the second chunk
         real_svd = np.linalg.svd
 
         def svd(a, *args, **kwargs):
@@ -339,3 +401,44 @@ class TestBatchedScan:
         assert rows[failed[0]].error == "SVD did not converge"
         (i,) = failed
         assert rows[:i] + rows[i + 1 :] == want[:i] + want[i + 1 :]
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_refilled_chunk_arrays_equal_per_point(self, axis):
+        # One pair of chunk arrays serves the whole scan.  Chunk 1 holds a
+        # non-finite point, so it is ranked through copies of its other rows;
+        # chunks 2 and 3 are clean and ranked in place; the last chunk is
+        # short and uses a leading slice.  The members 1 and q^8 sit at a
+        # different place in every chunk, so a diagonal left over from an
+        # earlier chunk, or a skipped refill, shows as a row that differs.
+        n = 8
+        base = oc.model_pair(Q, n)
+        # the y axis of the model pair; the swapped pair has the same members on x
+        pair = base if axis == "y" else oc.OperatorPair(base.s, base.t, 1.0 / Q)
+        step = kz._STACK_ENTRIES // (2 * n * n)
+        size = 4 * step + 5
+        points = list(np.linspace(0.3, 0.7, size) + 0j)
+        for k, start in enumerate(range(0, size, step)):
+            points[start + k] = 1.0 + 0j
+            points[min(start + step, size) - 1 - k] = complex(Q**n)
+        points[step + 7] = complex(math.nan, 0.0)
+
+        class Listed:
+            def points(self):
+                return points
+
+        rows = kz.spectrum_scan(pair, axis, Listed())
+        want = naive_spectrum_scan(pair, axis, Listed())
+        (i,) = [i for i, r in enumerate(rows) if r.error]  # its g_re is NaN, which is != itself
+        assert i == step + 7 and rows[i].error == want[i].error
+        assert rows[:i] + rows[i + 1 :] == want[:i] + want[i + 1 :]
+        assert sum(r.member for r in rows) == 2 * 5
+
+    def test_built_maps_are_not_rewritten(self):
+        pair = oc.model_pair(Q, 8)
+        built = [kz.build(pair, (0.0, 0.25)), kz.build(pair, (0.5, 0.0))]
+        before = [m.copy() for c in built for m in (c.d0, c.d1)]
+        kz.build(pair, (0.0, 0.75))
+        for axis in ("x", "y"):
+            kz.spectrum_scan(pair, axis, kz.GridSpec(0.0, 1.0, 0.0, 0.0, 600))
+        after = [m for c in built for m in (c.d0, c.d1)]
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))

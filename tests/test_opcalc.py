@@ -72,19 +72,49 @@ class TestModelPair:
 class TestResidual:
     def test_commuting_pair_at_q_one(self):
         eye = np.eye(3)
-        assert oc.qcommutation_residual(eye, eye, 1.0) == 0.0
+        assert oc.OperatorPair(eye, eye, 1.0).residual() == 0.0
 
     def test_shift_does_not_q_commute_with_itself(self):
-        # T S - 2 S T with S = T leaves -T^2, a single unit entry
+        # T S - 2 S T with S = T leaves -T^2, a single unit entry; on
+        # T/||T||_F = T/sqrt(2) that is 1/2
         t = np.zeros((3, 3))
         t[1, 0] = t[2, 1] = 1.0
-        assert oc.qcommutation_residual(t, t, Q) == pytest.approx(1.0)
+        with pytest.raises(PreconditionError, match="relative residual 5.000e-01 exceeds"):
+            oc.OperatorPair(t, t, Q)
 
     def test_pair_constructor_rejects_violation(self):
         t = np.zeros((3, 3))
         t[1, 0] = t[2, 1] = 1.0
         with pytest.raises(PreconditionError, match="not q-commuting"):
             oc.OperatorPair(t, t, Q)
+
+    def test_overflowing_norms_do_not_pass_the_check(self):
+        # ||S||_F is about 2e160, but the sum of squares behind it overflows,
+        # and so does the unscaled residual's: the check runs on T/||T||
+        # and S/||S||
+        t = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(PreconditionError, match="relative residual 9.487e-01 exceeds 1e-12"):
+            oc.OperatorPair(t, np.diag([1e160, 2e160]), Q)
+
+    def test_huge_q_model_pair_builds_without_warning(self):
+        # q^2 = 1e200: ||S||_F^2 is past the double range, the relation is not
+        pair = oc.model_pair(1e100, 3)
+        assert pair.residual() <= 1e-15 * math.sqrt(2.0) * 1e200
+
+    def test_non_finite_residual_is_rejected(self):
+        # with q = nan nothing can be compared, so nothing is accepted
+        with pytest.raises(PreconditionError, match="relative residual nan is not finite"):
+            oc.OperatorPair([[0.0]], [[1.0]], complex(math.nan, 0.0))
+
+    def test_residual_scales_with_the_pair(self):
+        # the relation is homogeneous: scaling by a power of two leaves
+        # T/||T|| and S/||S|| bit for bit, and the residual scales exactly,
+        # past the point where ||T||_F^2 would overflow
+        pair = oc.model_pair(0.5 + 0.3j, 6)
+        assert pair.residual() > 0.0
+        c = 2.0**500
+        big = oc.OperatorPair(c * pair.t, c * pair.s, pair.q)
+        assert big.residual() == c * c * pair.residual()
 
 
 class TestCalc:
