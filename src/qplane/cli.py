@@ -64,6 +64,16 @@ def _max_n(command: str) -> int:
     return math.isqrt(_MEMORY_BUDGET // (16 * _HELD_MATRICES[command]))
 
 
+# The scan point cap.  The peak resident memory of `scan` grows by about
+# 370 bytes per grid point: its nodes, rows and CSV table (growth of
+# ru_maxrss from 10^5 to 4 * 10^5 points at N = 1 in a fresh process,
+# with one range open and with both).  A point is counted as 400 bytes,
+# and a grid may hold as many as fit in _MEMORY_BUDGET.  The check runs
+# before any node or matrix is allocated.
+_POINT_BYTES = 400
+_MAX_POINTS = _MEMORY_BUDGET // _POINT_BYTES
+
+
 def _n(args) -> int:
     if args.n < 1:
         raise PreconditionError(f"dimension must be >= 1, got {args.n}")
@@ -273,13 +283,6 @@ def cmd_specmap(args) -> int:
     header = ["actual_re", "actual_im", "predicted_re", "predicted_im", "distance"]
     with _open_out(args.output) as fp:
         fileio.write_csv(fp, header, rows)
-    if args.output != "-":
-        curve_rows = [
-            [z.real, z.imag, v.real, v.imag] for z, v in report.x_branch_curve
-        ]
-        curve_path = Path(args.output).with_suffix(".xbranch.csv")
-        with open(curve_path, "w", encoding="utf-8", newline="") as fp:
-            fileio.write_csv(fp, ["z_re", "z_im", "f_re", "f_im"], curve_rows)
     print(fileio.fmt(report.max_distance))
     return EXIT_OK
 
@@ -306,8 +309,13 @@ def cmd_koszul(args) -> int:
 def cmd_scan(args) -> int:
     from . import koszul, opcalc
 
-    pair = opcalc.model_pair(_q(args), _n(args))
+    q, n = _q(args), _n(args)
     grid = koszul.GridSpec(args.re_min, args.re_max, args.im_min, args.im_max, args.steps)
+    if grid.size > _MAX_POINTS:
+        raise PreconditionError(
+            f"the grid must have <= {_MAX_POINTS} points, got {grid.size}"
+        )
+    pair = opcalc.model_pair(q, n)
     rows = koszul.spectrum_scan(pair, args.axis, grid, _rank_tol(args))
     table = [
         [r.g_re, r.g_im, r.axis, r.h0, r.h1, r.h2, int(r.member), int(r.stable)]
@@ -420,7 +428,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--re-max", type=float, required=True)
     p.add_argument("--im-min", type=float, default=0.0)
     p.add_argument("--im-max", type=float, default=0.0)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument(
+        "--steps", type=int, required=True,
+        help="nodes per open range (max > min); the grid, steps x steps when both "
+        f"ranges are open, holds at most {_MAX_POINTS} points, about "
+        f"{_POINT_BYTES} bytes each within 1 GiB",
+    )
     _add_q(p)
     _add_n(p, "scan")
     _add_rank_tol(p)

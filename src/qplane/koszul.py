@@ -250,7 +250,12 @@ class Homology(NamedTuple):
 
     @property
     def member(self) -> bool:
-        return self.h0 > 0 or self.h1 > 0 or self.h2 > 0
+        return _member(self.h0, self.h1, self.h2)
+
+
+def _member(h0: int, h1: int, h2: int) -> bool:
+    """Joint-spectrum membership: some homology is nonzero."""
+    return h0 > 0 or h1 > 0 or h2 > 0
 
 
 def _ranks(sv: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -318,9 +323,9 @@ class GridSpec:
     """Rectangular grid in one axis coordinate.
 
     ``steps`` points span each of the real and imaginary ranges
-    (a degenerate range contributes a single point); ``steps = 0``
-    gives the empty grid and a negative count is a
-    :class:`PreconditionError`.
+    (a degenerate range, one without ``max > min``, contributes a
+    single point); ``steps = 0`` gives the empty grid and a negative
+    count is a :class:`PreconditionError`.
     """
 
     re_min: float
@@ -333,12 +338,26 @@ class GridSpec:
         if self.steps < 0:
             raise PreconditionError(f"steps must be >= 0, got {self.steps}")
 
-    def points(self) -> list[complex]:
+    @property
+    def size(self) -> int:
+        """The number of grid points, counted without building them."""
         if self.steps == 0:
+            return 0
+        re_n = self.steps if _is_open(self.re_min, self.re_max) else 1
+        im_n = self.steps if _is_open(self.im_min, self.im_max) else 1
+        return re_n * im_n
+
+    def points(self) -> list[complex]:
+        if self.size == 0:
             return []
         res = _axis_nodes(self.re_min, self.re_max, self.steps)
         ims = _axis_nodes(self.im_min, self.im_max, self.steps)
         return [complex(r, i) for r in res for i in ims]
+
+
+def _is_open(lo: float, hi: float) -> bool:
+    """Whether a range spans ``steps`` nodes; otherwise it is the single node ``lo``."""
+    return float(hi) > float(lo)
 
 
 def _axis_nodes(lo: float, hi: float, steps: int) -> np.ndarray:
@@ -349,7 +368,7 @@ def _axis_nodes(lo: float, hi: float, steps: int) -> np.ndarray:
     which a scan records as error rows.
     """
     lo, hi = float(lo), float(hi)
-    if not hi > lo:
+    if not _is_open(lo, hi):
         return np.asarray([lo])
     if math.isfinite(hi - lo):
         return np.linspace(lo, hi, steps)
@@ -457,6 +476,6 @@ def spectrum_scan(
             g_j = points[start + j]
             rows.append(ScanRow(
                 g_j.real, g_j.imag, axis, h0, h1, h2,
-                h0 > 0 or h1 > 0 or h2 > 0, bool(stable[j]), errors[j],
+                _member(h0, h1, h2), bool(stable[j]), errors[j],
             ))
     return rows

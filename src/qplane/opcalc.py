@@ -5,13 +5,16 @@ basis down one slot (the last vector maps to zero, which keeps the
 commutation relation exact) and ``S`` is diagonal with entries ``q^n``.
 On top of it live the two-variable holomorphic calculus
 ``f |-> sum_n f_n(T) S^n``, the polynomial bridge from
-:class:`~qplane.qalgebra.QSeries`, joint-spectrum bookkeeping and the
-resolvent/decay identity checks.
+:class:`~qplane.qalgebra.QSeries`, the spectral mapping check of the
+truncation and the resolvent/decay identity checks.  Everything here
+describes the N x N matrices it computes with, not the untruncated
+model on l^2.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -29,8 +32,6 @@ __all__ = [
     "calc",
     "calc_qseries",
     "eigenvalues",
-    "SpectrumDescription",
-    "harte_model_spectrum",
     "pair_eigenvalues",
     "SpectralMappingReport",
     "spectral_mapping_check",
@@ -45,9 +46,6 @@ PAIR_RESIDUAL_TOL = 1e-12
 # The calculus works on blocks of rows whose stored powers of T and
 # coefficient blocks fit in this many complex entries (4 MiB).
 _BLOCK_ENTRIES = 2**18
-
-# Points on the sampled x-branch curve of a spectral mapping report.
-_CURVE_SAMPLES = 64
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -64,11 +62,17 @@ def _unit(m: np.ndarray) -> tuple[np.ndarray, float]:
 
     The norm is taken of ``m`` divided by its largest real or imaginary
     part, so no step overflows; the returned norm is ``inf`` only when
-    ``||m||_F`` itself lies past the double range.
+    ``||m||_F`` itself lies past the double range.  numpy divides a
+    complex array by ``peak`` as a product with ``1/peak``, which
+    overflows for a subnormal ``peak``; such an ``m`` is first scaled by
+    the exact power of two ``2^600``.
     """
     peak = float(np.max(np.abs(m.view(np.float64)), initial=0.0))
     if peak == 0:
         return m, 0.0
+    if peak < sys.float_info.min:
+        unit, norm = _unit(m * 2.0**600)
+        return unit, norm * 2.0**-600
     m = m / peak
     norm = float(np.linalg.norm(m))
     return m / norm, peak * norm
@@ -180,17 +184,6 @@ class QFunctionRep:
                 f"domain radii must be positive, got ({self.r_x}, {self.r_y})"
             )
 
-    def char_value(self, gamma: tuple[complex, complex]) -> complex:
-        """Value at an axis character: ``f(z, 0) = f_0(z)`` and
-        ``f(0, w) = sum_n f_n(0) w^n``."""
-        z, w = complex(gamma[0]), complex(gamma[1])
-        if z != 0 and w != 0:
-            raise PreconditionError(f"({z}, {w}) is not on an axis")
-        if w == 0:
-            return self.f_list[0](z)
-        constants = HoloSeries([fn.coeffs[0] for fn in self.f_list])
-        return constants(w)
-
 
 def qseries_to_qfunction(f: QSeries, r_x: float, r_y: float) -> QFunctionRep:
     """Read a polynomial table as a function representation."""
@@ -288,11 +281,9 @@ def calc(f: QFunctionRep, pair: OperatorPair) -> np.ndarray:
     The domain condition is checked on every call: the (numerical,
     truncation-level) spectra must sit strictly inside the declared
     radii, ``sr(T) < r_x`` and ``sr(S) < r_y``, else
-    :class:`~qplane.errors.PreconditionError`.  Note the truncation
-    spectra can undershoot those of the untruncated model badly -- the
-    shift truncates to a nilpotent matrix -- so passing this check says
-    nothing about the infinite model; see :func:`harte_model_spectrum`
-    for the analytic picture.
+    :class:`~qplane.errors.PreconditionError`.  The truncated shift is
+    nilpotent, so these spectra can lie far inside those of the
+    untruncated model, and passing this check says nothing about it.
 
     Evaluation order: right Horner in ``S`` over the coefficient
     functions, ``acc = acc @ S + f_n(T)`` from the top ``n`` down, block
@@ -349,51 +340,6 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
         raise NonConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
 
 
-# ---------------------------------------------------------------------------
-# spectra of the model pair
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpectrumDescription:
-    """Joint-spectrum answer of the untruncated model on the two axes.
-
-    The x branch is the full closed unit disk (``x_disk_radius``), the y
-    branch the geometric orbit ``{q^m}`` with its limit 0.
-
-    The orbit branch is ``sigma(S)``.  For the N-truncation it is also
-    the Harte spectrum of ``(T, S)`` relative to the algebra the pair
-    generates (lower-triangular matrices): ``aT + b(S - mu) = I`` has no
-    lower-triangular solution exactly when ``mu = q^m``, ``m < N``.  It
-    is not the membership set of :func:`qplane.koszul.spectrum_scan`,
-    whose complex over all matrices flags only ``{1, q^N}`` on the
-    y-axis (``{1}`` for the untruncated shift).  Which of these objects
-    the paper's spectral statements mean is still open.
-    """
-
-    x_disk_radius: float
-    y_points: tuple[complex, ...]
-
-
-def harte_model_spectrum(q: complex, n: int) -> SpectrumDescription:
-    """Joint spectrum of the model pair on the two axes.
-
-    Lists the first ``n`` orbit points ``q^m`` and the limit 0 on the y
-    branch, i.e. ``sigma(S)``, which is also the algebra-relative Harte
-    spectrum (see :class:`SpectrumDescription`), not the Koszul
-    membership set that ``koszul.spectrum_scan`` reports; which one the
-    paper means is open.
-    """
-    if n < 1:
-        raise PreconditionError(f"dimension must be >= 1, got {n}")
-    if not 0 < abs(q) < 1:
-        raise PreconditionError(
-            f"analytic description needs 0 < |q| < 1, got q = {q}"
-        )
-    orbit = tuple(complex(q) ** m for m in range(n)) + (0.0 + 0.0j,)
-    return SpectrumDescription(1.0, orbit)
-
-
 def pair_eigenvalues(
     actual: Sequence[complex], predicted: Sequence[complex]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -445,35 +391,36 @@ class SpectralMappingReport:
     predicted: tuple[complex, ...]
     distances: tuple[float, ...]
     max_distance: float
-    x_branch_curve: tuple[tuple[complex, complex], ...]
 
 
 def spectral_mapping_check(f: QFunctionRep, pair: OperatorPair) -> SpectralMappingReport:
     """Compare the spectrum of ``f(T, S)`` with its predicted image.
 
-    For the triangular model the diagonal of ``f(T, S)`` carries exactly
-    the character values ``f(0, q^m)``, so the y-branch prediction is
-    that multiset; the report pairs it optimally against the computed
-    eigenvalues.  The x-branch image ``{f(z, 0): |z| <= 1}`` is returned
-    as the boundary curve sampled at 64 points, for side-by-side
-    inspection.
+    The prediction is the multiset of character values ``f(0, q^m)``,
+    ``m < N``, from the constants ``f_n(0)`` of the coefficient series;
+    the report pairs it optimally against the computed eigenvalues.
+
+    That multiset is the spectrum of ``f(T, S)`` only for
+    :func:`model_pair` and its conjugates, where ``f(T, S)`` is (similar
+    to) a lower-triangular matrix with diagonal ``f(0, q^m)``.  It is
+    predicted whatever the pair, so for any other pair the distances say
+    nothing about spectral mapping.  On ``T = 0``, ``S = diag(0.2, 0.3)``,
+    ``q = 1/2`` with ``f = y``, the eigenvalues 0.2, 0.3 are paired with
+    the predictions 0.5, 1 and ``max_distance`` is 0.7, though spectral
+    mapping holds exactly there.
     """
     a = calc(f, pair)
     ev = eigenvalues(a)
+    constants = HoloSeries([fn.coeffs[0] for fn in f.f_list])
     predicted = np.asarray(
-        [f.char_value((0.0, pair.q**m)) for m in range(pair.n)], dtype=np.complex128
+        [constants(pair.q**m) for m in range(pair.n)], dtype=np.complex128
     )
     perm, distances = pair_eigenvalues(ev, predicted)
-    theta = 2.0 * np.pi * np.arange(_CURVE_SAMPLES) / _CURVE_SAMPLES
-    curve = tuple(
-        (complex(z), f.char_value((z, 0.0))) for z in np.exp(1j * theta)
-    )
     return SpectralMappingReport(
         tuple(map(complex, ev)),
         tuple(complex(predicted[j]) for j in perm),
         tuple(map(float, distances)),
         float(np.max(distances)) if distances.size else 0.0,
-        curve,
     )
 
 

@@ -157,6 +157,21 @@ def naive_calc(cols, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     return acc
 
 
+def model_y_spectrum(q: complex, n: int) -> list[complex]:
+    """The y-branch ``{(0, q^m) : m < n}`` of the spectrum of ``model_pair(q, n)``.
+
+    The pair generates the lower-triangular matrices, and relative to
+    that algebra ``aT + b(S - mu) = I`` has a solution exactly when
+    ``mu`` is none of the diagonal entries ``q^m`` of ``S``.  Returns the
+    points ``q^m``; the closed form is stated for ``0 < |q| < 1`` only.
+    """
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    if not 0 < abs(q) < 1:
+        raise ValueError(f"closed form needs 0 < |q| < 1, got q = {q}")
+    return [complex(q) ** m for m in range(n)]
+
+
 def _disk_union_contains(du, z: complex) -> bool:
     return any(abs(z - d.center) < d.radius for d in du.disks)
 

@@ -276,7 +276,7 @@ def test_criterion_10_spectrum_scan_sanity():
     # pair has homology there.  On the y-axis that set is {1, q^N}: the
     # orbit interior q^m (1 <= m < N) is exact, although it lies in
     # sigma(S) and in the Harte spectrum relative to the lower-triangular
-    # algebra (opcalc.harte_model_spectrum).  Expected values come from
+    # algebra (oracles.model_y_spectrum).  Expected values come from
     # the closed form above and the row-reduction oracle, never from
     # koszul.homology_dims.
     start = time.perf_counter()

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -518,7 +519,8 @@ class TestOperatorCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "actual_re,actual_im,predicted_re,predicted_im,distance"
         assert len(lines) == 33
-        assert (tmp_path / "map.xbranch.csv").exists()
+        # the output path is the only file written
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json", "map.csv"]
 
     def test_specmap_on_worked_input_leaves_scipy_optimize_out(self, tmp_path):
         from test_opcalc import log_xy_rep
@@ -870,3 +872,128 @@ def test_dimension_cap_allocates_nothing(command, monkeypatch, capsys):
     with pytest.raises(SystemExit):
         cli._build_parser().parse_args([command, "--help"])
     assert f"1 to {cap}:" in " ".join(capsys.readouterr().out.split())
+
+
+def test_scan_point_cap_allocates_nothing(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an array was allocated")
+
+    for name in ("linspace", "zeros", "empty", "eye", "diag"):
+        monkeypatch.setattr(np, name, refuse)
+    cap = cli._MAX_POINTS
+    # the cap is the largest grid whose stated bytes per point fit in the budget
+    assert cli._POINT_BYTES * cap <= cli._MEMORY_BUDGET < cli._POINT_BYTES * (cap + 1)
+    both_open = [*BASE_ARGV["scan"][:-2], "--im-max", "1"]
+    assert run(["scan", *both_open, "--steps", "100000"]) == cli.EXIT_PRECONDITION
+    assert capsys.readouterr().err == (
+        f"error: precondition: the grid must have <= {cap} points, got 10000000000\n"
+    )
+    side = math.isqrt(cap)
+    assert run(["scan", *both_open, "--steps", str(side + 1)]) == cli.EXIT_PRECONDITION
+    assert run(["scan", *BASE_ARGV["scan"][:-1], str(cap + 1)]) == cli.EXIT_PRECONDITION
+    assert len(capsys.readouterr().err.splitlines()) == 2
+    with pytest.raises(SystemExit):
+        cli._build_parser().parse_args(["scan", "--help"])
+    assert f"at most {cap} points" in " ".join(capsys.readouterr().out.split())
+
+
+# The boundary table: every numeric option at its edges, one subcommand
+# reading it per case.  Placeholders name the input files of the table.
+TABLE_ARGV = {
+    **BASE_ARGV,
+    "mul": ["{xy}", "{xy}"],
+    "pow": ["{xy}", "--s", "2"],
+    "decompose": ["{xy}"],
+    "norm": ["{xy}"],
+    "decay": ["{xy}"],
+    "twist": ["{xy}"],
+    "qhull": ["{disks}", "{points}"],
+    "calc": ["{fn}"],
+    "specmap": ["{fn}"],
+}
+FLOAT_EDGES = ["0", "-1", "1e-300", "1e300", "inf", "nan"]
+FLOAT_READERS = {
+    "--q-re": Q_READERS, "--q-im": Q_READERS,
+    "--gamma-re": {"koszul"}, "--gamma-im": {"koszul"},
+    "--rank-tol": {"koszul", "scan"},
+    "--re-min": {"scan"}, "--re-max": {"scan"}, "--im-min": {"scan"}, "--im-max": {"scan"},
+    "--lam-re": {"spiral"}, "--lam-im": {"spiral"}, "--eps": {"spiral"}, "--delta": {"spiral"},
+    "--rho": {"norm", "decay"}, "--rho-x": {"norm"}, "--rho-y": {"norm"},
+}
+INT_EDGES = ["0", "-1", "1", "300"]
+BOUNDARY = [  # (subcommand, the options after its base arguments)
+    *[(c, [f"{opt}={v}"])
+      for opt, readers in FLOAT_READERS.items() for c in sorted(readers) for v in FLOAT_EDGES],
+    *[(c, [f"--n={v}"]) for c in sorted(N_READERS) for v in [*INT_EDGES, str(cli._max_n(c) + 1)]],
+    *[("pow", [f"--s={v}"]) for v in INT_EDGES],
+    # 2 terms to the 20th power pass QPOW_FORMULA_CAP; --s has no cap with
+    # the repeated method, nor has --smax
+    ("pow", ["--method=formula", "--s=20", "{two}"]),
+    *[("decay", [f"--smax={v}"]) for v in INT_EDGES],
+    *[("scan", [f"--steps={v}"]) for v in [*INT_EDGES, str(cli._MAX_POINTS + 1)]],
+    *[(c, [f"--q-re={re}", f"--q-im={im}"])
+      for re, im in [("1e100", "0"), ("1e-100", "0"), ("-1", "0"), ("0", "1")]
+      for c in sorted(Q_READERS)],
+]
+# Non-finite values the README documents: a seminorm past the double
+# range reads inf, and a scan error row keeps its character.
+DOCUMENTED_NON_FINITE = {("norm", "seminorm"), ("norm", "p_seminorm")}
+
+
+@pytest.fixture(scope="module")
+def table_files(tmp_path_factory):
+    from test_opcalc import log_xy_rep
+
+    d = tmp_path_factory.mktemp("table")
+    files = {name: d / f"{name}.json" for name in ("xy", "two", "disks", "points", "fn")}
+    write_series(files["xy"], QSeries.monomial(Q, 3, 1, 1))
+    two = np.zeros((4, 4))
+    two[1, 0] = two[0, 1] = 1.0
+    write_series(files["two"], QSeries(Q, two))
+    files["disks"].write_text(json.dumps([{"re": 1.0, "im": 0.0, "radius": 0.1}]))
+    files["points"].write_text(json.dumps([[0.5, 0.0], [0.3, 0.0]]))
+    write_function(files["fn"], log_xy_rep(terms=4, degree=4))
+    return files
+
+
+def _non_finite_cells(command: str, out: str) -> list:
+    """The non-finite numbers of an output that no documented rule allows."""
+    if out[:1] in "[{":
+        # json writes a non-finite float as NaN, Infinity or -Infinity
+        bad = []
+        json.loads(out, parse_constant=bad.append)
+        return bad
+    lines = out.splitlines()
+    header, bad = lines[0].split(","), []
+    for line in lines[1:]:
+        row = line.split(",")
+        error_row = command == "scan" and row[3:6] == ["-1"] * 3
+        for col, cell in zip(header, row):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            allowed = (command, col) in DOCUMENTED_NON_FINITE and value == math.inf
+            if not (math.isfinite(value) or allowed or error_row):
+                bad.append((col, cell))
+    return bad
+
+
+@pytest.mark.parametrize("command, edge", BOUNDARY,
+                         ids=[" ".join([c, *edge]).translate(str.maketrans("", "", "{}"))
+                              for c, edge in BOUNDARY])
+def test_boundary_table(table_files, command, edge, capsys):
+    argv = [a.format(**table_files) for a in [command, *TABLE_ARGV[command], *edge]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    captured = capsys.readouterr()
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_PRECONDITION, cli.EXIT_NONCONVERGENCE)
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) <= 1, captured.err
+    if code == cli.EXIT_OK:
+        assert captured.err == ""
+        assert _non_finite_cells(command, captured.out) == []

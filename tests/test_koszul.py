@@ -194,6 +194,18 @@ class TestGridSpec:
         pts = kz.GridSpec(-1e308, 1e308, 0.0, 0.0, 5).points()
         assert pts == [-1e308, -5e307, 0.0, 5e307, 1e308]
 
+    @pytest.mark.parametrize("steps", [0, 1, 3])
+    @pytest.mark.parametrize("re", [(0.0, 1.0), (1.0, 1.0), (1.0, 0.0), (math.nan, 1.0),
+                                    (-1e308, 1e308), (-math.inf, math.inf)])
+    @pytest.mark.parametrize("im", [(0.0, 0.0), (-1.0, 1.0), (0.0, math.inf)])
+    def test_size_counts_the_points(self, re, im, steps):
+        grid = kz.GridSpec(*re, *im, steps)
+        assert grid.size == len(grid.points())
+
+    def test_size_builds_no_node(self, monkeypatch):
+        monkeypatch.setattr(np, "linspace", None)
+        assert kz.GridSpec(0.0, 1.0, 0.0, 1.0, 10**6).size == 10**12
+
     @pytest.mark.parametrize("bounds", [(-1.0, math.inf), (-math.inf, math.inf), (math.inf, math.inf)])
     def test_infinite_bound_gives_error_rows(self, bounds):
         grid = kz.GridSpec(0.5, 0.5, *bounds, 3)

@@ -11,7 +11,7 @@ from qplane.errors import PreconditionError
 from qplane.holo import HoloSeries, log_series
 from qplane.qalgebra import QSeries
 
-from oracles import naive_calc, random_qseries
+from oracles import model_y_spectrum, naive_calc, random_qseries
 
 Q = 0.5
 LOG32 = math.log(1.5)
@@ -106,6 +106,15 @@ class TestResidual:
         with pytest.raises(PreconditionError, match="relative residual nan is not finite"):
             oc.OperatorPair([[0.0]], [[1.0]], complex(math.nan, 0.0))
 
+    def test_subnormal_entries_are_measured(self):
+        # numpy divides a complex array by the peak as a product with
+        # 1/peak, which overflows when the peak is subnormal
+        tiny = 2.0**-1070
+        unit, norm = oc._unit(np.array([[3 * tiny, 4j * tiny]]))
+        assert np.allclose(unit, [[0.6, 0.8j]], rtol=0, atol=1e-15) and norm == 5 * tiny
+        pair = oc.OperatorPair(np.diag([1e-310, 2e-310]), np.eye(2), 1.0)
+        assert pair.residual() == 0.0
+
     def test_residual_scales_with_the_pair(self):
         # the relation is homogeneous: scaling by a power of two leaves
         # T/||T|| and S/||S|| bit for bit, and the residual scales exactly,
@@ -184,7 +193,7 @@ class TestCalcQSeries:
         a = oc.calc_qseries(f, pair)
         rep = oc.qseries_to_qfunction(f, 2.0, 2.0)
         for m in range(pair.n):
-            expected = rep.char_value((0.0, Q**m))
+            expected = qa.spec_eval(f, (0.0, Q**m))
             assert a[m, m] == pytest.approx(expected, abs=1e-12)
 
 
@@ -345,14 +354,16 @@ class TestEigenvalues:
 
 
 class TestHarteModelSpectrum:
+    """The closed form ``oracles.model_y_spectrum`` that the mapping tests read."""
+
     def test_analytic_branches(self):
-        desc = oc.harte_model_spectrum(Q, 8)
-        assert desc.x_disk_radius == 1.0
-        assert desc.y_points == tuple(Q**m for m in range(8)) + (0j,)
+        points = model_y_spectrum(Q, 8)
+        assert points == [Q**m for m in range(8)]
+        assert np.array_equal(np.diag(oc.model_pair(Q, 8).s), points)
 
     def test_analytic_needs_contractive_q(self):
-        with pytest.raises(PreconditionError):
-            oc.harte_model_spectrum(2.0, 4)
+        with pytest.raises(ValueError):
+            model_y_spectrum(2.0, 4)
 
 
 class TestSpectralMapping:
@@ -382,12 +393,19 @@ class TestSpectralMapping:
         expected = sorted(LOG32 + Q**m / (Q**m - 1.5) for m in range(24))
         assert np.allclose(predicted, expected, atol=1e-12)
 
-    def test_x_branch_curve_samples_boundary(self):
-        report = oc.spectral_mapping_check(log_xy_rep(), oc.model_pair(Q, 4))
-        assert len(report.x_branch_curve) == 64
-        z, v = report.x_branch_curve[0]
-        assert z == pytest.approx(1.0)
-        assert v == pytest.approx(LOG32)  # f(z, 0) is constant for this rep
+    @pytest.mark.parametrize("n", [8, 24])
+    @pytest.mark.parametrize("make", [log_xy_rep, second_example_rep])
+    def test_predicted_is_the_image_of_the_closed_form(self, make, n):
+        f = make()
+        report = oc.spectral_mapping_check(f, oc.model_pair(Q, n))
+        # f(0, mu) = sum_k f_k(0) mu^k, term by term
+        image = [
+            sum(complex(fn.coeffs[0]) * mu**k for k, fn in enumerate(f.f_list))
+            for mu in model_y_spectrum(Q, n)
+        ]
+        assert np.allclose(
+            np.sort_complex(report.predicted), np.sort_complex(image), rtol=0, atol=1e-12
+        )
 
 
 class TestPairing:
