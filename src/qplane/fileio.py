@@ -20,7 +20,6 @@ unconditionally.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -50,7 +49,6 @@ __all__ = [
     "dump_json",
     "load_json",
     "write_csv",
-    "csv_text",
 ]
 
 
@@ -276,9 +274,3 @@ def write_csv(fp, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         writer.writerow(
             [fmt(v) if isinstance(v, float) else v for v in row]
         )
-
-
-def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    buf = io.StringIO()
-    write_csv(buf, header, rows)
-    return buf.getvalue()

@@ -6,6 +6,11 @@ of radius ``rho`` and is submultiplicative for the Cauchy product, which
 is what makes these usable as coefficient algebras for the bivariate
 layer and as inputs to the matrix functional calculus.
 
+The module holds the one weighted-l1 sum behind every norm and
+seminorm (:func:`_weighted_l1`) and the one matrix evaluator
+``sum_m c_m(T) S^m`` (:func:`_eval_columns`), which serves
+:meth:`HoloSeries.eval_matrix` and the calculus in :mod:`qplane.opcalc`.
+
 Truncation never errors: any operation that would push mass beyond the
 kept degree returns a result with ``lossy=True`` instead.
 """
@@ -23,8 +28,11 @@ __all__ = [
     "HoloSeries",
     "log_series",
     "scale_coeffs",
-    "sup_norm_on_circle",
 ]
+
+# The matrix evaluator works on blocks of rows whose stored powers and
+# coefficient blocks fit in this many complex entries (4 MiB).
+_BLOCK_ENTRIES = 2**18
 
 
 def _as_coeffs(values) -> np.ndarray:
@@ -50,18 +58,33 @@ def scale_coeffs(coeffs: np.ndarray, c: complex) -> np.ndarray:
         return np.where(coeffs != 0, coeffs * powers, 0)
 
 
-def _l1_from_logs(coeffs: np.ndarray, log_weights: np.ndarray) -> float:
-    """``sum |a| w`` over the nonzero ``a``, from the logs of the weights.
+def _weighted_l1(
+    coeffs: np.ndarray, rho_x: float, rho_y: float = 1.0, twist: float = 1.0
+) -> float:
+    """``sum |a_ik| rho_x^i rho_y^k twist^(-i*k)``; a vector is one column.
 
-    The fallback for a weighted norm whose direct sum came out
-    non-finite: no ``0 * inf`` is formed for a weight past the double
-    range, and a sum that does leave the range is ``inf``, not NaN.
+    The direct sum is tried first.  If it is not finite (a weight past
+    the double range, or ``0 * inf``), the sum is redone from the logs of
+    the weights over the nonzero ``a``: an all-zero table is 0.0 and a
+    sum that does leave the range is ``inf``, not NaN.
     """
-    nz = coeffs != 0
+    a = coeffs.reshape(coeffs.shape[0], -1)
+    i, k = np.arange(a.shape[0]), np.arange(a.shape[1])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        weights = np.outer(np.power(float(rho_x), i), np.power(float(rho_y), k))
+        if twist != 1:
+            weights = weights * np.power(float(twist), -np.outer(i, k).astype(float))
+        total = float(np.sum(np.abs(a) * weights))
+    if math.isfinite(total):
+        return total
+    nz = a != 0
     if not nz.any():
         return 0.0
+    log_w = np.add.outer(i * math.log(rho_x), k * math.log(rho_y))
+    if twist != 1:
+        log_w -= np.outer(i, k) * math.log(twist)
     with np.errstate(over="ignore", under="ignore"):
-        logs = np.log(np.abs(coeffs[nz])) + log_weights[nz]
+        logs = np.log(np.abs(a[nz])) + log_w[nz]
         top = logs.max()
         if not np.isfinite(top):
             return math.inf
@@ -176,12 +199,7 @@ class HoloSeries:
         """
         if not 0 < rho < math.inf:
             raise PreconditionError(f"norm radius must be positive and finite, got {rho}")
-        deg = np.arange(self.coeffs.size)
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = float(np.sum(np.abs(self.coeffs) * float(rho) ** deg))
-        if math.isfinite(total):
-            return total
-        return _l1_from_logs(self.coeffs, deg * math.log(rho))
+        return _weighted_l1(self.coeffs, rho)
 
     def __call__(self, z: complex) -> complex:
         """Horner evaluation of the kept polynomial."""
@@ -191,21 +209,11 @@ class HoloSeries:
         return complex(acc)
 
     def eval_matrix(self, m: np.ndarray) -> np.ndarray:
-        """Horner evaluation ``sum_n a_n M^n`` on a square matrix."""
+        """``sum_n a_n M^n`` on a square matrix, by :func:`_eval_columns`."""
         m = np.asarray(m, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise PreconditionError(f"expected a square matrix, got shape {m.shape}")
-        n = m.shape[0]
-        top = self.max_degree
-        if top < 0:
-            return np.zeros((n, n), dtype=np.complex128)
-        acc = np.zeros((n, n), dtype=np.complex128)
-        eye = np.eye(n, dtype=np.complex128)
-        for a in self.coeffs[top::-1]:
-            acc = acc @ m
-            if a != 0:
-                acc += a * eye
-        return acc
+        return _eval_columns(self.coeffs[None, :], m, m)
 
 
 def log_series(c: float, degree: int) -> HoloSeries:
@@ -224,18 +232,75 @@ def log_series(c: float, degree: int) -> HoloSeries:
     return HoloSeries(a)
 
 
-def sup_norm_on_circle(f: HoloSeries, rho: float, samples: int = 256) -> float:
-    """Estimated sup of ``|f|`` on the circle of radius ``rho``.
+def _power_split(degs: np.ndarray) -> int:
+    """The ``p`` that minimises ``(p - 1) + sum_m (ceil((deg_m + 1) / p) - 1)``.
 
-    Samples equally spaced boundary points only, so this is a lower
-    estimate of the true sup norm; the sampling density needed for a
-    guaranteed bound is not pinned down here.
+    ``degs`` holds the top degree of every nonzero column.  ``p - 1``
+    products form the stored powers; column ``m`` then takes
+    ``ceil((deg_m + 1) / p) - 1`` Horner steps in ``T^p``.  Ties go to the
+    larger ``p``, which stores more powers and takes fewer steps.
     """
-    if not 0 < rho < math.inf:
-        raise PreconditionError(f"circle radius must be positive and finite, got {rho}")
-    if samples < 1:
-        raise PreconditionError("need at least one sample point")
-    theta = 2.0 * np.pi * np.arange(samples) / samples
-    z = rho * np.exp(1j * theta)
-    values = np.polyval(f.coeffs[::-1], z)  # polyval wants highest degree first
-    return float(np.max(np.abs(values)))
+    p = np.arange(1, int(degs.max()) + 2)
+    cost = (p - 1) + (-(-(degs[None, :] + 1) // p[:, None]) - 1).sum(axis=1)
+    return int(p[::-1][np.argmin(cost[::-1])])
+
+
+def _eval_columns(cols: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``sum_m c_m(T) S^m`` for the coefficient table ``cols[m] = c_m``.
+
+    Every step multiplies on the right, so each block of rows of the
+    result needs only the same rows of the left factors.  The
+    coefficients of ``c_m`` split into blocks of ``p`` (see
+    :func:`_power_split`).  For each block of rows the evaluator forms
+    those rows of ``T^0 .. T^(p-1)``, ``T^j = T^(j-1) T``, and gets those
+    rows of every coefficient block of every ``c_m(T)`` from one product
+    of the coefficient blocks with the stored powers.  It combines the
+    blocks of each ``c_m`` by Horner in ``T^p``, ``val = val T^p + block``
+    (only when some column has degree ``>= p``), and the columns by
+    right Horner in ``S`` from the top nonzero column down,
+    ``acc = acc S + c_m(T)``.  The row-block height keeps the stored
+    powers and blocks within ``_BLOCK_ENTRIES`` complex entries.
+    """
+    n = t.shape[0]
+    out = np.zeros((n, n), dtype=np.complex128)
+    nonzero = cols.any(axis=1)
+    if not nonzero.any():
+        return out
+    live = cols[nonzero]
+    degs = live.shape[1] - 1 - np.argmax(live[:, ::-1] != 0, axis=1)
+    p = _power_split(degs)
+    nblocks = -(-(degs + 1) // p)
+    most = int(nblocks.max())
+    padded = np.zeros((live.shape[0], most * p), dtype=np.complex128)
+    width = min(padded.shape[1], live.shape[1])  # past it every entry is zero
+    padded[:, :width] = live[:, :width]
+    # (block count, p): column by column, low blocks first
+    coef = padded.reshape(-1, most, p)[np.arange(most) < nblocks[:, None]]
+    first = np.cumsum(nblocks) - nblocks
+    t_p = np.linalg.matrix_power(t, p) if p <= degs.max() else None
+    top = int(np.flatnonzero(nonzero)[-1])
+    slot = np.cumsum(nonzero) - 1  # index of column m among the nonzero ones
+    height = max(1, _BLOCK_ENTRIES // ((p + coef.shape[0]) * n))
+    for r0 in range(0, n, height):
+        rows = slice(r0, min(r0 + height, n))
+        h = rows.stop - r0
+        powers = np.zeros((p, h, n), dtype=np.complex128)
+        powers[0, :, r0 : rows.stop] = np.eye(h)
+        if p > 1:
+            powers[1] = t[rows]
+        for j in range(2, p):
+            np.matmul(powers[j - 1], t, out=powers[j])
+        vals = (coef @ powers.reshape(p, h * n)).reshape(-1, h, n)
+        acc = None
+        for m in range(top, -1, -1):
+            if acc is not None:
+                acc = acc @ s
+            if not nonzero[m]:
+                continue
+            lo, nb = first[slot[m]], nblocks[slot[m]]
+            val = vals[lo + nb - 1]
+            for b in range(lo + nb - 2, lo - 1, -1):
+                val = val @ t_p + vals[b]
+            acc = val if acc is None else acc + val
+        out[rows] = acc
+    return out

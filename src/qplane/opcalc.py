@@ -21,14 +21,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonConvergenceError, PreconditionError
-from .holo import HoloSeries
+from .holo import HoloSeries, _eval_columns
 from .qalgebra import QSeries
 
 __all__ = [
     "OperatorPair",
     "QFunctionRep",
     "model_pair",
-    "qseries_to_qfunction",
     "calc",
     "calc_qseries",
     "eigenvalues",
@@ -42,10 +41,6 @@ __all__ = [
 
 # Relative Frobenius tolerance for accepting a pair as q-commuting.
 PAIR_RESIDUAL_TOL = 1e-12
-
-# The calculus works on blocks of rows whose stored powers of T and
-# coefficient blocks fit in this many complex entries (4 MiB).
-_BLOCK_ENTRIES = 2**18
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -185,12 +180,6 @@ class QFunctionRep:
             )
 
 
-def qseries_to_qfunction(f: QSeries, r_x: float, r_y: float) -> QFunctionRep:
-    """Read a polynomial table as a function representation."""
-    cols = tuple(f.series_in_x(k) for k in range(f.trunc_degree + 1))
-    return QFunctionRep(f.q, cols, r_x, r_y)
-
-
 # ---------------------------------------------------------------------------
 # the calculus
 # ---------------------------------------------------------------------------
@@ -199,80 +188,6 @@ def qseries_to_qfunction(f: QSeries, r_x: float, r_y: float) -> QFunctionRep:
 def spectral_radius(m: np.ndarray) -> float:
     ev = eigenvalues(m)
     return float(np.max(np.abs(ev))) if ev.size else 0.0
-
-
-def _power_split(degs: np.ndarray) -> int:
-    """The ``p`` that minimises ``(p - 1) + sum_m (ceil((deg_m + 1) / p) - 1)``.
-
-    ``degs`` holds the top degree of every nonzero column.  ``p - 1``
-    products form the stored powers; column ``m`` then takes
-    ``ceil((deg_m + 1) / p) - 1`` Horner steps in ``T^p``.  Ties go to the
-    larger ``p``, which stores more powers and takes fewer steps.
-    """
-    p = np.arange(1, int(degs.max()) + 2)
-    cost = (p - 1) + (-(-(degs[None, :] + 1) // p[:, None]) - 1).sum(axis=1)
-    return int(p[::-1][np.argmin(cost[::-1])])
-
-
-def _eval_columns(cols: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``sum_m c_m(T) S^m`` for the coefficient table ``cols[m] = c_m``.
-
-    Every step multiplies on the right, so each block of rows of the
-    result needs only the same rows of the left factors.  The
-    coefficients of ``c_m`` split into blocks of ``p`` (see
-    :func:`_power_split`).  For each block of rows the evaluator forms
-    those rows of ``T^0 .. T^(p-1)``, ``T^j = T^(j-1) T``, and gets those
-    rows of every coefficient block of every ``c_m(T)`` from one product
-    of the coefficient blocks with the stored powers.  It combines the
-    blocks of each ``c_m`` by Horner in ``T^p``, ``val = val T^p + block``
-    (only when some column has degree ``>= p``), and the columns by
-    right Horner in ``S`` from the top nonzero column down,
-    ``acc = acc S + c_m(T)``.  The row-block height keeps the stored
-    powers and blocks within ``_BLOCK_ENTRIES`` complex entries.
-    """
-    n = t.shape[0]
-    out = np.zeros((n, n), dtype=np.complex128)
-    nonzero = cols.any(axis=1)
-    if not nonzero.any():
-        return out
-    live = cols[nonzero]
-    degs = live.shape[1] - 1 - np.argmax(live[:, ::-1] != 0, axis=1)
-    p = _power_split(degs)
-    nblocks = -(-(degs + 1) // p)
-    most = int(nblocks.max())
-    padded = np.zeros((live.shape[0], most * p), dtype=np.complex128)
-    width = min(padded.shape[1], live.shape[1])  # past it every entry is zero
-    padded[:, :width] = live[:, :width]
-    # (block count, p): column by column, low blocks first
-    coef = padded.reshape(-1, most, p)[np.arange(most) < nblocks[:, None]]
-    first = np.cumsum(nblocks) - nblocks
-    t_p = np.linalg.matrix_power(t, p) if p <= degs.max() else None
-    top = int(np.flatnonzero(nonzero)[-1])
-    slot = np.cumsum(nonzero) - 1  # index of column m among the nonzero ones
-    height = max(1, _BLOCK_ENTRIES // ((p + coef.shape[0]) * n))
-    for r0 in range(0, n, height):
-        rows = slice(r0, min(r0 + height, n))
-        h = rows.stop - r0
-        powers = np.zeros((p, h, n), dtype=np.complex128)
-        powers[0, :, r0 : rows.stop] = np.eye(h)
-        if p > 1:
-            powers[1] = t[rows]
-        for j in range(2, p):
-            np.matmul(powers[j - 1], t, out=powers[j])
-        vals = (coef @ powers.reshape(p, h * n)).reshape(-1, h, n)
-        acc = None
-        for m in range(top, -1, -1):
-            if acc is not None:
-                acc = acc @ s
-            if not nonzero[m]:
-                continue
-            lo, nb = first[slot[m]], nblocks[slot[m]]
-            val = vals[lo + nb - 1]
-            for b in range(lo + nb - 2, lo - 1, -1):
-                val = val @ t_p + vals[b]
-            acc = val if acc is None else acc + val
-        out[rows] = acc
-    return out
 
 
 def calc(f: QFunctionRep, pair: OperatorPair) -> np.ndarray:
@@ -291,7 +206,7 @@ def calc(f: QFunctionRep, pair: OperatorPair) -> np.ndarray:
     ``T^0 .. T^(p-1)`` once and gets its rows of every ``f_n(T)`` from
     one product with the coefficient table, plus Horner in ``T^p`` for
     degrees ``>= p``; ``p`` minimises the matrix products (see
-    ``_eval_columns``), so a table of many columns stores every power.
+    ``holo._eval_columns``), so a table of many columns stores every power.
     """
     if f.q != pair.q:
         raise PreconditionError(f"q mismatch: function {f.q} vs pair {pair.q}")

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _accel
 from .errors import PreconditionError
-from .holo import HoloSeries, _l1_from_logs, scale_coeffs
+from .holo import HoloSeries, _weighted_l1, scale_coeffs
 
 __all__ = [
     "QSeries",
@@ -299,7 +299,8 @@ QPOW_FORMULA_CAP = 10**6
 def qpow(f: QSeries, s: int, method: str = "repeated") -> QSeries:
     """``f**s`` for ``s >= 1``.
 
-    ``repeated`` multiplies left to right.  ``formula`` enumerates all
+    ``repeated`` multiplies left to right and stops once the truncated
+    power is the zero table.  ``formula`` enumerates all
     s-tuples drawn from the support of ``f``: the tuple with x-degrees
     ``i_1..i_s`` and y-degrees ``k_1..k_s`` contributes its coefficient
     product times ``q**e`` to cell ``(i_1+...+i_s, k_1+...+k_s)``, where
@@ -319,6 +320,8 @@ def qpow(f: QSeries, s: int, method: str = "repeated") -> QSeries:
         acc = f
         for _ in range(s - 1):
             acc = qmul(acc, f)
+            if not acc.coeffs.any():  # every later product is this same table
+                break
         return acc
     if method != "formula":
         raise ValueError(f"unknown method {method!r}")
@@ -387,21 +390,8 @@ def seminorm(f: QSeries, rho: float) -> float:
     """
     if not 0 < rho < math.inf:
         raise PreconditionError(f"seminorm radius must be positive and finite, got {rho}")
-    d = f.trunc_degree
-    deg = np.arange(d + 1)
     aq = abs(f.q)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        w = np.power(float(rho), deg)
-        weights = np.outer(w, w)
-        if aq > 1:
-            weights = weights * np.power(aq, -np.outer(deg, deg).astype(float))
-        total = float(np.sum(np.abs(f.coeffs) * weights))
-    if math.isfinite(total):
-        return total
-    log_w = np.add.outer(deg, deg) * math.log(rho)
-    if aq > 1:
-        log_w -= np.outer(deg, deg) * math.log(aq)
-    return _l1_from_logs(f.coeffs, log_w)
+    return _weighted_l1(f.coeffs, rho, rho, twist=aq if aq > 1 else 1.0)
 
 
 def p_seminorm(f: QSeries, rho_x: float, rho_y: float) -> float:
@@ -416,20 +406,7 @@ def p_seminorm(f: QSeries, rho_x: float, rho_y: float) -> float:
         raise PreconditionError(
             f"seminorm radii must be positive and finite, got ({rho_x}, {rho_y})"
         )
-    d = f.trunc_degree
-    total = 0.0
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(d + 1):
-                col = np.abs(f.coeffs[:, k])
-                if col.any():
-                    total += float(col @ np.power(float(rho_x), np.arange(d + 1))) * rho_y**k
-    except OverflowError:  # rho_y**k left the double range
-        total = math.inf
-    if math.isfinite(total):
-        return total
-    deg = np.arange(d + 1)
-    return _l1_from_logs(f.coeffs, np.add.outer(deg * math.log(rho_x), deg * math.log(rho_y)))
+    return _weighted_l1(f.coeffs, rho_x, rho_y)
 
 
 class DecayProfile(NamedTuple):

@@ -6,6 +6,7 @@ mirrors the printed lines.  Tolerances are the contractual ones; the
 stated runtime budgets are asserted as well.
 """
 
+import io
 import math
 import time
 
@@ -315,16 +316,19 @@ def test_criterion_10_spectrum_scan_sanity():
     far = kz.spectrum_scan(pair, "y", kz.GridSpec(3.1, 4.0, 0.0, 0.0, 31))
     far_clause = not any(r.member for r in far)
 
-    from qplane.fileio import csv_text
+    from qplane.fileio import write_csv
 
     def table(scan_rows):
-        return csv_text(
+        buf = io.StringIO()
+        write_csv(
+            buf,
             ["g_re", "g_im", "axis", "h0", "h1", "h2", "member", "stable"],
             [
                 [r.g_re, r.g_im, r.axis, r.h0, r.h1, r.h2, int(r.member), int(r.stable)]
                 for r in scan_rows
             ],
         )
+        return buf.getvalue()
 
     deterministic = table(rows) == table(kz.spectrum_scan(pair, "y", grid))
     elapsed = time.perf_counter() - start

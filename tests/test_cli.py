@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -435,11 +436,13 @@ class TestTopologyCommands:
             points.write_text(json.dumps(pts))
             assert run(["qhull", disks, points, "--q-re", q[0], "--q-im", q[1],
                         "--output", out]) == 0
-            want = fileio.csv_text(
+            want = io.StringIO()
+            fileio.write_csv(
+                want,
                 ["z_re", "z_im", "member"],
                 [[re, im, int(naive_hull_contains(hull, complex(re, im)))] for re, im in pts],
             )
-            assert out.read_bytes() == want.encode()
+            assert out.read_bytes() == want.getvalue().encode()
 
     def test_qhull_membership_csv(self, tmp_path):
         disks = tmp_path / "disks.json"

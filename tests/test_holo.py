@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qplane.errors import PreconditionError
-from qplane.holo import HoloSeries, log_series, scale_coeffs, sup_norm_on_circle
+from qplane.holo import HoloSeries, log_series, scale_coeffs
 
 from oracles import conv_oracle
 
@@ -213,11 +213,6 @@ class TestValidation:
         f = HoloSeries([1.0, 2.0, 3.0])
         assert f.truncate(1).lossy
         assert not f.truncate(5).lossy
-
-
-def test_sup_norm_circle_of_monomial():
-    f = HoloSeries.monomial(5, 3)
-    assert sup_norm_on_circle(f, 2.0) == pytest.approx(8.0)
 
 
 def test_difference_truncates_to_the_smaller_degree():

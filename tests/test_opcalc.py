@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from qplane import holo
 from qplane import opcalc as oc
 from qplane import qalgebra as qa
 from qplane.errors import PreconditionError
@@ -184,14 +185,14 @@ class TestCalcQSeries:
     def test_agrees_with_function_route(self, rng):
         pair = oc.model_pair(Q, 12)
         f = random_qseries(rng, Q, 6, 5, 3)
-        rep = oc.qseries_to_qfunction(f, 2.0, 2.0)
+        cols = tuple(f.series_in_x(k) for k in range(f.trunc_degree + 1))
+        rep = oc.QFunctionRep(f.q, cols, 2.0, 2.0)
         assert np.allclose(oc.calc(rep, pair), oc.calc_qseries(f, pair), atol=1e-13)
 
     def test_triangular_diagonal_matches_character_values(self, rng):
         pair = oc.model_pair(Q, 12)
         f = random_qseries(rng, Q, 6, 6, 4)
         a = oc.calc_qseries(f, pair)
-        rep = oc.qseries_to_qfunction(f, 2.0, 2.0)
         for m in range(pair.n):
             expected = qa.spec_eval(f, (0.0, Q**m))
             assert a[m, m] == pytest.approx(expected, abs=1e-12)
@@ -309,7 +310,7 @@ class TestRowBlocks:
         """A ``_BLOCK_ENTRIES`` that gives blocks of ``height`` rows."""
         live = cols[cols.any(axis=1)]
         degs = np.array([np.flatnonzero(c)[-1] for c in live])
-        p = oc._power_split(degs)
+        p = holo._power_split(degs)
         return height * (p + int(np.sum(-(-(degs + 1) // p)))) * n
 
     @pytest.mark.parametrize("height", [None, 1, 5])
@@ -319,8 +320,8 @@ class TestRowBlocks:
         pair = oc.model_pair(Q, n) if kind == "model" else conjugated_pair(Q, n)
         for name, cols in self.tables(rng).items():
             if height is not None:
-                monkeypatch.setattr(oc, "_BLOCK_ENTRIES", self.row_height(cols, n, height))
-            got = oc._eval_columns(cols, pair.t, pair.s)
+                monkeypatch.setattr(holo, "_BLOCK_ENTRIES", self.row_height(cols, n, height))
+            got = holo._eval_columns(cols, pair.t, pair.s)
             assert_close_to_majorant(got, naive_calc(cols, pair.t, pair.s), cols, pair)
 
     def test_constant_is_a_multiple_of_the_identity(self):
@@ -336,7 +337,7 @@ class TestRowBlocks:
         ps = range(1, max(degs) + 2)
         best = min(split_cost(degs, p) for p in ps)
         assert want == max(p for p in ps if split_cost(degs, p) == best)
-        assert oc._power_split(np.array(degs)) == want
+        assert holo._power_split(np.array(degs)) == want
 
 
 class TestEigenvalues:

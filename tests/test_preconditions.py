@@ -8,7 +8,7 @@ from qplane import opcalc as oc
 from qplane import qalgebra as qa
 from qplane import qtopology as qt
 from qplane.errors import PreconditionError
-from qplane.holo import HoloSeries, sup_norm_on_circle
+from qplane.holo import HoloSeries
 from qplane.qalgebra import QSeries
 
 Q = 0.5
@@ -42,8 +42,6 @@ MIXED = oc.QFunctionRep(Q, (HoloSeries.zero(2), H), 2.0, 2.0)  # f = xy
      "radii must be finite"),
     (lambda: qt.point_q_closure(1.0, -1, Q), PreconditionError, "k_max must be >= 0"),
     (lambda: H.norm(math.inf), PreconditionError, "norm radius must be positive and finite"),
-    (lambda: sup_norm_on_circle(H, math.inf), PreconditionError,
-     "circle radius must be positive and finite"),
     (lambda: qa.seminorm(QSeries.one(Q, 2), math.inf), PreconditionError,
      "seminorm radius must be positive and finite"),
     (lambda: qa.p_seminorm(QSeries.one(Q, 2), math.inf, 1.0), PreconditionError,
@@ -60,7 +58,7 @@ MIXED = oc.QFunctionRep(Q, (HoloSeries.zero(2), H), 2.0, 2.0)  # f = xy
     "qfunction-r-y-negative", "calc-qseries-q-mismatch", "model-pair-q-overflow",
     "resolvent-negative-exponent", "decay-check-s-max-zero", "spiral-eps-zero",
     "spiral-delta-negative", "spiral-lambda-inf", "spiral-lambda-nan", "spiral-eps-inf",
-    "spiral-delta-inf", "closure-k-max-negative", "holo-norm-rho-inf", "sup-norm-rho-inf",
+    "spiral-delta-inf", "closure-k-max-negative", "holo-norm-rho-inf",
     "seminorm-rho-inf", "p-seminorm-rho-x-inf", "p-seminorm-rho-y-inf", "disk-radius-zero",
     "qseries-sub-mismatch", "qseries-mul-non-number", "qseries-rmul-non-number",
     "holo-sub-non-series",

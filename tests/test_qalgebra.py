@@ -7,6 +7,7 @@ import pytest
 from qplane import _accel
 from qplane import qalgebra as qa
 from qplane.errors import PreconditionError
+from qplane.holo import HoloSeries
 from qplane.qalgebra import QSeries
 
 from oracles import naive_qmul, naive_qpow_formula, random_qseries
@@ -112,6 +113,20 @@ class TestQPow:
     def test_rejects_bad_power(self):
         with pytest.raises(PreconditionError):
             qa.qpow(QSeries.one(Q, 2), 0)
+
+    def test_repeated_stops_once_the_power_vanishes(self, monkeypatch):
+        # x^5 leaves the degree-4 table, and every later product is the
+        # same zero table with the same loss flag
+        qmul, calls = qa.qmul, []
+
+        def counted(f, g):
+            calls.append(1)
+            return qmul(f, g)
+
+        monkeypatch.setattr(qa, "qmul", counted)
+        out = qa.qpow(QSeries.monomial(Q, 4, 1, 0), 10**9)
+        assert out == QSeries.zero(Q, 4) and out.lossy
+        assert len(calls) <= 5
 
 
 def kernel_tables(rng, shape, d):
@@ -364,6 +379,14 @@ class TestSeminorms:
         # an overflowed x-weight against an underflowed y-weight
         g = QSeries.monomial(Q, 4, 2, 2)
         assert qa.p_seminorm(g, 1e300, 1e-300) == pytest.approx(1.0, rel=1e-12)
+
+    def test_zero_table_with_overflowed_weights_is_zero(self):
+        # every weight past the double range meets a zero coefficient, so
+        # the direct sum is NaN and the log-weights sum has no term
+        assert HoloSeries.zero(400).norm(1e200) == 0.0
+        for q in (Q, 2.0):
+            assert qa.seminorm(QSeries.zero(q, 40), 1e20) == 0.0
+        assert qa.p_seminorm(QSeries.zero(Q, 40), 1e300, 1.0) == 0.0
 
     def test_submultiplicative_contractive(self, rng):
         for _ in range(25):
