@@ -29,12 +29,20 @@ from qplane.holo import HoloSeries, log_series
 from qplane.opcalc import QFunctionRep
 from qplane.qalgebra import QSeries
 
+# The worked examples: q, the truncation degree of the series files, and
+# the number of y-terms and the kept x-degree of the function files.
+Q = 0.5
+TRUNC = 32
+TERMS = 40
+DEGREE = 40
+
 
 def log_xy_series(q: complex, degree: int) -> QSeries:
     return qa.log_shifted(1.5, QSeries.monomial(q, degree, 1, 1))
 
 
 def log_xy_function(q: complex, terms: int, degree: int) -> QFunctionRep:
+    """ln(3/2 + xy): f_n(x) = q^(n(n-1)/2) (-1)^(n+1) (2/3)^n x^n / n."""
     r = math.sqrt(1.5)
     f_list = [HoloSeries.monomial(degree, 0, math.log(1.5))]
     for n in range(1, terms + 1):
@@ -46,6 +54,8 @@ def log_xy_function(q: complex, terms: int, degree: int) -> QFunctionRep:
 
 
 def orbit_log_function(q: complex, terms: int, degree: int) -> QFunctionRep:
+    """ln(3/2 + x) + sum_n (2/3)^n (ln(3/2 + 1/n + x) - ln(3/2 + 1/n)) y^n
+    + y/(y - 3/2); the geometric part is -sum_n (2/3)^n y^n."""
     r = 1.5 - 1e-9
     f_list = [log_series(1.5, degree)]
     for n in range(1, terms + 1):
@@ -59,15 +69,10 @@ def orbit_log_function(q: complex, terms: int, degree: int) -> QFunctionRep:
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dir", default="example_inputs")
-    parser.add_argument("--q", type=float, default=0.5)
-    parser.add_argument("--trunc", type=int, default=32)
-    parser.add_argument("--terms", type=int, default=40)
-    parser.add_argument("--degree", type=int, default=40)
     args = parser.parse_args()
 
     out = Path(args.dir)
     out.mkdir(parents=True, exist_ok=True)
-    q = complex(args.q)
 
     def dump(name, payload):
         with open(out / name, "w", encoding="utf-8") as fp:
@@ -75,17 +80,17 @@ def main():
         print(f"wrote {out / name}")
 
     dump("x.series.json",
-         fileio.qseries_to_payload(QSeries.monomial(q, args.trunc, 1, 0)))
+         fileio.qseries_to_payload(QSeries.monomial(Q, TRUNC, 1, 0)))
     dump("y.series.json",
-         fileio.qseries_to_payload(QSeries.monomial(q, args.trunc, 0, 1)))
-    full = log_xy_series(q, args.trunc)
+         fileio.qseries_to_payload(QSeries.monomial(Q, TRUNC, 0, 1)))
+    full = log_xy_series(Q, TRUNC)
     dump("log_xy.series.json", fileio.qseries_to_payload(full))
     dump("log_xy_mixed.series.json",
          fileio.qseries_to_payload(qa.decompose(full).f_xy))
     dump("log_xy.qfn.json",
-         fileio.qfunction_to_payload(log_xy_function(q, args.terms, args.degree)))
+         fileio.qfunction_to_payload(log_xy_function(Q, TERMS, DEGREE)))
     dump("orbit_log.qfn.json",
-         fileio.qfunction_to_payload(orbit_log_function(q, args.terms, args.degree)))
+         fileio.qfunction_to_payload(orbit_log_function(Q, TERMS, DEGREE)))
     dump("base_disk.disks.json", [{"re": 1.0, "im": 0.0, "radius": 0.1}])
     dump("probe.points.json",
          [[0.0, 0.0], [0.5, 0.0], [0.3, 0.0], [1.05, 0.0], [0.25, 0.0]])

@@ -73,6 +73,17 @@ def _max_n(command: str) -> int:
 _POINT_BYTES = 400
 _MAX_POINTS = _MEMORY_BUDGET // _POINT_BYTES
 
+# The --smax cap.  `decay` stops multiplying once a power is the zero
+# table, so its products are bounded by the truncation degree and its
+# memory by the profile: the peak resident memory grows by about 200
+# bytes per row, for the profile's two lists and the CSV table (growth
+# of ru_maxrss from --smax 10^5 to 1.6 * 10^6 on the worked mixed series
+# in a fresh process).  A row is counted as 256 bytes, and the profile
+# may hold as many rows as fit in _MEMORY_BUDGET.  The check runs before
+# the file is read.
+_ROW_BYTES = 256
+_MAX_SMAX = _MEMORY_BUDGET // _ROW_BYTES
+
 
 def _n(args) -> int:
     if args.n < 1:
@@ -183,6 +194,8 @@ def cmd_decay(args) -> int:
     rho = _radius("rho", args.rho)
     if args.smax < 1:
         raise PreconditionError(f"s_max must be >= 1, got {args.smax}")
+    if args.smax > _MAX_SMAX:
+        raise PreconditionError(f"s_max must be <= {_MAX_SMAX}, got {args.smax}")
     f = fileio.qseries_from_payload(_load_payload(args.series))
     parts = qalgebra.decompose(f)
     stray = parts.f_x.terms() + parts.f_y.terms()
@@ -384,7 +397,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("decay", cmd_decay, "power-decay profile of a mixed-ideal series")
     p.add_argument("series")
     p.add_argument("--rho", type=float, default=1.0, help="seminorm radius")
-    p.add_argument("--smax", type=int, default=8, help="largest power in the profile")
+    p.add_argument(
+        "--smax", type=int, default=8,
+        help=f"largest power in the profile, 1 to {_MAX_SMAX}: about "
+        f"{_ROW_BYTES} bytes a row within 1 GiB",
+    )
 
     p = command("twist", cmd_twist, "swap the variable layout")
     p.add_argument("series")

@@ -86,8 +86,6 @@ def _weighted_l1(
     with np.errstate(over="ignore", under="ignore"):
         logs = np.log(np.abs(a[nz])) + log_w[nz]
         top = logs.max()
-        if not np.isfinite(top):
-            return math.inf
         return float(np.exp(top) * np.sum(np.exp(logs - top)))
 
 
@@ -221,14 +219,23 @@ def log_series(c: float, degree: int) -> HoloSeries:
 
     The coefficients are ``ln c`` and ``(-1)^(n+1) / (n c^n)`` for
     ``n >= 1``; they converge on ``|z| < c``, so callers should keep
-    their evaluation radii below ``c``.
+    their evaluation radii below ``c``.  :func:`qplane.qalgebra.log_shifted`
+    takes its coefficients from here.  A term whose ``n c^n`` passes the
+    double range is 0; a coefficient past it (``c`` near 0 or ``inf``)
+    is a :class:`~qplane.errors.PreconditionError`.
     """
     if not c > 0:
         raise PreconditionError(f"log offset must be positive, got {c}")
     a = np.zeros(degree + 1, dtype=np.complex128)
     a[0] = math.log(c)
     n = np.arange(1, degree + 1)
-    a[1:] = (-1.0) ** (n + 1) / (n * np.power(float(c), n))
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        a[1:] = (-1.0) ** (n + 1) / (n * np.power(float(c), n))
+    bad = np.flatnonzero(~np.isfinite(a.real))
+    if bad.size:
+        raise PreconditionError(
+            f"the coefficient of z^{bad[0]} in ln({c} + z) is past the double range"
+        )
     return HoloSeries(a)
 
 

@@ -16,13 +16,17 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import NonConvergenceError, PreconditionError
 from .holo import HoloSeries, _eval_columns
-from .qalgebra import QSeries
+
+# calc_qseries reads only ``f.q`` and ``f.coeffs``, so the operator layer
+# stands on holo alone and loads no series algebra.
+if TYPE_CHECKING:
+    from .qalgebra import QSeries
 
 __all__ = [
     "OperatorPair",
@@ -137,12 +141,10 @@ def model_pair(q: complex, n: int) -> OperatorPair:
     """
     if n < 1:
         raise PreconditionError(f"dimension must be >= 1, got {n}")
-    if q == 0:
-        raise PreconditionError("q must be nonzero")
     t = np.zeros((n, n), dtype=np.complex128)
     for m in range(n - 1):
         t[m + 1, m] = 1.0
-    # a q^m past the double range is left to OperatorPair to reject
+    # q = 0 and a q^m past the double range are left to OperatorPair to reject
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.diag(np.power(complex(q), np.arange(n)))
     return OperatorPair(t, s, complex(q))

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _accel
 from .errors import PreconditionError
-from .holo import HoloSeries, _weighted_l1, scale_coeffs
+from .holo import HoloSeries, _weighted_l1, log_series, scale_coeffs
 
 __all__ = [
     "QSeries",
@@ -427,7 +427,9 @@ def decay_profile(f: QSeries, rho: float, s_max: int) -> DecayProfile:
     ``x y``; a flat profile signals a non-quasinilpotent element.
     ``lossy_at[s - 1]`` reports whether some power up to ``f^s``
     overflowed the truncation degree (making that entry an
-    underestimate); ``lossy`` is its last entry.
+    underestimate); ``lossy`` is its last entry.  Once a power is the
+    zero table every later one is too, so the products stop there and
+    the remaining entries are ``0.0`` with that power's flag.
     """
     if s_max < 1:
         raise PreconditionError(f"s_max must be >= 1, got {s_max}")
@@ -438,6 +440,11 @@ def decay_profile(f: QSeries, rho: float, s_max: int) -> DecayProfile:
             acc = qmul(acc, f)
         lossy_at.append(acc.lossy)
         values.append(seminorm(acc, rho) ** (1.0 / s))
+        if not acc.coeffs.any():
+            rest = s_max - s
+            values += [0.0] * rest
+            lossy_at += [acc.lossy] * rest
+            break
     return DecayProfile(values, lossy_at)
 
 
@@ -483,7 +490,10 @@ def spec_eval(f: QSeries, gamma: tuple[complex, complex]) -> complex:
 def log_shifted(c: float, g: QSeries) -> QSeries:
     """Truncated ``ln(c + g)`` for a series ``g`` without constant term.
 
-    Sums ``ln c + sum_{n=1..M} (-1)^(n+1)/(n c^n) g^n`` with
+    Sums ``a_0 + sum_{n=1..M} a_n g^n`` with the coefficients ``a_n`` of
+    :func:`~qplane.holo.log_series` (``ln c`` and ``(-1)^(n+1)/(n c^n)``;
+    a ``c`` that is not positive, or whose ``a_n`` leave the double
+    range, is a :class:`~qplane.errors.PreconditionError`).
     ``M = floor(2D / m)``, ``D`` the truncation degree and ``m`` the
     smallest total degree in the support of ``g``.  Every term of
     ``g^n`` has total degree at least ``n m``, and the box holds total
@@ -491,17 +501,17 @@ def log_shifted(c: float, g: QSeries) -> QSeries:
     the truncated sum is exact.  For ``xy``, ``M = D``; for a ``g`` with
     a degree-1 term, ``M = 2D``.  The result is ``lossy`` when ``g`` is.
     """
-    if not c > 0:
-        raise PreconditionError(f"log offset must be positive, got {c}")
     if g.coeffs[0, 0] != 0:
         raise PreconditionError("log_shifted needs a series with zero constant term")
     d = g.trunc_degree
-    acc = QSeries.monomial(g.q, d, 0, 0, np.log(c)).coeffs.copy()
     i, k = np.nonzero(g.coeffs)
     top = 2 * d // int((i + k).min()) if i.size else 0
+    a = log_series(c, top).coeffs
+    acc = np.zeros_like(g.coeffs)
+    acc[0, 0] = a[0]
     gn = g
     for n in range(1, top + 1):
         if n > 1:
             gn = qmul(gn, g)
-        acc += ((-1.0) ** (n + 1) / (n * c**n)) * gn.coeffs
+        acc += a[n] * gn.coeffs
     return QSeries(g.q, acc, lossy=g.lossy)

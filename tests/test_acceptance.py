@@ -18,9 +18,9 @@ from qplane import opcalc as oc
 from qplane import qalgebra as qa
 from qplane.qalgebra import QSeries
 
+from generate_inputs import log_xy_function, orbit_log_function
 from oracles import oracle_homology, random_qseries
 from test_koszul import conjugated_pair
-from test_opcalc import log_xy_rep, second_example_rep
 
 Q = 0.5
 
@@ -142,7 +142,7 @@ def test_criterion_05_log_example_spectrum():
     start = time.perf_counter()
     target = math.log(1.5)  # library log, not a copied decimal
     pair = oc.model_pair(Q, 32)
-    ev = oc.eigenvalues(oc.calc(log_xy_rep(), pair))
+    ev = oc.eigenvalues(oc.calc(log_xy_function(Q, 40, 40), pair))
     worst = float(np.max(np.abs(ev - target)))
     elapsed = time.perf_counter() - start
     report(
@@ -156,7 +156,7 @@ def test_criterion_05_log_example_spectrum():
 def test_criterion_06_two_variable_example_spectrum():
     start = time.perf_counter()
     pair = oc.model_pair(Q, 24)
-    ev = oc.eigenvalues(oc.calc(second_example_rep(), pair))
+    ev = oc.eigenvalues(oc.calc(orbit_log_function(Q, 40, 40), pair))
     predicted = [math.log(1.5) + Q**m / (Q**m - 1.5) for m in range(24)]
     _, dist = oc.pair_eigenvalues(ev, predicted)
     worst = float(np.max(dist))

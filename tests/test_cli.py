@@ -19,6 +19,7 @@ from qplane.opcalc import QFunctionRep
 from qplane.qalgebra import QSeries
 from qplane.qtopology import QHull
 
+from generate_inputs import log_xy_function
 from oracles import naive_hull_contains
 
 Q = 0.5
@@ -470,6 +471,14 @@ class TestTopologyCommands:
         assert run(["spiral", "--lam-re", "0", "--eps", "0.3",
                     "--delta", "0.1"]) == cli.EXIT_PRECONDITION
 
+    def test_spiral_orbit_that_never_sinks_exits_4(self, capsys):
+        # |q|^n < 1e-300 needs about 7e9 steps, past the hull step cap
+        assert run(["spiral", "--lam-re", "1.0", "--eps", "1e-300", "--delta", "0.1",
+                    "--q-re", "0.9999999"]) == cli.EXIT_NONCONVERGENCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: nonconvergence: orbit does not sink into the base disk\n"
+
 
 class TestOperatorCommands:
     def test_modelpair_payload(self, tmp_path):
@@ -512,10 +521,8 @@ class TestOperatorCommands:
         assert captured.err == "error: input: q must be nonzero\n"
 
     def test_specmap_prints_max_distance_last(self, tmp_path, capsys):
-        from test_opcalc import log_xy_rep
-
         src, out = tmp_path / "f.json", tmp_path / "map.csv"
-        write_function(src, log_xy_rep())
+        write_function(src, log_xy_function(Q, 40, 40))
         assert run(["specmap", src, "--n", "32", "--output", out]) == 0
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert float(last) <= 1e-8
@@ -526,10 +533,8 @@ class TestOperatorCommands:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json", "map.csv"]
 
     def test_specmap_on_worked_input_leaves_scipy_optimize_out(self, tmp_path):
-        from test_opcalc import log_xy_rep
-
         src, out = tmp_path / "f.json", tmp_path / "map.csv"
-        write_function(src, log_xy_rep())
+        write_function(src, log_xy_function(Q, 40, 40))
         code = (
             "import sys; from qplane import cli; "
             f"code = cli.main(['specmap', {str(src)!r}, '--n', '32', '--output', {str(out)!r}]); "
@@ -648,6 +653,9 @@ def test_console_entry_smoke(tmp_path):
 
 SERIES_LAYERS = {"qplane.qalgebra"}
 OPERATOR_LAYERS = {"qplane.opcalc", "qplane.koszul", "qplane.qtopology"}
+# opcalc stands on holo alone: the operator commands load neither the
+# series algebra nor its kernels
+SERIES_ALGEBRA = {"qplane.qalgebra", "qplane._accel"}
 LOADS = [
     # (argv, layers it must load, layers it must leave out)
     (["mul", "{xy}", "{xy}"], SERIES_LAYERS, OPERATOR_LAYERS),
@@ -660,26 +668,26 @@ LOADS = [
      {"qplane.qalgebra", "qplane.opcalc", "qplane.koszul"}),
     (["spiral", "--lam-re", "1.0", "--eps", "0.3", "--delta", "0.1"], {"qplane.qtopology"},
      {"qplane.qalgebra", "qplane.opcalc", "qplane.koszul"}),
-    (["modelpair", "--n", "4"], {"qplane.opcalc"}, {"qplane.koszul", "qplane.qtopology"}),
-    (["calc", "{fn}", "--n", "8"], {"qplane.opcalc"}, {"qplane.koszul", "qplane.qtopology"}),
+    (["modelpair", "--n", "4"], {"qplane.opcalc"},
+     {"qplane.koszul", "qplane.qtopology", *SERIES_ALGEBRA}),
+    (["calc", "{fn}", "--n", "8"], {"qplane.opcalc"},
+     {"qplane.koszul", "qplane.qtopology", *SERIES_ALGEBRA}),
     (["specmap", "{fn}", "--n", "8"], {"qplane.opcalc"},
-     {"qplane.koszul", "qplane.qtopology"}),
+     {"qplane.koszul", "qplane.qtopology", *SERIES_ALGEBRA}),
     (["koszul", "--gamma-re", "1.0", "--axis", "y", "--n", "4"], {"qplane.koszul"},
-     {"qplane.qtopology"}),
+     {"qplane.qtopology", *SERIES_ALGEBRA}),
     (["scan", "--axis", "y", "--re-min", "0", "--re-max", "1", "--steps", "5", "--n", "4"],
-     {"qplane.koszul"}, {"qplane.qtopology"}),
+     {"qplane.koszul"}, {"qplane.qtopology", *SERIES_ALGEBRA}),
 ]
 
 
 @pytest.mark.parametrize("argv, needed, left_out", LOADS, ids=[c[0][0] for c in LOADS])
 def test_subcommand_loads_only_its_layers(tmp_path, argv, needed, left_out):
-    from test_opcalc import log_xy_rep
-
     files = {name: tmp_path / f"{name}.json" for name in ("xy", "disks", "points", "fn")}
     write_series(files["xy"], QSeries.monomial(Q, 3, 1, 1))
     files["disks"].write_text(json.dumps([{"re": 1.0, "im": 0.0, "radius": 0.1}]))
     files["points"].write_text(json.dumps([[0.5, 0.0], [0.3, 0.0]]))
-    write_function(files["fn"], log_xy_rep(terms=4, degree=4))
+    write_function(files["fn"], log_xy_function(Q, 4, 4))
     argv = [a.format(**files) for a in argv] + ["--output", str(tmp_path / "out")]
     code = (
         "import sys; from qplane import cli; "
@@ -783,6 +791,8 @@ PRECONDITIONS = [
     (["norm", "missing.json", "--rho-x", "inf"], "--rho-x must be finite, got inf"),
     (["norm", "missing.json", "--rho-y", "inf"], "--rho-y must be finite, got inf"),
     (["decay", "missing.json", "--rho", "inf"], "--rho must be finite, got inf"),
+    (["decay", "missing.json", "--smax", str(cli._MAX_SMAX + 1)],
+     f"s_max must be <= {cli._MAX_SMAX}, got {cli._MAX_SMAX + 1}"),
     # a finite radius whose ||f||_rho overflows leaves no bound to compare with
     (["decay", "{xy}", "--rho", "1e200"],
      "the seminorm of the series overflows at rho = 1e+200"),
@@ -809,14 +819,12 @@ def _precondition_id(argv):
 @pytest.mark.parametrize("argv, message", PRECONDITIONS,
                          ids=[_precondition_id(c[0]) for c in PRECONDITIONS])
 def test_flag_preconditions_exit_3(tmp_path, capsys, argv, message):
-    from test_opcalc import log_xy_rep
-
     files = {name: tmp_path / f"{name}.json" for name in ("xy", "zero", "disks", "points", "fn")}
     write_series(files["xy"], QSeries.monomial(Q, 3, 1, 1))
     write_series(files["zero"], QSeries.zero(Q, 3))
     files["disks"].write_text(json.dumps([{"re": 1.0, "im": 0.0, "radius": 0.1}]))
     files["points"].write_text(json.dumps([[0.5, 0.0], [0.3, 0.0]]))
-    write_function(files["fn"], log_xy_rep(terms=4, degree=4))
+    write_function(files["fn"], log_xy_function(Q, 4, 4))
     assert run([a.format(**files) for a in argv]) == cli.EXIT_PRECONDITION
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -900,6 +908,15 @@ def test_scan_point_cap_allocates_nothing(monkeypatch, capsys):
     assert f"at most {cap} points" in " ".join(capsys.readouterr().out.split())
 
 
+def test_decay_smax_cap_is_stated(capsys):
+    cap = cli._MAX_SMAX
+    # the cap is the longest profile whose stated bytes per row fit in the budget
+    assert cli._ROW_BYTES * cap <= cli._MEMORY_BUDGET < cli._ROW_BYTES * (cap + 1)
+    with pytest.raises(SystemExit):
+        cli._build_parser().parse_args(["decay", "--help"])
+    assert f"1 to {cap}:" in " ".join(capsys.readouterr().out.split())
+
+
 # The boundary table: every numeric option at its edges, one subcommand
 # reading it per case.  Placeholders name the input files of the table.
 TABLE_ARGV = {
@@ -930,9 +947,9 @@ BOUNDARY = [  # (subcommand, the options after its base arguments)
     *[(c, [f"--n={v}"]) for c in sorted(N_READERS) for v in [*INT_EDGES, str(cli._max_n(c) + 1)]],
     *[("pow", [f"--s={v}"]) for v in INT_EDGES],
     # 2 terms to the 20th power pass QPOW_FORMULA_CAP; --s has no cap with
-    # the repeated method, nor has --smax
+    # the repeated method
     ("pow", ["--method=formula", "--s=20", "{two}"]),
-    *[("decay", [f"--smax={v}"]) for v in INT_EDGES],
+    *[("decay", [f"--smax={v}"]) for v in [*INT_EDGES, str(cli._MAX_SMAX + 1)]],
     *[("scan", [f"--steps={v}"]) for v in [*INT_EDGES, str(cli._MAX_POINTS + 1)]],
     *[(c, [f"--q-re={re}", f"--q-im={im}"])
       for re, im in [("1e100", "0"), ("1e-100", "0"), ("-1", "0"), ("0", "1")]
@@ -945,8 +962,6 @@ DOCUMENTED_NON_FINITE = {("norm", "seminorm"), ("norm", "p_seminorm")}
 
 @pytest.fixture(scope="module")
 def table_files(tmp_path_factory):
-    from test_opcalc import log_xy_rep
-
     d = tmp_path_factory.mktemp("table")
     files = {name: d / f"{name}.json" for name in ("xy", "two", "disks", "points", "fn")}
     write_series(files["xy"], QSeries.monomial(Q, 3, 1, 1))
@@ -955,7 +970,7 @@ def table_files(tmp_path_factory):
     write_series(files["two"], QSeries(Q, two))
     files["disks"].write_text(json.dumps([{"re": 1.0, "im": 0.0, "radius": 0.1}]))
     files["points"].write_text(json.dumps([[0.5, 0.0], [0.3, 0.0]]))
-    write_function(files["fn"], log_xy_rep(terms=4, degree=4))
+    write_function(files["fn"], log_xy_function(Q, 4, 4))
     return files
 
 

@@ -34,6 +34,19 @@ class TestLogSeries:
         with pytest.raises(PreconditionError):
             log_series(0.0, 3)
 
+    def test_terms_past_the_range_are_zero(self):
+        # n * 1e5^n overflows from n = 62 on, without a warning
+        f = log_series(1e5, 70)
+        assert np.count_nonzero(f.coeffs) == 62
+        assert f.coeffs[61] == pytest.approx(-1.0 / (61 * 1e5**61), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "c, degree, n", [(1e-3, 400, 104), (0.5, 1200, 1035), (math.inf, 3, 0)]
+    )
+    def test_coefficient_past_the_range_is_refused(self, c, degree, n):
+        with pytest.raises(PreconditionError, match=rf"coefficient of z\^{n} in ln"):
+            log_series(c, degree)
+
 
 class TestMul:
     def test_identity(self, rng):

@@ -12,37 +12,11 @@ from qplane.errors import PreconditionError
 from qplane.holo import HoloSeries, log_series
 from qplane.qalgebra import QSeries
 
+from generate_inputs import log_xy_function, orbit_log_function
 from oracles import model_y_spectrum, naive_calc, random_qseries
 
 Q = 0.5
 LOG32 = math.log(1.5)
-
-
-def log_xy_rep(q=Q, terms=40, degree=40, r=math.sqrt(1.5)):
-    """ln(3/2 + xy) as a function rep: f_n(x) = c_n q^(n(n-1)/2) x^n."""
-    f_list = [HoloSeries.monomial(degree, 0, LOG32)]
-    for n in range(1, terms + 1):
-        cn = (-1) ** (n + 1) / n * (2.0 / 3.0) ** n * q ** (n * (n - 1) // 2)
-        if n <= degree:
-            f_list.append(HoloSeries.monomial(degree, n, cn))
-        else:
-            f_list.append(HoloSeries.zero(degree))
-    return oc.QFunctionRep(q, tuple(f_list), r, r)
-
-
-def second_example_rep(q=Q, terms=40, degree=40, r=1.5 - 1e-9):
-    """ln(3/2+x) + sum (2/3)^n (ln(3/2+1/n+x) - ln(3/2+1/n)) y^n + y/(y-3/2).
-
-    The geometric part expands as -sum_n (2/3)^n y^n, folding a constant
-    into every y-coefficient.
-    """
-    f_list = [log_series(1.5, degree)]
-    for n in range(1, terms + 1):
-        cn = (2.0 / 3.0) ** n
-        coeffs = cn * log_series(1.5 + 1.0 / n, degree).coeffs.copy()
-        coeffs[0] = -cn
-        f_list.append(HoloSeries(coeffs))
-    return oc.QFunctionRep(q, tuple(f_list), r, r)
 
 
 class TestModelPair:
@@ -135,7 +109,7 @@ class TestCalc:
 
     def test_log_example_diagonal(self):
         pair = oc.model_pair(Q, 32)
-        a = oc.calc(log_xy_rep(), pair)
+        a = oc.calc(log_xy_function(Q, 40, 40), pair)
         assert np.max(np.abs(np.diag(a) - LOG32)) <= 1e-12
         assert np.max(np.abs(np.triu(a, 1))) == 0.0
 
@@ -232,8 +206,8 @@ class TestCalcAgainstHorner:
     @staticmethod
     def functions(q):
         return {
-            "log_xy": log_xy_rep(q),
-            "second": second_example_rep(q),
+            "log_xy": log_xy_function(q, 40, 40),
+            "second": orbit_log_function(q, 40, 40),
             "zero": oc.QFunctionRep(q, (HoloSeries.zero(5), HoloSeries.zero(5)), 2.0, 2.0),
             "single_column": oc.QFunctionRep(q, (log_series(1.5, 17),), 2.0, 2.0),
             "top_zero": oc.QFunctionRep(
@@ -260,7 +234,7 @@ class TestCalcAgainstHorner:
 
     def test_calc_at_128(self):
         pair = oc.model_pair(Q, 128)
-        rep = second_example_rep()
+        rep = orbit_log_function(Q, 40, 40)
         cols = coefficient_table(rep)
         assert_close_to_majorant(oc.calc(rep, pair), naive_calc(cols, pair.t, pair.s), cols, pair)
 
@@ -298,8 +272,8 @@ class TestRowBlocks:
         constant = np.zeros((3, 5), dtype=complex)
         constant[0, 0] = 2.5 - 1j
         return {
-            "second": coefficient_table(second_example_rep()),
-            "log_xy": coefficient_table(log_xy_rep()),
+            "second": coefficient_table(orbit_log_function(Q, 40, 40)),
+            "log_xy": coefficient_table(log_xy_function(Q, 40, 40)),
             "high_degree_column": high,
             "zero_columns": gaps,
             "constant": constant,
@@ -383,21 +357,23 @@ class TestSpectralMapping:
         assert report.max_distance <= 1e-13
 
     def test_log_example_is_singleton(self):
-        report = oc.spectral_mapping_check(log_xy_rep(), oc.model_pair(Q, 32))
+        report = oc.spectral_mapping_check(log_xy_function(Q, 40, 40), oc.model_pair(Q, 32))
         assert report.max_distance <= 1e-8
         assert all(abs(p - LOG32) <= 1e-12 for p in report.predicted)
 
     def test_second_example_orbit_values(self):
-        report = oc.spectral_mapping_check(second_example_rep(), oc.model_pair(Q, 24))
+        report = oc.spectral_mapping_check(orbit_log_function(Q, 40, 40), oc.model_pair(Q, 24))
         assert report.max_distance <= 1e-6
         predicted = sorted(p.real for p in report.predicted)
         expected = sorted(LOG32 + Q**m / (Q**m - 1.5) for m in range(24))
         assert np.allclose(predicted, expected, atol=1e-12)
 
     @pytest.mark.parametrize("n", [8, 24])
-    @pytest.mark.parametrize("make", [log_xy_rep, second_example_rep])
+    @pytest.mark.parametrize(
+        "make", [log_xy_function, orbit_log_function], ids=["log_xy_rep", "second_example_rep"]
+    )
     def test_predicted_is_the_image_of_the_closed_form(self, make, n):
-        f = make()
+        f = make(Q, 40, 40)
         report = oc.spectral_mapping_check(f, oc.model_pair(Q, n))
         # f(0, mu) = sum_k f_k(0) mu^k, term by term
         image = [

@@ -14,6 +14,7 @@ from qplane.qalgebra import QSeries
 Q = 0.5
 H = HoloSeries([0.0, 1.0])
 PAIR = oc.model_pair(Q, 3)
+XY = QSeries.monomial(Q, 3, 1, 1)
 MIXED = oc.QFunctionRep(Q, (HoloSeries.zero(2), H), 2.0, 2.0)  # f = xy
 
 
@@ -25,9 +26,12 @@ MIXED = oc.QFunctionRep(Q, (HoloSeries.zero(2), H), 2.0, 2.0)  # f = xy
     (lambda: oc.calc_qseries(QSeries.one(0.3, 2), PAIR), PreconditionError, "q mismatch"),
     # q^2 overflows; no RuntimeWarning comes ahead of the refusal
     (lambda: oc.model_pair(1e200, 3), PreconditionError, "matrix entries must be finite"),
+    (lambda: oc.model_pair(0, 3), PreconditionError, "q must be nonzero"),
     (lambda: oc.resolvent_twist_residual(PAIR, 1, -1, 0, 0.5), PreconditionError,
      "exponents must be nonnegative"),
     (lambda: oc.radical_decay_check(MIXED, PAIR, 0), PreconditionError, "s_max must be >= 1"),
+    (lambda: qa.decay_profile(XY, 1.0, 0), PreconditionError, "s_max must be >= 1"),
+    (lambda: qa.log_shifted(0.0, XY), PreconditionError, "log offset must be positive"),
     (lambda: qt.spiral_neighborhood(1.0, 0.0, 0.1, Q), PreconditionError,
      "radii must be positive"),
     (lambda: qt.spiral_neighborhood(1.0, 0.3, -0.1, Q), PreconditionError,
@@ -56,7 +60,8 @@ MIXED = oc.QFunctionRep(Q, (HoloSeries.zero(2), H), 2.0, 2.0)  # f = xy
 ], ids=[
     "qfunction-q-zero", "qfunction-empty-f-list", "qfunction-r-x-zero",
     "qfunction-r-y-negative", "calc-qseries-q-mismatch", "model-pair-q-overflow",
-    "resolvent-negative-exponent", "decay-check-s-max-zero", "spiral-eps-zero",
+    "model-pair-q-zero", "resolvent-negative-exponent", "decay-check-s-max-zero",
+    "decay-profile-s-max-zero", "log-shifted-c-zero", "spiral-eps-zero",
     "spiral-delta-negative", "spiral-lambda-inf", "spiral-lambda-nan", "spiral-eps-inf",
     "spiral-delta-inf", "closure-k-max-negative", "holo-norm-rho-inf",
     "seminorm-rho-inf", "p-seminorm-rho-x-inf", "p-seminorm-rho-y-inf", "disk-radius-zero",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from qplane import _accel
 from qplane import qalgebra as qa
 from qplane.errors import PreconditionError
-from qplane.holo import HoloSeries
+from qplane.holo import HoloSeries, log_series
 from qplane.qalgebra import QSeries
 
 from oracles import naive_qmul, naive_qpow_formula, random_qseries
@@ -69,6 +70,10 @@ class TestQPow:
         f = random_qseries(rng, Q, 6, 4, 3)
         assert qa.qpow(f, 1, "formula") == f
         assert qa.qpow(f, 1, "repeated") == f
+
+    def test_zero_series_formula_returns_input(self):
+        zero = QSeries.zero(Q, 3)
+        assert qa.qpow(zero, 3, "formula") is zero
 
     def test_xy_cubed_closed_form(self):
         xy = QSeries.monomial(Q, 6, 1, 1)
@@ -434,6 +439,23 @@ class TestDecayProfile:
         profile = qa.decay_profile(f, 1.0, 5)
         assert profile.lossy
 
+    def test_stops_multiplying_at_the_zero_power(self, monkeypatch):
+        # (xy)^5 leaves the D = 4 box: four products reach the zero table
+        calls = []
+        qmul = qa.qmul
+        monkeypatch.setattr(qa, "qmul", lambda f, g: calls.append(1) or qmul(f, g))
+        profile = qa.decay_profile(QSeries.monomial(Q, 4, 1, 1), 1.0, 10**5)
+        assert len(calls) <= 5
+        assert len(profile.values) == len(profile.lossy_at) == 10**5
+        assert profile.values[:4] == pytest.approx([Q ** ((s - 1) / 2) for s in range(1, 5)])
+        assert set(profile.values[4:]) == {0.0}
+        assert profile.lossy_at[:4] == [False] * 4 and set(profile.lossy_at[4:]) == {True}
+
+    @pytest.mark.parametrize("lossy", [False, True])
+    def test_zero_series_profile(self, lossy):
+        profile = qa.decay_profile(QSeries(Q, QSeries.zero(Q, 3).coeffs, lossy=lossy), 1.0, 4)
+        assert profile == ([0.0] * 4, [lossy] * 4)
+
 
 class TestTwist:
     def test_involution(self, rng):
@@ -492,13 +514,11 @@ class TestLogShifted:
             qa.log_shifted(1.5, QSeries.one(Q, 3))
 
     def test_pure_x_argument_matches_one_variable_log(self):
-        from qplane.holo import log_series
-
-        x = QSeries.monomial(Q, 10, 1, 0)
-        f = qa.log_shifted(1.5, x)
-        expected = log_series(1.5, 10)
-        assert np.allclose(f.coeffs[:, 0], expected.coeffs, rtol=1e-12)
-        assert np.count_nonzero(f.coeffs[:, 1:]) == 0
+        # one rule for ln(c + z): the x column is log_series(c, D) bit for bit
+        for c in (1.5, 0.5, 1e5):
+            f = qa.log_shifted(c, QSeries.monomial(Q, 70, 1, 0))
+            assert np.array_equal(f.coeffs[:, 0], log_series(c, 70).coeffs)
+            assert np.count_nonzero(f.coeffs[:, 1:]) == 0
 
     @pytest.mark.parametrize("d", [2, 5])
     @pytest.mark.parametrize("terms", [[(1, 0), (0, 1)], [(1, 0), (1, 1)]],
@@ -516,6 +536,20 @@ class TestLogShifted:
             expected += (-1) ** (n + 1) / (n * c**n) * gn
         f = qa.log_shifted(c, g)
         assert np.allclose(f.coeffs, expected, rtol=1e-13, atol=1e-15)
+
+    def test_large_offset_is_finite(self):
+        # n 1e5^n leaves the double range from n = 62 on; at q = 1,
+        # (xy)^n = x^n y^n, so the diagonal is ln(1e5 + z) term by term
+        f = qa.log_shifted(1e5, QSeries.monomial(1.0, 70, 1, 1))
+        assert np.all(np.isfinite(f.coeffs))
+        assert np.array_equal(np.diag(f.coeffs), log_series(1e5, 70).coeffs)
+        assert np.count_nonzero(f.coeffs) == 62
+
+    def test_small_offset_is_refused_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match=r"z\^104 in ln\(0\.001 \+ z\)"):
+                qa.log_shifted(1e-3, QSeries.monomial(Q, 400, 1, 1))
 
     @pytest.mark.parametrize("d", [8, 32, 64])
     def test_keeps_the_loss_of_its_argument(self, d):

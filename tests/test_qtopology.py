@@ -188,6 +188,8 @@ HULLS = {
     "disk_holds_0": lambda: QHull(DiskUnion([(0.2, 0.3), (1.0, 0.1)]), Q),
     "disk_touches_0": lambda: QHull(DiskUnion.single(0.4 + 0.3j, 0.5), 0.8),
     "empty_base": lambda: QHull(DiskUnion(), Q),
+    # q^2 underflows to 0, so the stored powers stop at q^1
+    "tiny_q": lambda: QHull(base_disk(), 1e-200),
 }
 
 
@@ -207,6 +209,16 @@ class TestHullAgainstWalk:
         want = np.array([naive_hull_contains(hull, z) for z in pts])
         assert np.array_equal([hull.contains(z) for z in pts], want)
         assert np.array_equal(hull.contains_many(pts), want)
+
+    def test_powers_of_a_tiny_q_stop_at_zero(self, rng):
+        # points near the n = 1 copy ask for q^2, which is 0
+        hull = HULLS["tiny_q"]()
+        pts = self.cloud(rng) * 1e-200
+        want = np.array([naive_hull_contains(hull, z) for z in pts])
+        assert want.any() and not want.all()
+        assert np.array_equal([hull.contains(z) for z in pts], want)
+        assert np.array_equal(hull.contains_many(pts), want)
+        assert hull._scales_upto(3) == [1.0, 1e-200]
 
     def test_contains_many_keeps_shape(self, rng):
         hull = QHull(base_disk(), Q)
@@ -253,6 +265,10 @@ class TestSpiralingAgainstLoop:
             (QHull(base_disk(), Q), Q, 300, 4),
             (QHull(base_disk(), Q), 0.7, 300, 3),
             (QHull(DiskUnion.single(0.4 + 0.3j, 0.5), 0.8), 0.8j, 300, 3),
+            # no draws: only the origin is asked
+            (DiskUnion.single(0.0, 0.7), Q, 0, 3),
+            # the empty union: a zero box, and the origin is outside
+            (DiskUnion(), Q, 100, 3),
         ],
     )
     def test_same_answer_as_per_draw_loop(self, region, q, samples, seed):
