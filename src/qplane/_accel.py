@@ -1,10 +1,28 @@
 """Hot numeric kernels: the untruncated twisted product and power formula.
 
-One numpy implementation each.  The product is one Toeplitz matmul per
-nonzero column of the left factor; the power formula enumerates its
-index tuples :data:`CHUNK` at a time, which keeps its temporaries small
-(well below 1 MiB).  :mod:`qplane.qalgebra` calls both through the
-module attributes ``qmul_full`` and ``qpow_formula``.
+The power formula, and the product of sparse tables, cost what their
+term pairs cost.  A term is a monomial ``x^wi y^wk`` with coefficient
+``c`` and a twist exponent ``e`` it already carries.  A head term times
+a tail term is
+
+    c_h c_t q^(e_h + e_t + wk_h*wi_t)  at cell  (wi_h + wi_t, wk_h + wk_t),
+
+since the tail's x-degrees cross the head's y-degrees.
+:func:`_scatter_pairs` forms every head×tail pair, at most :data:`CHUNK`
+pairs at a time (a block of head rows times the whole tail), and adds
+each term into its cell with ``np.add.at``.
+
+* ``qmul_full`` scatters the support of ``a`` (head) against the
+  support of ``b`` (tail), or runs one Toeplitz matmul per nonzero
+  column of ``a`` over ``b``'s nonzero bounding box, whichever
+  :data:`PAIR_COST` prices lower.
+* ``qpow_formula`` splits each index s-tuple into a head of ``s // 2``
+  factors and a tail of the rest, so that
+  ``e = e_head + e_tail + K_head*I_tail``; it enumerates each half once
+  and joins the two blocks through :func:`_scatter_pairs`.
+
+:mod:`qplane.qalgebra` calls both through the module attributes
+``qmul_full`` and ``qpow_formula``.
 
 For ``|q| > 1`` a twist ``q^e`` can overflow.  Every cell that a term
 with an overflowed twist lands in is non-finite, and no other cell is
@@ -13,10 +31,19 @@ touched by it: ``0 * inf`` never spreads a NaN to its neighbours.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-CHUNK = 2048  # index tuples per step of qpow_formula
+CHUNK = 2048  # term pairs per step of _scatter_pairs
+# The price of one term pair of the pair route in scaled-box cells of
+# the column route.  At D = 32 and 64 (2 vCPUs, x86-64, numpy 2.4, one
+# BLAS thread) a pair cost 22-37 ns on banded, random-sparse and dense
+# tables; a cell cost 12-20 ns where every column of the left factor
+# holds one term (diagonal tables) and 37-86 ns where its columns need a
+# matmul (banded, random-sparse, dense).
+PAIR_COST = 1
 
 
 def _toeplitz(v: np.ndarray, width: int) -> np.ndarray:
@@ -29,6 +56,52 @@ def _toeplitz(v: np.ndarray, width: int) -> np.ndarray:
     return np.ascontiguousarray(windows[:, ::-1])
 
 
+def _support(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the nonzero entries, in row-major order."""
+    return np.divmod(np.flatnonzero(table.astype(bool)), table.shape[1])
+
+
+def _scatter_pairs(out: np.ndarray, head, tail, q: complex) -> None:
+    """Add the product of every head term with every tail term into ``out``.
+
+    ``head`` and ``tail`` are ``(wi, wk, e, c)`` arrays; the pair
+    ``(h, t)`` adds ``c_h c_t q^(e_h + e_t + wk_h*wi_t)`` to cell
+    ``(wi_h + wi_t, wk_h + wk_t)``.  Each step takes as many head rows
+    as fit :data:`CHUNK` pairs against the whole tail (a tail longer
+    than :data:`CHUNK` is taken in slices), so no temporary holds more
+    than :data:`CHUNK` pairs.  ``np.add.at`` adds a step's terms into
+    the flat table; its cost does not grow with the table, unlike a
+    ``np.bincount`` over the step's cell span (2048 pairs into a
+    129 x 129 table: 6-9 us against 16-43 us for the real and imaginary
+    bincounts).
+    """
+    hi, hk, he, hc = head
+    ti, tk, te, tc = tail
+    width = out.shape[1]
+    flat = out.reshape(-1)  # a view: out is C-contiguous
+    hcell = hi * width + hk
+    tcell = ti * width + tk
+    step_t = min(ti.size, CHUNK)
+    step_h = CHUNK // step_t
+    # q^e = q^(base*(e // base)) * q^(e % base): two tables of about
+    # sqrt(emax) powers each, not one of emax (numpy's complex power
+    # takes about 80 ns an entry above exponent 100)
+    emax = int(he.max() + te.max() + hk.max() * ti.max())
+    base = math.isqrt(emax) + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse = np.power(q, base * np.arange(emax // base + 1))
+        fine = np.power(q, np.arange(base))
+        for t0 in range(0, ti.size, step_t):
+            t = slice(t0, t0 + step_t)
+            for h0 in range(0, hi.size, step_h):
+                h = slice(h0, h0 + step_h)
+                e = (he[h, None] + te[t]) + hk[h, None] * ti[t]
+                hi_e, lo_e = np.divmod(e, base)
+                term = (hc[h, None] * tc[t]) * (coarse[hi_e] * fine[lo_e])
+                # 1-D operands keep np.add.at on its fast path
+                np.add.at(flat, (hcell[h, None] + tcell[t]).ravel(), term.ravel())
+
+
 def qmul_full(a: np.ndarray, b: np.ndarray, q: complex) -> np.ndarray:
     """Untruncated normal-ordered product of two coefficient tables.
 
@@ -39,35 +112,53 @@ def qmul_full(a: np.ndarray, b: np.ndarray, q: complex) -> np.ndarray:
         out[n, m] = sum_{i1+i2=n, k1+k2=m} q^(i2*k1) a[i1,k1] b[i2,k2].
 
     The result has shape ``(da+db+1, ka+kb+1)``; truncation (and the
-    loss flag) is the caller's business.  Column ``k1`` of ``a``,
-    trimmed to its nonzero span, convolves every column of ``b``'s
-    nonzero bounding box with rows scaled by q^(i2*k1).  Scaled entries
-    that overflow stay out of that matmul, and the cells their terms
-    reach are set to NaN.
+    loss flag) is the caller's business.  Each operand's support is
+    found once, and one of two routes forms the table:
+
+    * pairs: the support of ``a`` (head) against that of ``b`` (tail)
+      through :func:`_scatter_pairs`, with ``e = k1*i2``;
+    * columns: column ``k1`` of ``a``, trimmed to its nonzero span,
+      convolves every column of ``b``'s nonzero bounding box with rows
+      scaled by q^(i2*k1).  Scaled entries that overflow stay out of
+      that matmul, and the cells their terms reach are set to NaN.
+
+    The pair route is taken when ``PAIR_COST * nnz(a) * nnz(b)`` is below
+    the column route's scaled-box cells, ``cols(a) * box(b)``.
     """
     q = complex(q)
     out = np.zeros(
         (a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1),
         dtype=np.complex128,
     )
-    rows = np.flatnonzero(b.any(axis=1))
-    cols = np.flatnonzero(b.any(axis=0))
-    if rows.size == 0:
+    k1, i1 = _support(a.T)  # column by column
+    i2, k2 = _support(b)
+    if i1.size == 0 or i2.size == 0:
         return out
-    r0, r1, c0, c1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
+    # a's nonzero columns are runs of equal k1; b's rows come sorted
+    bounds = [0, *(np.flatnonzero(np.diff(k1)) + 1).tolist(), k1.size]
+    r0, r1 = int(i2[0]), int(i2[-1]) + 1
+    c0, c1 = int(k2.min()), int(k2.max()) + 1
+    if PAIR_COST * i1.size * i2.size < (len(bounds) - 1) * (r1 - r0) * (c1 - c0):
+        _scatter_pairs(
+            out,
+            (i1, k1, np.zeros_like(i1), a[i1, k1]),
+            (i2, k2, np.zeros_like(i2), b[i2, k2]),
+            q,
+        )
+        return out
     box = b[r0:r1, c0:c1]
-    i2 = np.arange(r0, r1)
+    rows = np.arange(r0, r1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k1 in np.flatnonzero(a.any(axis=0)):
-            nz = np.flatnonzero(a[:, k1])
-            span = a[nz[0] : nz[-1] + 1, k1]
-            scaled = box * np.power(q, i2 * k1)[:, None]
+        for lo, hi in zip(bounds, bounds[1:]):
+            col, first, last = k1[lo], i1[lo], i1[hi - 1]
+            span = a[first : last + 1, col]
+            scaled = box * np.power(q, rows * col)[:, None]
             overflowed = ~np.isfinite(scaled)
             if overflowed.any():
                 scaled[overflowed] = 0
                 overflowed &= box != 0  # a zero entry times inf is no term
-            block = out[nz[0] + r0 : nz[-1] + r1, k1 + c0 : k1 + c1]
-            if nz.size == 1:  # the Toeplitz matrix would be a multiple of I
+            block = out[first + r0 : last + r1, col + c0 : col + c1]
+            if hi - lo == 1:  # the Toeplitz matrix would be a multiple of I
                 block += span[0] * scaled
             else:
                 block += _toeplitz(span, r1 - r0) @ scaled
@@ -75,6 +166,27 @@ def qmul_full(a: np.ndarray, b: np.ndarray, q: complex) -> np.ndarray:
                 hits = _toeplitz((span != 0).astype(float), r1 - r0) @ overflowed
                 block[hits > 0] = np.nan
     return out
+
+
+def _tuple_block(ii: np.ndarray, kk: np.ndarray, aa: np.ndarray, n: int):
+    """``(wi, wk, e, c)`` of every n-tuple of support terms, in lexicographic order.
+
+    Each tuple's base-``m`` digits are peeled off its rank from the last
+    factor to the first, so the running x-weight is the suffix sum that
+    the next y-degree couples to.
+    """
+    m = len(ii)
+    rank = np.arange(m**n)
+    coeff = np.ones(rank.size, dtype=np.complex128)
+    wi, wk, e = np.zeros((3, rank.size), dtype=np.int64)
+    for _ in range(n):
+        rank, digit = np.divmod(rank, m)
+        k = kk[digit]
+        e += wi * k
+        wi += ii[digit]
+        wk += k
+        coeff *= aa[digit]
+    return wi, wk, e, coeff
 
 
 def qpow_formula(
@@ -89,39 +201,14 @@ def qpow_formula(
 
         e = sum_{t=1}^{s-1} (i_{t+1} + ... + i_s) * k_t.
 
-    Tuples are taken in lexicographic order, :data:`CHUNK` at a time.
-    Each tuple's base-``m`` digits are peeled off its rank from the last
-    factor to the first, so the running x-weight is the suffix sum that
-    the next y-degree couples to.
+    A tuple is a head of ``s // 2`` factors followed by a tail of the
+    rest, so ``e = e_head + e_tail + K_head*I_tail``.  Both blocks are
+    enumerated once and every head×tail pair is formed on its own before
+    it is summed (:func:`_scatter_pairs`).
     """
-    q = complex(q)
-    m = len(ii)
-    mi, mk = int(ii.max()), int(kk.max())
-    shape = (s * mi + 1, s * mk + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.power(q, np.arange(mi * mk * s * (s - 1) // 2 + 1))
-    total = m**s
-    re = np.zeros(shape[0] * shape[1])
-    im = np.zeros_like(re)
-    for start in range(0, total, CHUNK):
-        rank = np.arange(start, min(start + CHUNK, total))
-        coeff = np.ones(rank.size, dtype=np.complex128)
-        wi, wk, e = np.zeros((3, rank.size), dtype=np.int64)
-        for _ in range(s):
-            rank, digit = np.divmod(rank, m)
-            k = kk[digit]
-            e += wi * k
-            wi += ii[digit]
-            wk += k
-            coeff *= aa[digit]
-        with np.errstate(over="ignore", invalid="ignore"):
-            term = coeff * powers[e]
-        cell = wi * shape[1] + wk
-        base = cell.min()
-        for acc, part in ((re, term.real), (im, term.imag)):
-            seg = np.bincount(cell - base, weights=part)
-            acc[base : base + seg.size] += seg
-    out = np.empty(shape, dtype=np.complex128)
-    out.real = re.reshape(shape)
-    out.imag = im.reshape(shape)
+    shape = (s * int(ii.max()) + 1, s * int(kk.max()) + 1)
+    out = np.zeros(shape, dtype=np.complex128)
+    head = _tuple_block(ii, kk, aa, s // 2)
+    tail = _tuple_block(ii, kk, aa, s - s // 2)
+    _scatter_pairs(out, head, tail, complex(q))
     return out

@@ -195,7 +195,7 @@ def qmul(f: QSeries, g: QSeries) -> QSeries:
     d = f.trunc_degree
     full = _accel.qmul_full(f.coeffs, g.coeffs, f.q)
     out = _finite(full[: d + 1, : d + 1], f.q, d, "product")
-    lost = bool(np.any(full[d + 1 :, :] != 0)) or bool(np.any(full[:, d + 1 :] != 0))
+    lost = bool(full[d + 1 :, :].any() or full[:, d + 1 :].any())
     return QSeries(f.q, out, lossy=f.lossy or g.lossy or lost)
 
 
@@ -342,7 +342,7 @@ def qpow(f: QSeries, s: int, method: str = "repeated") -> QSeries:
     ci = min(d + 1, full.shape[0])
     ck = min(d + 1, full.shape[1])
     out[:ci, :ck] = _finite(full[:ci, :ck], f.q, d, "power")
-    lost = bool(np.any(full[ci:, :] != 0)) or bool(np.any(full[:, ck:] != 0))
+    lost = bool(full[ci:, :].any() or full[:, ck:].any())
     return QSeries(f.q, out, lossy=f.lossy or lost)
 
 
@@ -500,6 +500,8 @@ def log_shifted(c: float, g: QSeries) -> QSeries:
     degrees up to ``2D``, so the powers beyond ``M`` leave the box and
     the truncated sum is exact.  For ``xy``, ``M = D``; for a ``g`` with
     a degree-1 term, ``M = 2D``.  The result is ``lossy`` when ``g`` is.
+    A sum whose terms ``a_n g^n`` leave the double range is a
+    :class:`~qplane.errors.PreconditionError`.
     """
     if g.coeffs[0, 0] != 0:
         raise PreconditionError("log_shifted needs a series with zero constant term")
@@ -510,8 +512,13 @@ def log_shifted(c: float, g: QSeries) -> QSeries:
     acc = np.zeros_like(g.coeffs)
     acc[0, 0] = a[0]
     gn = g
-    for n in range(1, top + 1):
-        if n > 1:
-            gn = qmul(gn, g)
-        acc += a[n] * gn.coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, top + 1):
+            if n > 1:
+                gn = qmul(gn, g)
+            acc += a[n] * gn.coeffs
+    if not np.all(np.isfinite(acc)):
+        raise PreconditionError(
+            f"ln({c:g} + g) overflows: a term a_n g^n leaves the double range"
+        )
     return QSeries(g.q, acc, lossy=g.lossy)

@@ -255,6 +255,24 @@ class TestSeriesCommands:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "|q| = 1.5" in err[0] and "degree-64" in err[0]
 
+    def test_pow_formula_overflow_prints_one_error_line(self, tmp_path, rng):
+        # 100 terms in a 200 x 200 table at q = 2: overflowed twists meet in
+        # one cell across the kernel's steps; a subprocess shows any warning
+        table = np.zeros((200, 200), dtype=complex)
+        cells = rng.choice(200 * 200, size=100, replace=False)
+        table[cells // 200, cells % 200] = rng.standard_normal(100) + 1j * rng.standard_normal(100)
+        src = tmp_path / "f.json"
+        write_series(src, QSeries(2.0, table))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qplane.cli", "pow", str(src), "--s", "2",
+             "--method", "formula", "--output", str(tmp_path / "p.json")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == cli.EXIT_PRECONDITION
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "|q| = 2 inside the degree-199" in err[0]
+
     def test_unread_flags_are_gone(self, tmp_path):
         src = tmp_path / "f.json"
         write_series(src, QSeries.monomial(Q, 4, 1, 1))

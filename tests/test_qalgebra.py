@@ -178,20 +178,63 @@ KERNEL_CASES = [
 ]
 
 
+def routed(route, a, b, q):
+    """``_accel.qmul_full`` held to one route.
+
+    A term pair costing 0 always takes the pair route; one costing
+    ``inf`` never does, which leaves the column route.
+    """
+    saved = _accel.PAIR_COST
+    _accel.PAIR_COST = {"pair": 0.0, "column": math.inf}[route]
+    try:
+        return _accel.qmul_full(a, b, q)
+    finally:
+        _accel.PAIR_COST = saved
+
+
+ROUTES = ("pair", "column")
+
+
 class TestKernels:
     @pytest.mark.parametrize("shape, d, q", KERNEL_CASES)
     def test_product_matches_naive_oracle(self, shape, d, q):
         rng = np.random.default_rng(1000 * d + len(shape))
         a, b = kernel_tables(rng, shape, d)
-        assert_scaled_close(_accel.qmul_full(a, b, q), naive_qmul(a, b, q))
+        want = naive_qmul(a, b, q)
+        assert_scaled_close(_accel.qmul_full(a, b, q), want)
+        for route in ROUTES:
+            assert_scaled_close(routed(route, a, b, q), want)
+
+    def test_routing(self, monkeypatch, rng):
+        # the diagonal mixed part of the worked logarithm scatters its
+        # term pairs (32 and 46 terms); a dense table runs the columns
+        scatter, calls = _accel._scatter_pairs, []
+
+        def counted(*args):
+            calls.append(1)
+            return scatter(*args)
+
+        monkeypatch.setattr(_accel, "_scatter_pairs", counted)
+        for d, terms in ((32, 32), (64, 46)):
+            xy = QSeries.monomial(Q, d, 1, 1)
+            mixed = qa.decompose(qa.log_shifted(1.5, xy)).f_xy.coeffs
+            assert np.count_nonzero(mixed) == terms
+            calls.clear()
+            _accel.qmul_full(mixed, mixed, Q)
+            assert calls, d
+        dense = rng.standard_normal((65, 65)) + 1j * rng.standard_normal((65, 65))
+        calls.clear()
+        _accel.qmul_full(dense, dense, Q)
+        assert not calls
 
     def test_overflow_outside_the_table_only_sets_lossy(self):
         # x^10 y^30 * (x^35 + 1) at q = 2: the only twist that overflows,
         # 2^(35*30), belongs to the term at (45, 30), outside the D = 40 box
         f = QSeries.monomial(2.0, 40, 10, 30)
         g = QSeries.from_terms(2.0, 40, [(35, 0, 1.0), (0, 0, 1.0)])
-        full = _accel.qmul_full(f.coeffs, g.coeffs, f.q)
-        assert np.argwhere(~np.isfinite(full)).tolist() == [[45, 30]]
+        for route in ROUTES:
+            full = routed(route, f.coeffs, g.coeffs, f.q)
+            assert np.argwhere(~np.isfinite(full)).tolist() == [[45, 30]], route
         out = qa.qmul(f, g)
         assert out.lossy
         assert out.terms() == [(10, 30, 1 + 0j)]
@@ -210,7 +253,8 @@ class TestKernels:
 
     def test_only_cells_an_overflowed_term_reaches_are_non_finite(self, rng):
         # |q|^e overflows exactly for e = i2*k1 > 20; every cell the other
-        # terms reach stays finite and matches the loop over those terms
+        # terms reach stays finite and matches the loop over those terms,
+        # on both routes of the product
         q = 1e15 * np.exp(0.3j)
         a = rng.standard_normal((13, 13)) + 1j * rng.standard_normal((13, 13))
         b = rng.standard_normal((13, 13)) + 1j * rng.standard_normal((13, 13))
@@ -223,9 +267,10 @@ class TestKernels:
                 reached[i1 + i2, k1 + k2] = True
             else:
                 want[i1 + i2, k1 + k2] += complex(q) ** (i2 * k1) * a[i1, k1] * b[i2, k2]
-        got = _accel.qmul_full(a, b, q)
-        assert np.array_equal(~np.isfinite(got), reached)
-        assert_scaled_close(got[~reached], want[~reached])
+        for route in ROUTES:
+            got = routed(route, a, b, q)
+            assert np.array_equal(~np.isfinite(got), reached), route
+            assert_scaled_close(got[~reached], want[~reached])
 
     @pytest.mark.parametrize("layout", ["plain", "twisted"])
     def test_cross_check_routes_drop_overflow_outside_the_table(self, layout):
@@ -270,23 +315,43 @@ class TestKernels:
     @pytest.mark.parametrize("q", [0.5, 2.0])
     @pytest.mark.parametrize(
         "case, m, s",
-        [("below", 3, 6), ("equal", 2, 11), ("ragged", 3, 7), ("single", 1, 5)],
+        [("below", 3, 6), ("equal", 2, 11), ("ragged", 3, 7), ("single", 1, 5),
+         ("square", 50, 2), ("long-tail", 46, 3)],
     )
     def test_formula_matches_tuple_loop(self, case, m, s, q):
-        total = m**s
+        # the kernel joins a head block of m^(s//2) tuples with a tail
+        # block of m^(s - s//2), taking head rows times the tail (a tail
+        # past CHUNK in slices) up to CHUNK pairs a step
+        head, tail = m ** (s // 2), m ** (s - s // 2)
+        rows = _accel.CHUNK // min(tail, _accel.CHUNK)  # head rows per step
         assert {
-            "below": total < _accel.CHUNK,
-            "equal": total == _accel.CHUNK,
-            "ragged": total > _accel.CHUNK and total % _accel.CHUNK != 0,
+            "below": head * tail < _accel.CHUNK,
+            "equal": head * tail == _accel.CHUNK,
+            "ragged": tail <= _accel.CHUNK and head > rows and head % rows != 0,
             "single": m == 1,
+            "square": s == 2 and head > rows and head % rows != 0,
+            "long-tail": tail > _accel.CHUNK and tail % _accel.CHUNK != 0,
         }[case]
         rng = np.random.default_rng(10 * m + s)
-        cells = rng.choice(16, size=m, replace=False)
-        ii, kk = cells // 4, cells % 4
+        cells = rng.choice(64, size=m, replace=False)
+        ii, kk = cells // 8, cells % 8
         aa = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         assert_scaled_close(
             _accel.qpow_formula(ii, kk, aa, s, q), naive_qpow_formula(ii, kk, aa, s, q)
         )
+
+    def test_formula_overflow_raises_without_a_warning(self, rng):
+        # at q = 2 the squares of 100 terms in a 200 x 200 table meet
+        # overflowed twists in one cell across steps (inf - inf)
+        table = np.zeros((200, 200), dtype=complex)
+        cells = rng.choice(200 * 200, size=100, replace=False)
+        table[cells // 200, cells % 200] = rng.standard_normal(100) + 1j * rng.standard_normal(100)
+        f = QSeries(2.0, table)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for method in ("formula", "repeated"):
+                with pytest.raises(PreconditionError, match=r"\|q\| = 2 inside the degree-199"):
+                    qa.qpow(f, 2, method)
 
 
 class TestDecompose:
@@ -550,6 +615,15 @@ class TestLogShifted:
             warnings.simplefilter("error")
             with pytest.raises(PreconditionError, match=r"z\^104 in ln\(0\.001 \+ z\)"):
                 qa.log_shifted(1e-3, QSeries.monomial(Q, 400, 1, 1))
+
+    def test_overflowing_terms_are_refused_without_a_warning(self):
+        # a_n (1e10 x)^n = (1e13)^n / n leaves the double range from
+        # n = 24 on, while (1e10 x)^n itself is finite up to n = 30 = D
+        g = QSeries.monomial(Q, 30, 1, 0, 1e10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match=r"ln\(0\.001 \+ g\) overflows"):
+                qa.log_shifted(1e-3, g)
 
     @pytest.mark.parametrize("d", [8, 32, 64])
     def test_keeps_the_loss_of_its_argument(self, d):

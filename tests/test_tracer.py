@@ -7,6 +7,8 @@ library would otherwise surface only in a traced benchmark run.
 
 from pathlib import Path
 
+import numpy as np
+
 from qplane import _accel, cli, koszul, opcalc, qtopology
 from qplane import qalgebra as qa
 from qplane.qalgebra import QSeries
@@ -44,3 +46,29 @@ def test_install_then_pause_restores_the_library(monkeypatch):
                  "qtopology.is_q_spiraling"):
         assert summary[name]["calls"] >= 1, name
     assert t.counts["koszul.spectrum_scan.n4.points"] == 5
+
+
+def test_pair_route_products_still_record_a_kernel_span(monkeypatch):
+    # the product of two diagonal tables scatters term pairs inside
+    # _accel.qmul_full, the attribute the tracer wraps
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    diagonal = QSeries(0.5, np.diag(np.arange(1.0, 34.0)))
+    scatter, calls = _accel._scatter_pairs, []
+
+    def counted(*args):
+        calls.append(1)
+        return scatter(*args)
+
+    monkeypatch.setattr(_accel, "_scatter_pairs", counted)
+    t = tracer.Tracer()
+    tracer.install(t)
+    try:
+        qa.qmul(diagonal, diagonal)
+    finally:
+        t.pause()
+    assert calls
+    summary = tracer.summarize(t.names, t.arrays())
+    assert summary["accel.qmul_full"]["calls"] == 1
+    assert t.counts["accel.qmul_full.cells_computed"] == 65 * 65
