@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -169,13 +169,26 @@ def _check_compatible(f: QSeries, g: QSeries) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _finite(table: np.ndarray, q: complex, d: int, what: str) -> np.ndarray:
-    """``table`` itself, or a :class:`PreconditionError` if it overflowed."""
-    if not np.all(np.isfinite(table)):
+def _finite(
+    table: np.ndarray, q: complex, d: int, what: str, untwisted: Callable[[], np.ndarray]
+) -> np.ndarray:
+    """``table`` itself, or a :class:`PreconditionError` naming why it overflowed.
+
+    ``untwisted()`` gives the same cells with every twist ``q^e`` set to
+    1; it is formed only on this error path.  If it overflows too, the
+    coefficients leave the double range by themselves and the error says
+    so; otherwise the twist is the cause and the error names ``|q|``.
+    """
+    if np.all(np.isfinite(table)):
+        return table
+    if not np.all(np.isfinite(untwisted())):
         raise PreconditionError(
-            f"the {what} overflows at |q| = {abs(q):g} inside the degree-{d} table"
+            f"the {what} overflows inside the degree-{d} table with every twist "
+            "set to 1: its coefficients leave the double range"
         )
-    return table
+    raise PreconditionError(
+        f"the {what} overflows at |q| = {abs(q):g} inside the degree-{d} table"
+    )
 
 
 def qmul(f: QSeries, g: QSeries) -> QSeries:
@@ -188,13 +201,17 @@ def qmul(f: QSeries, g: QSeries) -> QSeries:
     over ``i1+i2 = n``, ``k1+k2 = m``.  The full product table is
     formed (:func:`qplane._accel.qmul_full`) so that discarded nonzero
     mass beyond the truncation degree sets ``lossy``; a twist that
-    overflows there only sets ``lossy``, one that overflows inside the
-    table raises :class:`PreconditionError`.
+    overflows there only sets ``lossy``.  A cell inside the table that
+    overflows raises :class:`PreconditionError`, which names ``|q|``
+    unless the coefficients overflow without any twist (:func:`_finite`).
     """
     _check_compatible(f, g)
     d = f.trunc_degree
     full = _accel.qmul_full(f.coeffs, g.coeffs, f.q)
-    out = _finite(full[: d + 1, : d + 1], f.q, d, "product")
+    out = _finite(
+        full[: d + 1, : d + 1], f.q, d, "product",
+        lambda: _accel.qmul_full(f.coeffs, g.coeffs, 1.0)[: d + 1, : d + 1],
+    )
     lost = bool(full[d + 1 :, :].any() or full[:, d + 1 :].any())
     return QSeries(f.q, out, lossy=f.lossy or g.lossy or lost)
 
@@ -310,7 +327,8 @@ def qpow(f: QSeries, s: int, method: str = "repeated") -> QSeries:
     collects each y-block crossing the x-blocks of all later factors
     (:func:`qplane._accel.qpow_formula`).  The enumeration is
     refused above :data:`QPOW_FORMULA_CAP` tuples.  Either method raises
-    :class:`PreconditionError` when a twist overflows inside the table.
+    :class:`PreconditionError` when a cell inside the table overflows,
+    as :func:`qmul` does.
     """
     if s < 1:
         raise PreconditionError(f"power must be >= 1, got {s}")
@@ -335,13 +353,16 @@ def qpow(f: QSeries, s: int, method: str = "repeated") -> QSeries:
             f"formula method would enumerate {m}**{s} > {QPOW_FORMULA_CAP} "
             "index tuples; use method='repeated'"
         )
-    aa = f.coeffs[ii, kk]
-    full = _accel.qpow_formula(ii.astype(np.int64), kk.astype(np.int64), aa, s, f.q)
+    ii, kk, aa = ii.astype(np.int64), kk.astype(np.int64), f.coeffs[ii, kk]
+    full = _accel.qpow_formula(ii, kk, aa, s, f.q)
     d = f.trunc_degree
     out = np.zeros((d + 1, d + 1), dtype=np.complex128)
     ci = min(d + 1, full.shape[0])
     ck = min(d + 1, full.shape[1])
-    out[:ci, :ck] = _finite(full[:ci, :ck], f.q, d, "power")
+    out[:ci, :ck] = _finite(
+        full[:ci, :ck], f.q, d, "power",
+        lambda: _accel.qpow_formula(ii, kk, aa, s, 1.0)[:ci, :ck],
+    )
     lost = bool(full[ci:, :].any() or full[:, ck:].any())
     return QSeries(f.q, out, lossy=f.lossy or lost)
 

@@ -307,14 +307,20 @@ def is_q_spiraling(
     seed: int = 0,
     retry_factor: int = 50,
 ) -> bool:
-    """Probabilistic, one-sided check that a set spirals into itself.
+    """Check that a set holds the origin and spirals into itself: ``qU ⊆ U``.
 
     ``region`` is any set with ``contains``, ``contains_many`` and
-    ``bounding_box`` (a :class:`DiskUnion` or a :class:`QHull`).
-    Rejection-samples points of the set inside its bounding box and
-    tests ``q * z`` membership plus membership of the origin.  Any
-    counterexample returns ``False``; otherwise ``True`` (which can be
-    a false positive, never a false negative).
+    ``bounding_box`` (a :class:`DiskUnion` or a :class:`QHull`).  The
+    answer is exact for a :class:`QHull` asked about its own ``q``: the
+    hull is ``H = {0} ∪ ⋃_{n>=0} q^n B``, so
+    ``qH = {0} ∪ ⋃_{n>=1} q^n B ⊆ H`` and it is ``True`` without a draw.
+
+    Any other region, and a hull asked about another ``q``, gets a
+    one-sided sampled answer: points of the set are rejection-sampled
+    inside its bounding box and ``q * z`` membership is tested, after
+    membership of the origin.  Any counterexample returns ``False``;
+    otherwise ``True`` (which can be a false positive, never a false
+    negative).
 
     Draws come 4096 at a time from the seeded stream, each as
     ``(Re z, Im z)``, so the answer for a seed is that of drawing one
@@ -326,7 +332,7 @@ def is_q_spiraling(
     re_lo, re_hi, im_lo, im_hi = region.bounding_box()
     if not region.contains(0.0 + 0.0j):
         return False
-    if samples < 1:
+    if samples < 1 or (isinstance(region, QHull) and region.q == q):
         return True
     rng = np.random.default_rng(seed)
     budget = samples * retry_factor

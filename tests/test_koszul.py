@@ -256,16 +256,26 @@ class TestSpectrumScan:
 class TestBatchedScan:
     """Stacked chunks against the point-by-point rows."""
 
-    @pytest.mark.parametrize("axis", ["x", "y"])
     # on the x-axis at N = 24 and 32 singular values sit next to the rank
     # threshold: there a changed rank or stability rule shows (at N = 24,
     # rank_tol = 1e-8 leaves 9 of the 129 rows stable)
     @pytest.mark.parametrize(
-        "n, steps, rank_tol",
-        [(8, 1025, 1e-10), (24, 129, 1e-8), (32, 129, 1e-10), (64, 65, 1e-10)],
+        "q, n, steps, rank_tol, axis",
+        [
+            pytest.param(Q, n, steps, rank_tol, axis, id=f"{n}-{steps}-{rank_tol}-{axis}")
+            for n, steps, rank_tol in [(8, 1025, 1e-10), (24, 129, 1e-8), (32, 129, 1e-10),
+                                       (64, 65, 1e-10)]
+            for axis in ("x", "y")
+        ] + [
+            # every x-axis row is a pseudospectral member: sigma_min / sigma_max
+            # of d0 is about 2^-40, a hundred times below the threshold
+            pytest.param(Q, 40, 129, 1e-10, "x", id="40-129-1e-10-x"),
+            pytest.param(0.6 + 0.3j, 16, 129, 1e-10, "x", id="q0.6+0.3j-16-129-1e-10-x"),
+            pytest.param(0.6 + 0.3j, 16, 129, 1e-10, "y", id="q0.6+0.3j-16-129-1e-10-y"),
+        ],
     )
-    def test_rows_equal_per_point(self, n, steps, rank_tol, axis):
-        pair = oc.model_pair(Q, n)
+    def test_rows_equal_per_point(self, q, n, steps, rank_tol, axis):
+        pair = oc.model_pair(q, n)
         grid = kz.GridSpec(0.0, 1.0, 0.0, 0.0, steps)
         rows = kz.spectrum_scan(pair, axis, grid, rank_tol)
         assert rows == naive_spectrum_scan(pair, axis, grid, rank_tol)
@@ -413,6 +423,32 @@ class TestBatchedScan:
         assert rows[failed[0]].error == "SVD did not converge"
         (i,) = failed
         assert rows[:i] + rows[i + 1 :] == want[:i] + want[i + 1 :]
+
+    def test_every_svd_takes_a_tall_matrix(self, monkeypatch):
+        # d1 (N x 2N) is ranked through its 2N x N transpose, in a stacked
+        # chunk, in the one-at-a-time fallback and in homology_dims alike
+        n, steps = 8, 9
+        pair = oc.model_pair(Q, n)
+        grid = kz.GridSpec(0.0, 1.0, 0.0, 0.0, steps)
+        want = naive_spectrum_scan(pair, "y", grid)  # ranks the wide d1 as built
+        real_svd = np.linalg.svd
+        shapes, fail_stacked = [], []
+
+        def svd(a, *args, **kwargs):
+            shapes.append(a.shape)
+            if fail_stacked and a.ndim > 2:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        for axis in ("x", "y"):
+            kz.spectrum_scan(pair, axis, grid)
+        kz.homology_dims(kz.build(pair, (0.0, 0.5)))
+        fail_stacked.append(True)
+        assert kz.spectrum_scan(pair, "y", grid) == want
+        tall, stacked = (2 * n, n), (steps, 2 * n, n)
+        assert shapes == [stacked] * 4 + [tall] * 2 + [stacked] + [tall] * (2 * steps)
+        assert all(s[-2] >= s[-1] for s in shapes)
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_refilled_chunk_arrays_equal_per_point(self, axis):

@@ -251,6 +251,29 @@ class TestKernels:
             with pytest.raises(PreconditionError, match="overflows"):
                 qa.qpow(f, 2, method)
 
+    @pytest.mark.parametrize("method", ["product", "repeated", "formula"])
+    def test_coefficient_overflow_does_not_blame_q(self, method):
+        # (1e200 x)^2 = 1e400 x^2: the only twist is q^0 = 1
+        f = QSeries.monomial(Q, 4, 1, 0, 1e200)
+        what = "product" if method != "formula" else "power"
+        with pytest.raises(PreconditionError) as info:
+            qa.qmul(f, f) if method == "product" else qa.qpow(f, 2, method)
+        assert str(info.value) == (
+            f"the {what} overflows inside the degree-4 table with every twist set to 1: "
+            "its coefficients leave the double range"
+        )
+
+    @pytest.mark.parametrize("method", ["product", "repeated", "formula"])
+    def test_twist_overflow_still_names_q(self, method):
+        # the square of 1e150 x^40 y^40 is 1e300 q^1600 at cell (80, 80):
+        # finite without the twist, past the double range with it
+        f = QSeries.monomial(2.0, 100, 40, 40, 1e150)
+        what = "product" if method != "formula" else "power"
+        with pytest.raises(
+            PreconditionError, match=rf"the {what} overflows at \|q\| = 2 inside the degree-100"
+        ):
+            qa.qmul(f, f) if method == "product" else qa.qpow(f, 2, method)
+
     def test_only_cells_an_overflowed_term_reaches_are_non_finite(self, rng):
         # |q|^e overflows exactly for e = i2*k1 > 20; every cell the other
         # terms reach stays finite and matches the loop over those terms,

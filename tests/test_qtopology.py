@@ -242,6 +242,21 @@ class TestHullAgainstWalk:
         assert du.contains_many(pts).tolist() == [du.contains(z) for z in pts]
 
 
+class TestHullDecision:
+    """A hull asked about its own q spirals into itself: ``qH ⊆ H``."""
+
+    @pytest.mark.parametrize("name", sorted(HULLS))
+    def test_own_q_is_true_without_drawing(self, name, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a point was drawn")
+
+        hull = HULLS[name]()
+        monkeypatch.setattr(np.random, "default_rng", unreachable)
+        monkeypatch.setattr(QHull, "contains_many", unreachable)
+        assert is_q_spiraling(hull, hull.q) is True
+        assert is_q_spiraling(hull, hull.q, samples=10_000, seed=3) is True
+
+
 class TestSpiralingAgainstLoop:
     """Chunked draws give the per-draw loop's answer."""
 
