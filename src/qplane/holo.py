@@ -63,10 +63,13 @@ def _weighted_l1(
 ) -> float:
     """``sum |a_ik| rho_x^i rho_y^k twist^(-i*k)``; a vector is one column.
 
-    The direct sum is tried first.  If it is not finite (a weight past
-    the double range, or ``0 * inf``), the sum is redone from the logs of
-    the weights over the nonzero ``a``: an all-zero table is 0.0 and a
-    sum that does leave the range is ``inf``, not NaN.
+    The bases are positive and finite.  The direct sum is tried first.
+    If it is not finite (a weight past the double range, or ``0 * inf``),
+    the sum is redone over the nonzero ``a`` with every factor split
+    into a mantissa and a power of two (:func:`_split_powers`), so no
+    step leaves the double range: the terms are scaled by the power of
+    two of the largest, summed, and scaled back.  An all-zero table is
+    0.0 and a sum that does leave the range is ``inf``, not NaN.
     """
     a = coeffs.reshape(coeffs.shape[0], -1)
     i, k = np.arange(a.shape[0]), np.arange(a.shape[1])
@@ -80,13 +83,46 @@ def _weighted_l1(
     nz = a != 0
     if not nz.any():
         return 0.0
-    log_w = np.add.outer(i * math.log(rho_x), k * math.log(rho_y))
-    if twist != 1:
-        log_w -= np.outer(i, k) * math.log(twist)
+    i, k = np.nonzero(nz)
+    mant, expo = np.frexp(np.abs(a[nz]))
+    for base, n in ((rho_x, i), (rho_y, k), (twist, -i * k)):
+        m, e = _split_powers(float(base), n)
+        mant, expo = mant * m, expo + e  # four mantissas in [1/2, 1): at least 1/16
+    top = int(expo.max())
+    lim = 2**20  # ldexp takes 32-bit exponents; past 2^20 it gives 0 or inf all the same
+    scaled = np.ldexp(mant, np.maximum(expo - top, -lim).astype(np.int32))
     with np.errstate(over="ignore", under="ignore"):
-        logs = np.log(np.abs(a[nz])) + log_w[nz]
-        top = logs.max()
-        return float(np.exp(top) * np.sum(np.exp(logs - top)))
+        return float(np.ldexp(np.sum(scaled), min(max(top, -lim), lim)))
+
+
+# A power of a mantissa in [1/2, 1) is taken this many factors at a time,
+# so it stays between 2^-512 and 2^512.
+_POW_CHUNK = 512
+
+
+def _split_powers(base: float, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``base ** n`` for integers ``n`` as ``mantissa * 2 ** exponent``.
+
+    ``base`` is positive and finite, the mantissas lie in ``[1/2, 1)`` and
+    the exponents are integers.  With ``base = m 2^e`` (``math.frexp``),
+    ``m^n = m^(n mod C) (m^C)^(n div C)`` for ``C = _POW_CHUNK`` (``n`` taken
+    by its absolute value, the sign put on the exponent), and ``m^C`` is
+    split again, so each ``np.power`` stays in the normal range and a
+    power costs a few roundings, however large ``n`` is.
+    """
+    m, e = math.frexp(base)
+    sign, count = np.sign(n), np.abs(n)
+    mant, expo = np.frexp(np.power(m, sign * (count % _POW_CHUNK)))
+    expo = expo + n * e
+    count = count // _POW_CHUNK
+    while count.any():
+        m, e = math.frexp(m**_POW_CHUNK)
+        expo = expo + sign * count * e
+        low, low_expo = np.frexp(np.power(m, sign * (count % _POW_CHUNK)))
+        mant, carry = np.frexp(mant * low)
+        expo = expo + low_expo + carry
+        count = count // _POW_CHUNK
+    return mant, expo
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,27 @@ Ranks come from singular values with a relative threshold; a rank jump
 is exactly what joint-spectrum membership means, so near-threshold
 singular values flag the answer as unstable instead of being hidden.
 
+A scan does not take an SVD at every grid character.  Between two
+characters only the diagonals of the maps differ, so ``d0`` moves by
+``sqrt(|dgy|^2 + |q|^2 |dgx|^2)`` and ``d1`` by ``sqrt(|dgx|^2 + |dgy|^2)``
+in the spectral norm, and by Weyl's inequality no singular value moves
+further.  One SVD with rank ``r`` and singular values ``s`` (largest
+first) therefore settles a map's rank and stability within the radius
+
+    rho = min((s_{r-1} - 10 rank_tol s_0) / (1 + 10 rank_tol),
+              (rank_tol s_0 / 10 - s_r) / (1 + rank_tol / 10)) - eps,
+
+a term whose index does not exist dropped, and ``rho = 0`` for an
+unstable or zero map.  ``eps = 8 N u (s_0 + (1 + |q|) scale)`` (``u`` the
+unit roundoff, ``scale = ||T||_2 + ||S||_2 + |gx| + |gy|``) covers the
+backward error of this SVD and of the one the nearby character would
+take, and the rounding of the written diagonals.  A map that drops a
+singular value keeps its rank only within ``rank_tol s_0 / 10`` (about
+``1e-11 s_0`` at the default), less than any coarser grid step, so such
+a map is ranked itself at every node: ``d0`` of the pseudospectral
+x-axis rows below, and each map at a spectrum point.  So is a map whose counted
+``s_{r-1}`` sits within a grid step of ten thresholds, next to a rank jump.
+
 Scan results describe the *truncated* pair.  No claim is made that they
 converge to the spectrum of the untruncated model (the truncated shift
 is nilpotent; the full one is not), so CSV output labels them as the
@@ -84,6 +105,16 @@ _BUILD_TOL = 1e-12
 # A scan builds the differentials of this many complex entries at a time.
 _STACK_ENTRIES = 2**15
 
+# The certified radius of a ranked map gives up _SLACK * N * u times the
+# norm of the maps (u the unit roundoff) to the backward error of two
+# SVDs and the rounding of the written diagonals (see spectrum_scan).
+_SLACK = 8
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
+# A scan certifies and writes the rows of this many grid points at a
+# time, so its per-point arrays stay a few MiB whatever the grid size.
+_SCAN_BLOCK = 2**15
+
 
 @dataclass(frozen=True)
 class KoszulComplexAt:
@@ -128,7 +159,7 @@ def _blocks(pair: OperatorPair, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays for ``m`` characters holding the constant blocks of the maps.
 
     Every ``d0[i]`` holds ``[-qS; T]`` and every ``d1[i]`` holds
-    ``[T, S]``; :func:`_complexes` writes a character's diagonals over
+    ``[T, S]``; :func:`_write_diagonals` writes a character's diagonals over
     them, which is all that depends on the character.  A ``qS`` past the
     double range concerns every character, so it is a
     :class:`PreconditionError`.
@@ -147,48 +178,52 @@ def _blocks(pair: OperatorPair, m: int) -> tuple[np.ndarray, np.ndarray]:
     return d0, d1
 
 
-def _complexes(
-    pair: OperatorPair,
-    gx: np.ndarray,
-    gy: np.ndarray,
-    d0: np.ndarray,
-    d1: np.ndarray,
-    pair_defect: float,
-    pair_scale: float,
-) -> list[str]:
-    """Write the maps at the characters ``(gx[i], gy[i])`` into ``d0[i]``, ``d1[i]``.
+def _diagonals(pair: OperatorPair, gx: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The diagonals of the maps at the characters ``(gx[i], gy[i])``.
 
-    ``d0`` and ``d1`` come from :func:`_blocks` with at least ``len(gx)``
-    rows; only the 2N diagonal entries of each map are written, so the
-    constant blocks are built once however many characters reuse them.
-    Returns one string per character, ``""`` or why it has no complex: a
-    non-finite coordinate (its maps are built at 0), or a composite
-    ``d1 d0`` more than ``1e-12 * (pair_scale + |gx| + |gy|)^2`` from
-    ``(q-1) gx gy I``.  That distance is ``pair_defect`` wherever
-    ``(q-1) gx gy`` and the written diagonals are finite and NaN where
-    they are not, so each character takes a scalar test and no matrix
-    product is formed.
+    Returns ``d0``'s top and bottom and ``d1``'s left and right diagonal,
+    one row of N entries per character.  A non-finite coordinate is
+    taken as 0, and an entry past the double range is left non-finite
+    without a warning (:func:`_errors` makes that character an error).
     """
     finite = np.isfinite(gx) & np.isfinite(gy)
     x, y = np.where(finite, gx, 0), np.where(finite, gy, 0)
-    n, m = pair.n, x.size
     t_ii, s_ii = np.diag(pair.t), np.diag(pair.s)
-    # a diagonal entry or product past the double range leaves no defect
-    # to bound: that character is an error row, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        diags = (
+        return (
             y[:, None] - pair.q * s_ii,
             t_ii - (pair.q * x)[:, None],
             t_ii - x[:, None],
             s_ii - y[:, None],
         )
+
+
+def _errors(
+    pair: OperatorPair,
+    gx: np.ndarray,
+    gy: np.ndarray,
+    diags: tuple[np.ndarray, ...],
+    pair_defect: float,
+    pair_scale: float,
+) -> list[str]:
+    """One string per character, ``""`` or why it has no complex.
+
+    ``diags`` are the character's :func:`_diagonals`.  A character has no
+    complex when a coordinate is not finite, or when the composite ``d1
+    d0`` is more than ``1e-12 * (pair_scale + |gx| + |gy|)^2`` from ``(q-1)
+    gx gy I``.  That distance is ``pair_defect`` wherever ``(q-1) gx gy``
+    and the diagonals are finite and NaN where they are not, so each
+    character takes a scalar test and no matrix product is formed.
+    """
+    finite = np.isfinite(gx) & np.isfinite(gy)
+    x, y = np.where(finite, gx, 0), np.where(finite, gy, 0)
+    # a diagonal entry or product past the double range leaves no defect
+    # to bound: that character is an error row, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
         bounded = np.isfinite((pair.q - 1.0) * x * y)
         scales = pair_scale + np.abs(x) + np.abs(y)
     for diag in diags:
         bounded &= np.isfinite(diag).all(axis=1)
-    flat0, flat1 = d0[:m].reshape(m, -1), d1[:m].reshape(m, -1)
-    flat0[:, : n * n : n + 1], flat0[:, n * n :: n + 1] = diags[:2]
-    flat1[:, :: 2 * n + 1], flat1[:, n :: 2 * n + 1] = diags[2:]
     return [
         _defect_error(pair_defect if b else math.nan, s)
         if ok else f"character ({a}, {c}) is not finite"
@@ -196,6 +231,21 @@ def _complexes(
             gx.tolist(), gy.tolist(), finite.tolist(), bounded.tolist(), scales.tolist()
         )
     ]
+
+
+def _write_diagonals(
+    pair: OperatorPair, diags: tuple[np.ndarray, ...], d0: np.ndarray, d1: np.ndarray
+) -> None:
+    """Write :func:`_diagonals` over the leading rows of the chunk arrays ``d0``, ``d1``.
+
+    ``d0`` and ``d1`` come from :func:`_blocks`; only the 2N diagonal
+    entries of each map are written, so the constant blocks are built
+    once however many characters reuse them.
+    """
+    n, m = pair.n, diags[0].shape[0]
+    flat0, flat1 = d0[:m].reshape(m, -1), d1[:m].reshape(m, -1)
+    flat0[:, : n * n : n + 1], flat0[:, n * n :: n + 1] = diags[:2]
+    flat1[:, :: 2 * n + 1], flat1[:, n :: 2 * n + 1] = diags[2:]
 
 
 def build(pair: OperatorPair, gamma: tuple[complex, complex]) -> KoszulComplexAt:
@@ -210,15 +260,14 @@ def build(pair: OperatorPair, gamma: tuple[complex, complex]) -> KoszulComplexAt
     finite is a :class:`PreconditionError`.  The maps are those a scan
     ranks, from the same builder on one character, in arrays of their own.
     """
-    gx, gy = complex(gamma[0]), complex(gamma[1])
+    gx, gy = np.asarray([complex(gamma[0])]), np.asarray([complex(gamma[1])])
     d0, d1 = _blocks(pair, 1)
-    (error,) = _complexes(
-        pair, np.asarray([gx]), np.asarray([gy]), d0, d1,
-        _pair_defect(pair), _pair_scale(pair),
-    )
+    diags = _diagonals(pair, gx, gy)
+    (error,) = _errors(pair, gx, gy, diags, _pair_defect(pair), _pair_scale(pair))
     if error:
         raise PreconditionError(error)
-    return KoszulComplexAt((gx, gy), d0[0], d1[0], pair.n)
+    _write_diagonals(pair, diags, d0, d1)
+    return KoszulComplexAt((complex(gx[0]), complex(gy[0])), d0[0], d1[0], pair.n)
 
 
 def composite_defect(comp: KoszulComplexAt, q: complex) -> float:
@@ -401,43 +450,181 @@ class ScanRow:
     error: str = ""
 
 
-def _chunk_homology(
+def _radius(sv: np.ndarray, rank: np.ndarray, rank_tol: float, slack: np.ndarray) -> np.ndarray:
+    """How far each matrix of a stack may move and keep its rank and stability.
+
+    ``sv`` holds the singular values of each matrix, largest first, and
+    ``rank`` is what :func:`_ranks` read from them.  By Weyl's inequality
+    a perturbation ``E`` moves every singular value, and so the threshold
+    ``rank_tol * s_0``, by at most ``||E||_2``.  The counted ``s_{r-1}``
+    stays at or above ten thresholds while ``||E||_2 <= (s_{r-1} - 10
+    rank_tol s_0) / (1 + 10 rank_tol)``, and the dropped ``s_r`` at or
+    below a tenth of one while ``||E||_2 <= (rank_tol s_0 / 10 - s_r) / (1 +
+    rank_tol / 10)``; a term whose index does not exist is dropped.  The
+    radius is the smaller term less ``slack``, or 0 where that is not
+    positive.  An unstable matrix has a singular value within 10x of the
+    threshold, which makes one term negative, and a zero matrix has a
+    zero term, so both get 0.
+    """
+    rows, k = np.arange(sv.shape[0]), sv.shape[1]
+    s0 = sv[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        counted = np.where(
+            rank > 0, (sv[rows, rank - 1] - 10.0 * rank_tol * s0) / (1.0 + 10.0 * rank_tol), np.inf
+        )
+        dropped = np.where(
+            rank < k,
+            (rank_tol * s0 / 10.0 - sv[rows, np.minimum(rank, k - 1)]) / (1.0 + rank_tol / 10.0),
+            np.inf,
+        )
+        rho = np.minimum(counted, dropped) - slack
+    return np.where(rho > 0, rho, 0.0)
+
+
+def _chunk_ranks(
     pair: OperatorPair,
     gx: np.ndarray,
     gy: np.ndarray,
+    want: np.ndarray,
     d0: np.ndarray,
     d1: np.ndarray,
-    pair_defect: float,
     pair_scale: float,
     rank_tol: float,
-) -> tuple[list[list[int]], np.ndarray, list[str]]:
-    """``(dims, stable, errors)`` at the characters ``(gx[i], gy[i])``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """``(rank, stable, radius, errors)`` of the maps wanted at ``(gx[i], gy[i])``.
 
-    The complexes are written into the leading rows of ``d0`` and ``d1``
-    by :func:`_complexes` and ranked by one stacked SVD of each map, on
-    those rows themselves when no character is an error, else on the
-    rows that are not; if LAPACK fails, one SVD per character.  Where
-    ``errors[i]`` is set, ``dims[i]`` is ``[-1, -1, -1]``.
+    Every character has a complex; ``want[i, k]`` says whether map ``k``
+    (0 for ``d0``, 1 for ``d1``) is ranked there, and the three arrays
+    are ``(m, 2)`` like ``want``.  The complexes are written into the
+    leading rows of ``d0`` and ``d1`` (:func:`_write_diagonals`), and each map
+    is ranked by one stacked SVD, on those rows themselves when every
+    character wants it, else on the rows that do.  If LAPACK fails, that
+    map is ranked one SVD per character; a character that fails again
+    gets the LAPACK error in ``errors`` and radius 0.  The radius is
+    :func:`_radius` with slack ``_SLACK * N * u * (s_0 + (1 + |q|) scale)``.
     """
-    errors = _complexes(pair, gx, gy, d0, d1, pair_defect, pair_scale)
-    m = len(errors)
-    d0, d1 = d0[:m], d1[:m]
-    ok = np.flatnonzero([not e for e in errors])
-    dims = np.full((m, 3), -1, dtype=np.int64)
-    stable = np.zeros(m, dtype=bool)
-    if ok.size:
-        rows = slice(None) if ok.size == m else ok
+    _write_diagonals(pair, _diagonals(pair, gx, gy), d0, d1)
+    m = gx.size
+    rank = np.zeros((m, 2), dtype=np.int64)
+    stable = np.zeros((m, 2), dtype=bool)
+    radius = np.zeros((m, 2))
+    errors = [""] * m
+    with np.errstate(over="ignore"):
+        norms = (1.0 + abs(pair.q)) * (pair_scale + np.abs(gx) + np.abs(gy))
+    for k, maps in enumerate((d0[:m], d1[:m])):
+        rows = np.flatnonzero(want[:, k])
+        if not rows.size:
+            continue
         try:
-            dims[rows], stable[rows] = _homology(
-                _sv(d0[rows]), _sv(d1[rows]), pair.n, rank_tol
-            )
+            ranked = [(rows, _sv(maps if rows.size == m else maps[rows]))]
         except np.linalg.LinAlgError:
-            for i in ok:
+            ranked = []
+            for i in rows:
                 try:
-                    dims[i], stable[i] = _homology(_sv(d0[i]), _sv(d1[i]), pair.n, rank_tol)
+                    ranked.append(([i], _sv(maps[i])[None]))
                 except np.linalg.LinAlgError as exc:
                     errors[i] = str(exc)
-    return dims.tolist(), stable, errors
+        for at, sv in ranked:
+            rank[at, k], stable[at, k] = _ranks(sv, rank_tol)
+            with np.errstate(over="ignore"):
+                slack = _SLACK * pair.n * _UNIT_ROUNDOFF * (sv[:, 0] + norms[at])
+            radius[at, k] = _radius(sv, rank[at, k], rank_tol, slack)
+    return rank, stable, radius, errors
+
+
+def _on_axis(axis: Literal["x", "y"], g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(gx, gy)`` of the characters with coordinate ``g`` on ``axis``."""
+    zero = np.zeros_like(g)
+    return (g, zero) if axis == "x" else (zero, g)
+
+
+def _certified_ranks(
+    pair: OperatorPair,
+    axis: Literal["x", "y"],
+    g: np.ndarray,
+    d0: np.ndarray,
+    d1: np.ndarray,
+    pair_scale: float,
+    rank_tol: float,
+) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+    """Rank and stability of ``d0`` and ``d1`` at axis characters that all have a complex.
+
+    ``g`` holds the characters' coordinate on ``axis``.  Returns ``(m, 2)``
+    arrays and the LAPACK errors by index.  Each map is ranked coarse to
+    fine over the given order: first the two end characters; then, level
+    by level, a character within the radius (:func:`_radius`) of its
+    nearest ranked neighbour on either side takes that neighbour's rank
+    and stability, and in every gap that still holds an undecided
+    character its middle undecided one is ranked, by :func:`_chunk_ranks`
+    on as many characters at a time as the chunk arrays ``d0``, ``d1``
+    hold.  Between two characters on one axis ``d0`` moves by ``|q| |dg|``
+    on the x-axis and ``|dg|`` on the y-axis, and ``d1`` by ``|dg|``.
+    """
+    m = g.size
+    rank = np.full((m, 2), -1, dtype=np.int32)
+    stable = np.zeros((m, 2), dtype=bool)
+    radius = np.zeros((m, 2))
+    failed: dict[int, str] = {}
+    if not m:
+        return rank, stable, failed
+    weights = (abs(pair.q), 1.0) if axis == "x" else (1.0, 1.0)
+    ranked = np.zeros((m, 2), dtype=bool)
+    wanted = np.zeros((m, 2), dtype=bool)  # the maps this level ranks
+    wanted[[0, m - 1]] = True
+    while wanted.any():
+        level = np.flatnonzero(wanted.any(axis=1))
+        for start in range(0, level.size, d0.shape[0]):
+            at = level[start : start + d0.shape[0]]
+            want = wanted[at]
+            r, s, rho, errors = _chunk_ranks(
+                pair, *_on_axis(axis, g[at]), want, d0, d1, pair_scale, rank_tol
+            )
+            rank[at] = np.where(want, r, rank[at])
+            stable[at] = np.where(want, s, stable[at])
+            radius[at] = np.where(want, rho, radius[at])
+            failed.update((int(i), e) for i, e in zip(at, errors) if e)
+        ranked |= wanted
+        wanted[:] = False
+        for k in (0, 1):
+            wanted[_undecided_middles(
+                rank[:, k], stable[:, k], radius[:, k], np.flatnonzero(ranked[:, k]), g, weights[k]
+            ), k] = True
+    return rank, stable, failed
+
+
+def _undecided_middles(
+    rank: np.ndarray,
+    stable: np.ndarray,
+    radius: np.ndarray,
+    ranked: np.ndarray,
+    g: np.ndarray,
+    weight: float,
+) -> np.ndarray:
+    """Certify one map where a nearest ranked neighbour covers; return the gaps' middles.
+
+    ``ranked`` lists the ranked indices in order, the two ends among them.
+    An undecided index (``rank < 0``) closer than its left, else its
+    right, ranked neighbour's radius, at distance ``weight * |dg|``, takes
+    that neighbour's rank and stability, in place.  Returns, for every gap
+    between ranked neighbours that still holds an undecided index, the
+    middle one of those.
+    """
+    undecided = np.flatnonzero(rank < 0)
+    gap = np.searchsorted(ranked, undecided)
+    left, right = ranked[gap - 1], ranked[gap]
+    # a difference past the double range is an infinite distance
+    with np.errstate(over="ignore", invalid="ignore"):
+        by_left = weight * np.abs(g[undecided] - g[left]) < radius[left]
+        by_right = weight * np.abs(g[undecided] - g[right]) < radius[right]
+    hit = by_left | by_right
+    near = np.where(by_left, left, right)[hit]
+    rank[undecided[hit]], stable[undecided[hit]] = rank[near], stable[near]
+    undecided, gap = undecided[~hit], gap[~hit]
+    if not undecided.size:
+        return undecided
+    first = np.flatnonzero(np.diff(gap, prepend=-1))
+    last = np.append(first[1:], undecided.size) - 1
+    return undecided[(first + last) // 2]
 
 
 def spectrum_scan(
@@ -457,36 +644,98 @@ def spectrum_scan(
 
     The pair's composite defect ``||ST - qTS||_F`` and
     ``||T||_2 + ||S||_2`` are computed once per scan; each character
-    checks the defect against its own bound as a scalar.  One pair of
-    chunk arrays, for as many points as fit in 2^15 complex entries,
-    gets the constant blocks of the maps once; chunk by chunk only the
-    diagonals are rewritten and the maps are ranked by one stacked SVD
-    each, ``d0`` as built and ``d1`` through its tall transpose (see
-    :func:`_sv`).  The rows equal those of :func:`build` and
-    :func:`homology_dims` point by point.  When LAPACK fails on a chunk
-    its rows are ranked one SVD at a time, and a row that fails again
-    holds the LAPACK error.
+    checks the defect against its own bound as a scalar.  The characters
+    that have a complex are then ranked map by map, coarse to fine over
+    the grid order (:func:`_certified_ranks`), and not every one takes
+    an SVD.  One SVD decides a neighbourhood: by Weyl's inequality each
+    singular value moves by at most the spectral norm of a change to the
+    map, and between two characters only the diagonals change, by
+    ``sqrt(|dgy|^2 + |q|^2 |dgx|^2)`` in ``d0`` and ``sqrt(|dgx|^2 +
+    |dgy|^2)`` in ``d1``.  With singular values ``s`` (largest first) and
+    rank ``r``, a ranked map keeps its rank and stability within
+
+        rho = min((s_{r-1} - 10 rank_tol s_0) / (1 + 10 rank_tol),
+                  (rank_tol s_0 / 10 - s_r) / (1 + rank_tol / 10)) - eps
+
+    (a term whose index does not exist dropped; ``rho = 0`` when the map
+    is unstable or zero), and a character closer than ``rho`` to a ranked
+    neighbour takes that neighbour's rank and stability for that map.
+    ``eps = 8 N u (s_0 + (1 + |q|) scale)``, with ``u`` the unit roundoff
+    and ``scale = ||T||_2 + ||S||_2 + |gx| + |gy|`` (``(1 + |q|) scale``
+    bounds the norm of both maps): it covers the backward error of the
+    ranked SVD and of the SVD the character itself would have taken,
+    each about ``2N u`` times the norm on the ``2N`` rows of the tall
+    orientation and doubled for complex arithmetic, and the rounding of
+    the written diagonals.  A map that drops a singular value has a
+    radius of at most ``rank_tol s_0 / 10`` (``1e-11 s_0`` at the default),
+    so on any coarser grid it is ranked itself: ``d0`` on the x-axis of
+    ``model_pair(1/2, 64)``, whose rows are pseudospectral members
+    (``s_r / s_0`` about ``2^-64``), is ranked at every node.  The rows
+    equal those of :func:`build` and :func:`homology_dims` point by point.
+
+    The grid is taken 2^15 points at a time, each block with its own two
+    ends, so the per-point arrays stay a few MiB however large the grid.
+    Ranked characters go to LAPACK in chunks of as many as fit in 2^15
+    complex entries, through one pair of chunk arrays that gets the
+    constant blocks of the maps once; only the diagonals are rewritten,
+    and each map is ranked by one stacked SVD a chunk, ``d0`` as built
+    and ``d1`` through its tall transpose (see :func:`_sv`).  When
+    LAPACK fails on a chunk its characters are ranked one SVD at a time,
+    and a row that fails again holds the LAPACK error.
     """
     if axis not in ("x", "y"):
         raise PreconditionError(f"axis must be 'x' or 'y', got {axis!r}")
     _check_rank_tol(rank_tol)
     points = grid.points()
-    g = np.asarray(points, dtype=np.complex128).reshape(-1)
-    zero = np.zeros_like(g)
-    gx, gy = (g, zero) if axis == "x" else (zero, g)
     pair_defect, pair_scale = _pair_defect(pair), _pair_scale(pair)
-    step = max(1, _STACK_ENTRIES // (2 * pair.n * pair.n))
-    d0, d1 = _blocks(pair, min(step, g.size))
+    d0, d1 = _blocks(pair, min(max(1, _STACK_ENTRIES // (2 * pair.n * pair.n)), len(points)))
     rows: list[ScanRow] = []
-    for start in range(0, g.size, step):
-        chunk = slice(start, start + step)
-        dims, stable, errors = _chunk_homology(
-            pair, gx[chunk], gy[chunk], d0, d1, pair_defect, pair_scale, rank_tol
-        )
-        for j, (h0, h1, h2) in enumerate(dims):
-            g_j = points[start + j]
-            rows.append(ScanRow(
-                g_j.real, g_j.imag, axis, h0, h1, h2,
-                _member(h0, h1, h2), bool(stable[j]), errors[j],
-            ))
+    for start in range(0, len(points), _SCAN_BLOCK):
+        block = points[start : start + _SCAN_BLOCK]
+        for g_j, (h0, h2), st, e in zip(block, *_block_homology(
+            pair, axis, block, d0, d1, pair_defect, pair_scale, rank_tol
+        )):
+            if e:
+                rows.append(ScanRow(g_j.real, g_j.imag, axis, -1, -1, -1, False, False, e))
+            else:
+                rows.append(ScanRow(
+                    g_j.real, g_j.imag, axis, h0, h0 + h2, h2, _member(h0, h0 + h2, h2), st
+                ))
     return rows
+
+
+def _block_homology(
+    pair: OperatorPair,
+    axis: Literal["x", "y"],
+    points: list[complex],
+    d0: np.ndarray,
+    d1: np.ndarray,
+    pair_defect: float,
+    pair_scale: float,
+    rank_tol: float,
+) -> tuple[list[list[int]], list[bool], list[str]]:
+    """``(h0, h2)``, stability and error of each point of one block of a scan.
+
+    Where ``errors[i]`` is set, ``h[i]`` is ``[-1, -1]``.  The errors are
+    found for a quarter of ``_STACK_ENTRIES`` diagonal entries at a time
+    (4N a point), so that pass holds no more than the chunk arrays do,
+    and the points that have a complex are ranked by
+    :func:`_certified_ranks` through the chunk arrays ``d0``, ``d1``.
+    """
+    g = np.asarray(points, dtype=np.complex128).reshape(-1)
+    errors: list[str] = []
+    step = max(1, _STACK_ENTRIES // (16 * pair.n))
+    for start in range(0, g.size, step):
+        gx, gy = _on_axis(axis, g[start : start + step])
+        errors += _errors(pair, gx, gy, _diagonals(pair, gx, gy), pair_defect, pair_scale)
+    ok = np.flatnonzero([not e for e in errors])
+    rank, stable, failed = _certified_ranks(
+        pair, axis, g if ok.size == g.size else g[ok], d0, d1, pair_scale, rank_tol
+    )
+    for i, e in failed.items():
+        errors[ok[i]] = e
+    h = np.full((g.size, 2), -1, dtype=rank.dtype)
+    h[ok] = pair.n - rank
+    fine = np.zeros(g.size, dtype=bool)
+    fine[ok] = stable.all(axis=1)
+    return h.tolist(), fine.tolist(), errors

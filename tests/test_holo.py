@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qplane.errors import PreconditionError
-from qplane.holo import HoloSeries, log_series, scale_coeffs
+from qplane.holo import HoloSeries, _weighted_l1, log_series, scale_coeffs
 
 from oracles import conv_oracle
 
@@ -159,6 +160,43 @@ class TestNorm:
         assert HoloSeries([2.0, 0.0, 0.0]).norm(1e200) == 2.0
         assert HoloSeries([2.0, 0.0, 1e-300]).norm(1e200) == pytest.approx(2.0 + 1e100)
         assert HoloSeries([2.0, 0.0, 1.0]).norm(1e200) == math.inf
+
+    def test_sum_past_the_double_range_matches_exact_fractions(self, rng):
+        # A zero last row under rho_x^2 > 1e320 makes the direct sum NaN, so
+        # each table takes the scaled sum; coefficients and radii span 1e+-300.
+        # The reference is the exact rational sum, rounded once to a double.
+        def exact(a, rho_x, rho_y, twist):
+            total = sum(
+                Fraction(abs(complex(v))) * Fraction(rho_x) ** i * Fraction(rho_y) ** k
+                / Fraction(twist) ** (i * k)
+                for (i, k), v in np.ndenumerate(a) if v != 0
+            )
+            try:
+                return float(total)
+            except OverflowError:
+                return math.inf
+
+        finite = 0
+        for _ in range(60):
+            shape = (int(rng.integers(3, 8)), int(rng.integers(1, 8)))
+            logs = (rng.uniform(161, 300), rng.uniform(-300, 300), rng.uniform(0, 30))
+            rho_x, rho_y, twist = 10.0 ** np.array(logs)
+            twist = 1.0 if rng.random() < 0.5 else twist
+            # coefficients of 1e-300 .. 1e300 put each term at 1e-300 .. 1e300
+            i, k = np.indices(shape)
+            scale = rng.uniform(-300, 300, shape) - i * logs[0] - k * logs[1]
+            scale += i * k * math.log10(twist)
+            a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** (
+                np.clip(scale, -300, 300))
+            a[(np.abs(scale) > 300) | (rng.random(shape) < 0.3)] = 0
+            a[-1] = 0
+            got, want = _weighted_l1(a, rho_x, rho_y, twist), exact(a, rho_x, rho_y, twist)
+            if 0 < want < math.inf:
+                finite += 1
+                assert got == pytest.approx(want, rel=2e-15, abs=0)
+            else:
+                assert got == want
+        assert finite >= 40
 
     def test_submultiplicative_loss_free(self, rng):
         for _ in range(30):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -168,6 +169,72 @@ class TestHomologyDims:
         assert checked >= 50
 
 
+class TestRadius:
+    """The certified radius against a brute-force search on diagonal matrices."""
+
+    @staticmethod
+    def decision(sv, rank_tol):
+        rank, stable = kz._ranks(np.sort(np.abs(sv), axis=-1)[..., ::-1], rank_tol)
+        return rank, stable
+
+    def flip_distance(self, s, rank_tol):
+        """The smallest shift ``t`` of the diagonal, each entry by -t, 0 or +t, that
+        changes rank or stability: a scan of log- and evenly spaced ``t`` up to
+        ``3 s_0`` for the first flip, then bisection; ``inf`` if none flips."""
+        signs = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=s.size)))
+        want = self.decision(s, rank_tol)
+
+        def flips(t):
+            rank, stable = self.decision(s + np.multiply.outer(t, signs), rank_tol)
+            return np.any((rank != want[0]) | (stable != want[1]), axis=-1)
+
+        ts = s[0] * np.union1d(np.logspace(-16, 0.5, 2000), np.linspace(0, 3.2, 1001))
+        flipped = flips(ts)
+        if not flipped.any():
+            return math.inf
+        j = int(np.argmax(flipped))
+        lo, hi = (ts[j - 1] if j else 0.0), ts[j]
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if flips(mid) else (mid, hi)
+        return hi
+
+    def radius(self, s, rank_tol):
+        # the scan's slack, N u s_0 times _SLACK, for the rounding of the decision
+        sv = np.sort(s)[::-1][None]
+        rank, _ = kz._ranks(sv, rank_tol)
+        slack = kz._SLACK * s.size * kz._UNIT_ROUNDOFF * sv[:, 0]
+        return float(kz._radius(sv, rank, rank_tol, slack)[0])
+
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-3, 0.05])
+    def test_never_past_the_first_flip(self, rank_tol, rng):
+        positive = 0
+        for _ in range(25):
+            k = int(rng.integers(1, 5))
+            # counted values at or above ten thresholds, dropped ones at or below
+            # a tenth of one, some of them close to those bounds
+            counted = 10 * rank_tol * (1 + rng.choice([1e-6, 1e-2, 1.0, 1e3], size=k))
+            dropped = rank_tol / 10 * rng.choice([0.0, 0.5, 1 - 1e-6, 1 - 1e-2], size=k)
+            s = np.where(rng.random(k) < 0.5, np.minimum(counted, 1.0), dropped)
+            s[0] = 1.0
+            rho = self.radius(s, rank_tol)
+            assert rho <= self.flip_distance(s, rank_tol), s
+            positive += rho > 0
+        assert positive >= 12  # a margin below the slack gives 0
+
+    @pytest.mark.parametrize("s, rank_tol", [
+        ([1.0, 1.0, 0.0], 1e-3),  # the dropped s_r rises to a tenth of the threshold
+        ([1.0, 2e-3], 1e-4),  # the counted s_{r-1} falls to ten thresholds
+    ])
+    def test_tight_where_one_value_decides(self, s, rank_tol):
+        s = np.asarray(s)
+        assert self.radius(s, rank_tol) == pytest.approx(self.flip_distance(s, rank_tol), rel=1e-9)
+
+    @pytest.mark.parametrize("s", [[1.0, 5e-10], [1.0, 2e-11], [0.0, 0.0]])
+    def test_zero_when_unstable_or_zero(self, s):
+        assert self.radius(np.asarray(s), 1e-10) == 0.0
+
+
 class TestGridSpec:
     def test_empty(self):
         assert kz.GridSpec(0, 1, 0, 1, 0).points() == []
@@ -270,6 +337,9 @@ class TestBatchedScan:
             # every x-axis row is a pseudospectral member: sigma_min / sigma_max
             # of d0 is about 2^-40, a hundred times below the threshold
             pytest.param(Q, 40, 129, 1e-10, "x", id="40-129-1e-10-x"),
+            # every x-axis row is an unstable member: 2^-36 sits within 10x of
+            # the threshold, so no radius is positive and every node is ranked
+            pytest.param(Q, 36, 129, 1e-10, "x", id="36-129-1e-10-x"),
             pytest.param(0.6 + 0.3j, 16, 129, 1e-10, "x", id="q0.6+0.3j-16-129-1e-10-x"),
             pytest.param(0.6 + 0.3j, 16, 129, 1e-10, "y", id="q0.6+0.3j-16-129-1e-10-y"),
         ],
@@ -401,12 +471,47 @@ class TestBatchedScan:
         with pytest.raises(PreconditionError, match="q S leaves the double range"):
             kz.build(pair, (0.0, 0.5))
 
+    def test_non_finite_points_between_ranked_nodes(self):
+        # the ends and middles the scan ranks are counted over the points that
+        # have a complex; error rows sit at an end, next to one and mid-gap
+        points = list(np.linspace(0.0, 1.0, 65) + 0j)
+        for i in (0, 2, 33, 34, 50, len(points)):
+            points.insert(i, complex(math.inf, 0.0) if i % 2 else complex(0.5, -math.inf))
+
+        class Listed:
+            def points(self):
+                return points
+
+        pair = oc.model_pair(Q, 8)
+        for axis in ("x", "y"):
+            rows = kz.spectrum_scan(pair, axis, Listed())
+            assert sum(bool(r.error) for r in rows) == 6
+            assert rows == naive_spectrum_scan(pair, axis, Listed())
+
+    def test_y_axis_scan_ranks_a_few_nodes(self, monkeypatch):
+        # at N = 64 the two end nodes certify every other node of both maps:
+        # the maps at (0, 1) and (0, 0) keep their ranks for a distance of
+        # about 1, and the parent scan ranked all 2 x 257 of them
+        pair = oc.model_pair(Q, 64)
+        grid = kz.GridSpec(0.0, 1.0, 0.0, 0.0, 257)
+        real_svd = np.linalg.svd
+        matrices = []
+
+        def svd(a, *args, **kwargs):
+            matrices.append(a.shape[0] if a.ndim == 3 else 1)
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        rows = kz.spectrum_scan(pair, "y", grid)
+        assert sum(matrices) <= 8
+        assert {r.g_re for r in rows if r.member} == {0.0, 1.0}
+
     def test_failed_stacked_svd_lands_in_its_own_rows(self, monkeypatch):
         pair = oc.model_pair(Q, 8)
         step = kz._STACK_ENTRIES // (2 * 8 * 8)  # points per chunk
         grid = kz.GridSpec(0.0, 1.0, 0.0, 0.0, 2 * step + 1)  # two full chunks and one point
         want = naive_spectrum_scan(pair, "y", grid)
-        bad = grid.points()[step + step // 2].real  # inside the second chunk
+        bad = grid.points()[-1].real  # an end node, which the scan always ranks
         real_svd = np.linalg.svd
 
         def svd(a, *args, **kwargs):
@@ -446,9 +551,7 @@ class TestBatchedScan:
         kz.homology_dims(kz.build(pair, (0.0, 0.5)))
         fail_stacked.append(True)
         assert kz.spectrum_scan(pair, "y", grid) == want
-        tall, stacked = (2 * n, n), (steps, 2 * n, n)
-        assert shapes == [stacked] * 4 + [tall] * 2 + [stacked] + [tall] * (2 * steps)
-        assert all(s[-2] >= s[-1] for s in shapes)
+        assert {s[-2:] for s in shapes} == {(2 * n, n)}
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_refilled_chunk_arrays_equal_per_point(self, axis):
