@@ -26,8 +26,6 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
 from . import fileio
 from .errors import InputFormatError, NonConvergenceError, PreconditionError
 
@@ -236,8 +234,7 @@ def cmd_qhull(args) -> int:
     base = fileio.diskunion_from_payload(_load_payload(args.disks))
     points = fileio.points_from_payload(_load_payload(args.points))
     hull = qtopology.QHull(base, q)
-    member = hull.contains_many(np.asarray(points, dtype=np.complex128))
-    rows = [[z.real, z.imag, int(m)] for z, m in zip(points, member)]
+    rows = [[z.real, z.imag, int(hull.contains(z))] for z in points]
     with _open_out(args.output) as fp:
         fileio.write_csv(fp, ["z_re", "z_im", "member"], rows)
     return EXIT_OK

@@ -17,6 +17,7 @@ kept degree returns a result with ``lossy=True`` instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -64,22 +65,38 @@ def _weighted_l1(
     """``sum |a_ik| rho_x^i rho_y^k twist^(-i*k)``; a vector is one column.
 
     The bases are positive and finite.  The direct sum is tried first.
-    If it is not finite (a weight past the double range, or ``0 * inf``),
-    the sum is redone over the nonzero ``a`` with every factor split
-    into a mantissa and a power of two (:func:`_split_powers`), so no
-    step leaves the double range: the terms are scaled by the power of
-    two of the largest, summed, and scaled back.  An all-zero table is
-    0.0 and a sum that does leave the range is ``inf``, not NaN.
+    It is redone when it is not finite (a weight past the double range,
+    or ``0 * inf``), or when a nonzero ``a`` meets a weight, or a factor
+    of one, below the smallest normal double, which would drop or blur
+    that term.  The redone sum runs over the nonzero ``a`` with every
+    factor split into a mantissa and a power of two
+    (:func:`_split_powers`), so no step leaves the double range: the
+    terms are scaled by the power of two of the largest, summed, and
+    scaled back.  It costs about ten direct sums, so it is only the
+    fallback.  An all-zero table is 0.0 and a sum that does leave the
+    range is ``inf``, not NaN.
     """
     a = coeffs.reshape(coeffs.shape[0], -1)
     i, k = np.arange(a.shape[0]), np.arange(a.shape[1])
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        weights = np.outer(np.power(float(rho_x), i), np.power(float(rho_y), k))
+        px, py = np.power(float(rho_x), i), np.power(float(rho_y), k)
+        weights = np.outer(px, py)
+        factors = [px[:, None], py]
+        # each factor is 1 at index 0 and monotone, so the product of
+        # their smallest values bounds every factor and weight from below
+        smallest = min(px[0], px[-1]) * min(py[0], py[-1])
         if twist != 1:
-            weights = weights * np.power(float(twist), -np.outer(i, k).astype(float))
+            factors.append(np.power(float(twist), -np.outer(i, k).astype(float)))
+            weights = weights * factors[-1]
+            smallest *= min(1.0, factors[-1][-1, -1])
         total = float(np.sum(np.abs(a) * weights))
     if math.isfinite(total):
-        return total
+        tiny = np.finfo(np.float64).tiny
+        if smallest >= tiny:
+            return total
+        low = functools.reduce(np.logical_or, [w < tiny for w in (weights, *factors)])
+        if not (low & (a != 0)).any():
+            return total
     nz = a != 0
     if not nz.any():
         return 0.0

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -310,6 +310,20 @@ def qmul_opposite(f: QSeries, g: QSeries) -> QSeries:
     return QSeries(q, rows, lossy=f.lossy or g.lossy or lost)
 
 
+def _powers(f: QSeries, count: int) -> Iterator[QSeries]:
+    """``f, f^2, ...`` through ``f^count``, each product through :func:`qmul`.
+
+    Stops after the first zero table: every later power is that table.
+    """
+    acc = f
+    for n in range(count):
+        if n:
+            acc = qmul(acc, f)
+        yield acc
+        if not acc.coeffs.any():
+            return
+
+
 QPOW_FORMULA_CAP = 10**6
 
 
@@ -335,11 +349,8 @@ def qpow(f: QSeries, s: int, method: str = "repeated") -> QSeries:
     if s == 1:
         return f
     if method == "repeated":
-        acc = f
-        for _ in range(s - 1):
-            acc = qmul(acc, f)
-            if not acc.coeffs.any():  # every later product is this same table
-                break
+        for acc in _powers(f, s):
+            pass
         return acc
     if method != "formula":
         raise ValueError(f"unknown method {method!r}")
@@ -455,18 +466,11 @@ def decay_profile(f: QSeries, rho: float, s_max: int) -> DecayProfile:
     if s_max < 1:
         raise PreconditionError(f"s_max must be >= 1, got {s_max}")
     values, lossy_at = [], []
-    acc = f
-    for s in range(1, s_max + 1):
-        if s > 1:
-            acc = qmul(acc, f)
+    for s, acc in enumerate(_powers(f, s_max), 1):
         lossy_at.append(acc.lossy)
         values.append(seminorm(acc, rho) ** (1.0 / s))
-        if not acc.coeffs.any():
-            rest = s_max - s
-            values += [0.0] * rest
-            lossy_at += [acc.lossy] * rest
-            break
-    return DecayProfile(values, lossy_at)
+    rest = s_max - len(values)
+    return DecayProfile(values + [0.0] * rest, lossy_at + [acc.lossy] * rest)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +524,9 @@ def log_shifted(c: float, g: QSeries) -> QSeries:
     ``g^n`` has total degree at least ``n m``, and the box holds total
     degrees up to ``2D``, so the powers beyond ``M`` leave the box and
     the truncated sum is exact.  For ``xy``, ``M = D``; for a ``g`` with
-    a degree-1 term, ``M = 2D``.  The result is ``lossy`` when ``g`` is.
+    a degree-1 term, ``M = 2D``.  The powers stop at the first zero
+    table, since it and every later power add nothing.  The result is
+    ``lossy`` when ``g`` is.
     A sum whose terms ``a_n g^n`` leave the double range is a
     :class:`~qplane.errors.PreconditionError`.
     """
@@ -532,11 +538,8 @@ def log_shifted(c: float, g: QSeries) -> QSeries:
     a = log_series(c, top).coeffs
     acc = np.zeros_like(g.coeffs)
     acc[0, 0] = a[0]
-    gn = g
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, top + 1):
-            if n > 1:
-                gn = qmul(gn, g)
+        for n, gn in enumerate(_powers(g, top), 1):
             acc += a[n] * gn.coeffs
     if not np.all(np.isfinite(acc)):
         raise PreconditionError(

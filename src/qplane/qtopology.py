@@ -1,9 +1,11 @@
 """Computable pieces of the spiral (q-) and disk topologies on the plane.
 
 Open sets are represented as finite unions of open disks, plus lazily
-evaluated q-hulls of such unions.  Membership everywhere uses strict
-inequalities: all the sets modelled here are open, so boundary points
-are out.
+evaluated q-hulls of such unions, the basic open sets of the q-topology.
+Membership everywhere uses strict inequalities: all the sets modelled
+here are open, so boundary points are out.  A hull is q-invariant by
+construction, so :func:`is_q_spiraling` decides it without a draw; only
+the other sets are sampled.
 """
 
 from __future__ import annotations
@@ -101,20 +103,6 @@ def _check_contractive(q: complex) -> complex:
     return q
 
 
-def _copy_bounds(log_az, disk_logs: tuple[float, float | None], log_aq: float):
-    """Real bounds ``(lo, hi)`` on the ``n`` whose copy ``q^n B(c, r)`` can hold ``z``.
-
-    ``|z|`` must lie in ``(|q|^n (|c| - r), |q|^n (|c| + r))``, so
-    ``lo < n < hi``.  ``disk_logs`` is ``(log(|c| + r), log(|c| - r))``,
-    the second ``None`` when ``|c| <= r``: such a disk holds points of
-    every small modulus and ``lo`` is 0.  ``log_az`` is a float or an array.
-    """
-    log_outer, log_inner = disk_logs
-    hi = (log_az - log_outer) / log_aq
-    lo = 0.0 if log_inner is None else (log_az - log_inner) / log_aq
-    return lo, hi
-
-
 @dataclass(frozen=True)
 class QHull:
     """Lazy q-hull: the base set, all its q^n copies (n >= 0), and 0.
@@ -132,9 +120,9 @@ class QHull:
     and for each base disk the ``n`` in that window, padded by one at
     each end against rounding, are tried (from ``n = 0`` when
     ``|c| <= r``; at most up to ``_MAX_HULL_STEPS``, which only a disk
-    whose boundary passes through 0 can reach).  :meth:`contains` takes
-    one point, :meth:`contains_many` an array; non-finite points are
-    outside.
+    whose boundary passes through 0 can reach).  :meth:`contains` is the
+    hull's one membership test, a point at a time; non-finite points are
+    outside.  :func:`is_q_spiraling` decides a hull without asking it.
     """
 
     base: Union[DiskUnion, "QHull"]
@@ -148,8 +136,8 @@ class QHull:
             )
 
     @cached_property
-    def _plan(self) -> list[tuple[Disk, tuple[float, float | None]]]:
-        """``[(disk, (log(|c|+r), log(|c|-r) or None))]`` over the innermost disk union."""
+    def _plan(self) -> list[tuple[Disk, float, float | None]]:
+        """``[(disk, log(|c|+r), log(|c|-r) or None)]`` over the innermost disk union."""
         base = self.base
         while isinstance(base, QHull):
             base = base.base
@@ -157,7 +145,7 @@ class QHull:
         for d in base.disks:
             c = abs(d.center)
             inner = math.log(c - d.radius) if c > d.radius else None
-            logs.append((d, (math.log(c + d.radius), inner)))
+            logs.append((d, math.log(c + d.radius), inner))
         return logs
 
     @cached_property
@@ -183,54 +171,18 @@ class QHull:
             return False
         log_az = math.log(abs(z))
         log_aq = math.log(abs(self.q))
-        for d, logs in self._plan:
-            lo, hi = _copy_bounds(log_az, logs, log_aq)
-            scales = self._scales_upto(min(math.ceil(hi), _MAX_HULL_STEPS))
-            for n in range(max(math.floor(lo), 0), min(math.ceil(hi), len(scales) - 1) + 1):
+        for d, log_outer, log_inner in self._plan:
+            # the window of the class docstring, rounded outwards
+            hi = math.ceil((log_az - log_outer) / log_aq)
+            lo = 0 if log_inner is None else max(math.floor((log_az - log_inner) / log_aq), 0)
+            scales = self._scales_upto(min(hi, _MAX_HULL_STEPS))
+            for n in range(lo, min(hi, len(scales) - 1) + 1):
                 if d.contains(z / scales[n]):
                     return True
         return False
 
-    def contains_many(self, zs) -> np.ndarray:
-        """Membership of every point of ``zs``, as a boolean array of its shape.
-
-        The same windows as :meth:`contains`, stepped through for all
-        points at once; a point leaves the loop once it is found or its
-        window is used up.
-        """
-        z = np.asarray(zs, dtype=np.complex128)
-        out = z == 0
-        live = np.flatnonzero(~out & np.isfinite(z))
-        if live.size == 0:
-            return out
-        zl = z.reshape(-1)[live]
-        hit = np.zeros(zl.size, dtype=bool)
-        log_az = np.log(np.abs(zl))
-        log_aq = math.log(abs(self.q))
-        for d, logs in self._plan:
-            lo, hi = _copy_bounds(log_az, logs, log_aq)
-            n_hi = np.minimum(np.ceil(hi), _MAX_HULL_STEPS).astype(np.int64)
-            scales = np.asarray(self._scales_upto(int(n_hi.max())), dtype=np.complex128)
-            np.minimum(n_hi, scales.size - 1, out=n_hi)
-            n_lo = np.clip(np.floor(lo), 0, _MAX_HULL_STEPS + 1)
-            n = np.broadcast_to(n_lo, n_hi.shape).astype(np.int64)
-            todo = np.flatnonzero(~hit & (n <= n_hi))
-            while todo.size:
-                hit[todo] = np.abs(zl[todo] / scales[n[todo]] - d.center) < d.radius
-                n[todo] += 1
-                todo = todo[~hit[todo] & (n[todo] <= n_hi[todo])]
-        out.reshape(-1)[live] = hit
-        return out
-
     def bounding_radius(self) -> float:
         return self.base.bounding_radius()
-
-    def bounding_box(self) -> tuple[float, float, float, float]:
-        # The hull stays inside the origin-centered disk of the base's
-        # bounding radius, and contains the base itself.
-        r = self.base.bounding_radius()
-        lo, hi = -r, r
-        return (lo, hi, lo, hi)
 
 
 def spiral_neighborhood(
@@ -309,13 +261,15 @@ def is_q_spiraling(
 ) -> bool:
     """Check that a set holds the origin and spirals into itself: ``qU ⊆ U``.
 
-    ``region`` is any set with ``contains``, ``contains_many`` and
-    ``bounding_box`` (a :class:`DiskUnion` or a :class:`QHull`).  The
-    answer is exact for a :class:`QHull` asked about its own ``q``: the
-    hull is ``H = {0} ∪ ⋃_{n>=0} q^n B``, so
-    ``qH = {0} ∪ ⋃_{n>=1} q^n B ⊆ H`` and it is ``True`` without a draw.
+    A :class:`QHull` is decided before any sampling, without a draw or a
+    membership test.  Asked about its own ``q`` it is ``True``: the hull
+    is ``H = {0} ∪ ⋃_{n>=0} q^n B``, so ``qH = {0} ∪ ⋃_{n>=1} q^n B ⊆ H``.
+    Asked about another ``q`` it is a
+    :class:`~qplane.errors.PreconditionError`, as a hull over a hull with
+    another ``q`` is: the topology is built for one fixed ``q``.
 
-    Any other region, and a hull asked about another ``q``, gets a
+    Any other ``region`` (a :class:`DiskUnion`, or any set with
+    ``contains``, ``contains_many`` and ``bounding_box``) gets a
     one-sided sampled answer: points of the set are rejection-sampled
     inside its bounding box and ``q * z`` membership is tested, after
     membership of the origin.  Any counterexample returns ``False``;
@@ -329,10 +283,16 @@ def is_q_spiraling(
     ``samples`` members are checked.
     """
     q = _check_contractive(q)
+    if isinstance(region, QHull):
+        if region.q != q:
+            raise PreconditionError(
+                f"spiraling asked of a hull with another q: hull q = {region.q}, q = {q}"
+            )
+        return True
     re_lo, re_hi, im_lo, im_hi = region.bounding_box()
     if not region.contains(0.0 + 0.0j):
         return False
-    if samples < 1 or (isinstance(region, QHull) and region.q == q):
+    if samples < 1:
         return True
     rng = np.random.default_rng(seed)
     budget = samples * retry_factor

@@ -12,6 +12,45 @@ from oracles import conv_oracle
 LOG32 = math.log(1.5)
 
 
+def exact_l1(a, rho_x, rho_y, twist):
+    """The weighted l1 sum in exact rationals, rounded once to a double."""
+    total = sum(
+        Fraction(abs(complex(v))) * Fraction(rho_x) ** i * Fraction(rho_y) ** k
+        / Fraction(twist) ** (i * k)
+        for (i, k), v in np.ndenumerate(a) if v != 0
+    )
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf
+
+
+def weights(shape, rho_x, rho_y, twist):
+    i, k = np.indices(shape)
+    return rho_x**i * rho_y**k * twist ** (-(i * k).astype(float))
+
+
+def random_l1_table(rng, x_logs, y_logs, term_logs=(-300, 300)):
+    """A table under random radii, and its ``(rho_x, rho_y, twist)``.
+
+    ``log_10`` of the radii is uniform in the ranges ``x_logs``, ``y_logs``,
+    that of the twist in (0, 30), the twist 1 half the time, and that of
+    each term in ``term_logs``; a cell whose coefficient would leave
+    1e+-300, and about a third of the rest, is 0.
+    """
+    shape = (int(rng.integers(3, 8)), int(rng.integers(1, 8)))
+    logs = (rng.uniform(*x_logs), rng.uniform(*y_logs), rng.uniform(0, 30))
+    rho_x, rho_y, twist = 10.0 ** np.array(logs)
+    twist = 1.0 if rng.random() < 0.5 else twist
+    i, k = np.indices(shape)
+    scale = rng.uniform(*term_logs, shape) - i * logs[0] - k * logs[1]
+    scale += i * k * math.log10(twist)
+    a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** (
+        np.clip(scale, -300, 300))
+    a[(np.abs(scale) > 300) | (rng.random(shape) < 0.3)] = 0
+    return a, (rho_x, rho_y, twist)
+
+
 class TestLogSeries:
     def test_first_coefficient_at_three_halves(self):
         f = log_series(1.5, 4)
@@ -164,39 +203,46 @@ class TestNorm:
     def test_sum_past_the_double_range_matches_exact_fractions(self, rng):
         # A zero last row under rho_x^2 > 1e320 makes the direct sum NaN, so
         # each table takes the scaled sum; coefficients and radii span 1e+-300.
-        # The reference is the exact rational sum, rounded once to a double.
-        def exact(a, rho_x, rho_y, twist):
-            total = sum(
-                Fraction(abs(complex(v))) * Fraction(rho_x) ** i * Fraction(rho_y) ** k
-                / Fraction(twist) ** (i * k)
-                for (i, k), v in np.ndenumerate(a) if v != 0
-            )
-            try:
-                return float(total)
-            except OverflowError:
-                return math.inf
-
         finite = 0
         for _ in range(60):
-            shape = (int(rng.integers(3, 8)), int(rng.integers(1, 8)))
-            logs = (rng.uniform(161, 300), rng.uniform(-300, 300), rng.uniform(0, 30))
-            rho_x, rho_y, twist = 10.0 ** np.array(logs)
-            twist = 1.0 if rng.random() < 0.5 else twist
-            # coefficients of 1e-300 .. 1e300 put each term at 1e-300 .. 1e300
-            i, k = np.indices(shape)
-            scale = rng.uniform(-300, 300, shape) - i * logs[0] - k * logs[1]
-            scale += i * k * math.log10(twist)
-            a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** (
-                np.clip(scale, -300, 300))
-            a[(np.abs(scale) > 300) | (rng.random(shape) < 0.3)] = 0
+            a, radii = random_l1_table(rng, (161, 300), (-300, 300))
             a[-1] = 0
-            got, want = _weighted_l1(a, rho_x, rho_y, twist), exact(a, rho_x, rho_y, twist)
+            got, want = _weighted_l1(a, *radii), exact_l1(a, *radii)
             if 0 < want < math.inf:
                 finite += 1
                 assert got == pytest.approx(want, rel=2e-15, abs=0)
             else:
                 assert got == want
         assert finite >= 40
+
+    def test_weight_below_the_normal_range(self):
+        # 1e-170^2 underflows to 0, where the term is 1e-40
+        assert HoloSeries([0.0, 0.0, 1e300]).norm(1e-170) == pytest.approx(1e-40, rel=1e-15, abs=0)
+        assert HoloSeries([0.0, 0.0, 1e300]).norm(1e-160) == pytest.approx(1e-20, rel=1e-15, abs=0)
+        # a subnormal factor 1e-320 (four digits) inside a normal weight 1e-220
+        a = np.zeros((3, 2))
+        a[2, 1] = 1.0
+        want = exact_l1(a, 1e-160, 1e100, 1.0)
+        assert _weighted_l1(a, 1e-160, 1e100) == pytest.approx(want, rel=2e-15, abs=0)
+
+    def test_underflowing_radii_match_exact_fractions(self, rng):
+        # rho_x^2 < 1e-322 is 0 or subnormal, and coefficients up to 1e300
+        # keep terms there at 1e-300 .. 1e-100, as large as the others; no
+        # weight overflows, so the direct sum is finite but drops or blurs
+        # those terms, and the scaled sum is taken.
+        finite = dropped = 0
+        for _ in range(60):
+            a, radii = random_l1_table(rng, (-300, -161), (-40, 40), (-300, -100))
+            got, want = _weighted_l1(a, *radii), exact_l1(a, *radii)
+            if 0 < want < math.inf:
+                finite += 1
+                assert got == pytest.approx(want, rel=2e-15, abs=0)
+                with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                    direct = float(np.sum(np.abs(a) * weights(a.shape, *radii)))
+                dropped += math.isfinite(direct) and direct != pytest.approx(want, abs=0)
+            else:
+                assert got == want
+        assert finite >= 40 and dropped >= 10
 
     def test_submultiplicative_loss_free(self, rng):
         for _ in range(30):

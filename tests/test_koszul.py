@@ -554,13 +554,18 @@ class TestBatchedScan:
         assert {s[-2:] for s in shapes} == {(2 * n, n)}
 
     @pytest.mark.parametrize("axis", ["x", "y"])
-    def test_refilled_chunk_arrays_equal_per_point(self, axis):
-        # One pair of chunk arrays serves the whole scan.  Chunk 1 holds a
-        # non-finite point, so it is ranked through copies of its other rows;
-        # chunks 2 and 3 are clean and ranked in place; the last chunk is
-        # short and uses a leading slice.  The members 1 and q^8 sit at a
-        # different place in every chunk, so a diagonal left over from an
-        # earlier chunk, or a skipped refill, shows as a row that differs.
+    def test_refilled_chunk_arrays_equal_per_point(self, axis, monkeypatch):
+        # One pair of chunk arrays serves the whole scan.  At rank_tol = 0.1
+        # no map is certified (a kept singular value would have to exceed
+        # 10 rank_tol s_0 = s_0), so every node is ranked: the levels of the
+        # bisection fill the arrays 13 times, three of them with a full
+        # chunk and most with a leading slice.  The members are the same
+        # as at the default: 1 and q^8, placed at a different offset in
+        # every stretch of a chunk's length, so a diagonal left over from
+        # an earlier fill, or a skipped refill, shows as a row that
+        # differs.  At the default two fills rank the two ends and one
+        # middle node per map, and those certify every other node.  The
+        # non-finite point is an error row that is never ranked.
         n = 8
         base = oc.model_pair(Q, n)
         # the y axis of the model pair; the swapped pair has the same members on x
@@ -577,12 +582,24 @@ class TestBatchedScan:
             def points(self):
                 return points
 
-        rows = kz.spectrum_scan(pair, axis, Listed())
-        want = naive_spectrum_scan(pair, axis, Listed())
-        (i,) = [i for i, r in enumerate(rows) if r.error]  # its g_re is NaN, which is != itself
-        assert i == step + 7 and rows[i].error == want[i].error
-        assert rows[:i] + rows[i + 1 :] == want[:i] + want[i + 1 :]
-        assert sum(r.member for r in rows) == 2 * 5
+        chunk_ranks, filled = kz._chunk_ranks, []
+
+        def counted(pair, gx, *args):
+            filled.append(gx.size)
+            return chunk_ranks(pair, gx, *args)
+
+        monkeypatch.setattr(kz, "_chunk_ranks", counted)
+        for rank_tol, fills in ((kz.DEFAULT_RANK_TOL, [2, 2]), (0.1, None)):
+            filled.clear()
+            rows = kz.spectrum_scan(pair, axis, Listed(), rank_tol)
+            want = naive_spectrum_scan(pair, axis, Listed(), rank_tol)
+            (i,) = [i for i, r in enumerate(rows) if r.error]  # its g_re is NaN, which is != itself
+            assert i == step + 7 and rows[i].error == want[i].error
+            assert rows[:i] + rows[i + 1 :] == want[:i] + want[i + 1 :]
+            assert sum(r.member for r in rows) == 2 * 5
+            if fills is not None:
+                assert filled == fills
+        assert len(filled) == 13 and filled.count(step) == 3 and sum(filled) == size - 1
 
     def test_built_maps_are_not_rewritten(self):
         pair = oc.model_pair(Q, 8)

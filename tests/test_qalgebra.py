@@ -648,6 +648,16 @@ class TestLogShifted:
             with pytest.raises(PreconditionError, match=r"ln\(0\.001 \+ g\) overflows"):
                 qa.log_shifted(1e-3, g)
 
+    def test_stops_multiplying_at_the_zero_power(self, monkeypatch):
+        # x^65 leaves the D = 64 box, so the sum to n = 2D = 128 stops
+        # after the 64 products x^2 .. x^65 (127 without the stop)
+        calls = []
+        qmul = qa.qmul
+        monkeypatch.setattr(qa, "qmul", lambda f, g: calls.append(1) or qmul(f, g))
+        f = qa.log_shifted(1.5, QSeries.monomial(Q, 64, 1, 0))
+        assert len(calls) == 64
+        assert np.array_equal(f.coeffs[:, 0], log_series(1.5, 64).coeffs)
+
     @pytest.mark.parametrize("d", [8, 32, 64])
     def test_keeps_the_loss_of_its_argument(self, d):
         xy = QSeries.monomial(Q, d, 1, 1)

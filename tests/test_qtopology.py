@@ -208,7 +208,6 @@ class TestHullAgainstWalk:
         pts = self.cloud(rng)
         want = np.array([naive_hull_contains(hull, z) for z in pts])
         assert np.array_equal([hull.contains(z) for z in pts], want)
-        assert np.array_equal(hull.contains_many(pts), want)
 
     def test_powers_of_a_tiny_q_stop_at_zero(self, rng):
         # points near the n = 1 copy ask for q^2, which is 0
@@ -217,24 +216,13 @@ class TestHullAgainstWalk:
         want = np.array([naive_hull_contains(hull, z) for z in pts])
         assert want.any() and not want.all()
         assert np.array_equal([hull.contains(z) for z in pts], want)
-        assert np.array_equal(hull.contains_many(pts), want)
         assert hull._scales_upto(3) == [1.0, 1e-200]
-
-    def test_contains_many_keeps_shape(self, rng):
-        hull = QHull(base_disk(), Q)
-        pts = rng.uniform(-1.2, 1.2, (6, 7)) + 1j * rng.uniform(-1.2, 1.2, (6, 7))
-        got = hull.contains_many(pts)
-        assert got.shape == (6, 7) and got.dtype == bool
-        assert got.tolist() == [[hull.contains(z) for z in row] for row in pts]
-        assert hull.contains_many(0.5).shape == ()
-        assert hull.contains_many([]).shape == (0,)
 
     def test_non_finite_points_are_outside(self):
         hull = QHull(QHull(base_disk(), Q), Q)
         bad = [complex(math.inf, 0), complex(0, -math.inf), complex(math.nan, 0.5)]
         for h in (hull, hull.base):
             assert not any(h.contains(z) for z in bad)
-            assert not h.contains_many(bad).any()
 
     def test_disk_union_many_matches_scalar(self, rng):
         du = spiral_neighborhood(1.0, 0.3, 0.1, Q)
@@ -243,18 +231,43 @@ class TestHullAgainstWalk:
 
 
 class TestHullDecision:
-    """A hull asked about its own q spirals into itself: ``qH ⊆ H``."""
+    """A hull is decided without a draw or a membership test.
+
+    Asked about its own q it spirals into itself, ``qH ⊆ H``; asked about
+    another q it is refused, as a hull over a hull with another q is.
+    """
+
+    @staticmethod
+    def forbid_sampling(monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a point was drawn or asked")
+
+        monkeypatch.setattr(np.random, "default_rng", unreachable)
+        monkeypatch.setattr(QHull, "contains", unreachable)
+        monkeypatch.setattr(DiskUnion, "contains", unreachable)
+        monkeypatch.setattr(DiskUnion, "contains_many", unreachable)
 
     @pytest.mark.parametrize("name", sorted(HULLS))
     def test_own_q_is_true_without_drawing(self, name, monkeypatch):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("a point was drawn")
-
         hull = HULLS[name]()
-        monkeypatch.setattr(np.random, "default_rng", unreachable)
-        monkeypatch.setattr(QHull, "contains_many", unreachable)
+        self.forbid_sampling(monkeypatch)
         assert is_q_spiraling(hull, hull.q) is True
         assert is_q_spiraling(hull, hull.q, samples=10_000, seed=3) is True
+
+    @pytest.mark.parametrize("name", sorted(HULLS))
+    def test_other_q_is_refused_without_drawing(self, name, monkeypatch):
+        hull = HULLS[name]()
+        self.forbid_sampling(monkeypatch)
+        other = 0.7j if hull.q != 0.7j else 0.5
+        with pytest.raises(PreconditionError) as err:
+            is_q_spiraling(hull, other, samples=300, seed=3)
+        assert str(err.value) == (
+            f"spiraling asked of a hull with another q: hull q = {hull.q}, q = {complex(other)}"
+        )
+
+    def test_the_q_of_the_question_is_checked_first(self):
+        with pytest.raises(PreconditionError, match=r"need 0 < \|q\| < 1"):
+            is_q_spiraling(QHull(base_disk(), Q), 1.5)
 
 
 class TestSpiralingAgainstLoop:
@@ -275,11 +288,12 @@ class TestSpiralingAgainstLoop:
             (DiskUnion.single(0.0, 0.7), Q, 2000, 3),
             (base_disk(), Q, 100, 3),
             (spiral_neighborhood(1.0, 0.3, 0.1, Q), Q, 5000, 3),
-            # the hull at 300 samples: the per-draw loop needs about 7 s for 10000
-            (QHull(base_disk(), Q), Q, 300, 3),
-            (QHull(base_disk(), Q), Q, 300, 4),
-            (QHull(base_disk(), Q), 0.7, 300, 3),
-            (QHull(DiskUnion.single(0.4 + 0.3j, 0.5), 0.8), 0.8j, 300, 3),
+            # B(0, 1) ∪ B(2, r) at q = 1/2 is q-invariant iff r >= sqrt(2);
+            # at r = 1 the image B(1, 1/2) leaves it near 1 ± 0.45i
+            (DiskUnion([(0.0, 1.0), (2.0, 1.0)]), Q, 300, 3),
+            (DiskUnion([(0.0, 1.0), (2.0, 1.42)]), Q, 300, 4),
+            (spiral_neighborhood(1.0, 0.3, 0.1, 0.7), 0.7, 300, 3),
+            (spiral_neighborhood(0.4 + 0.3j, 0.2, 0.1, 0.8j), 0.8j, 300, 3),
             # no draws: only the origin is asked
             (DiskUnion.single(0.0, 0.7), Q, 0, 3),
             # the empty union: a zero box, and the origin is outside
