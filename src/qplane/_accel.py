@@ -1,4 +1,4 @@
-"""Hot numeric kernels: the untruncated twisted product and power formula.
+"""Hot numeric kernels: the twisted product and the power formula.
 
 The power formula, and the product of sparse tables, cost what their
 term pairs cost.  A term is a monomial ``x^wi y^wk`` with coefficient
@@ -15,7 +15,8 @@ each term into its cell with ``np.add.at``.
 * ``qmul_full`` scatters the support of ``a`` (head) against the
   support of ``b`` (tail), or runs one Toeplitz matmul per nonzero
   column of ``a`` over ``b``'s nonzero bounding box, whichever
-  :data:`PAIR_COST` prices lower.
+  :data:`PAIR_COST` prices lower.  Given a degree, the matmuls form
+  only the cells of the truncation box.
 * ``qpow_formula`` splits each index s-tuple into a head of ``s // 2``
   factors and a tail of the rest, so that
   ``e = e_head + e_tail + K_head*I_tail``; it enumerates each half once
@@ -24,9 +25,10 @@ each term into its cell with ``np.add.at``.
 :mod:`qplane.qalgebra` calls both through the module attributes
 ``qmul_full`` and ``qpow_formula``.
 
-For ``|q| > 1`` a twist ``q^e`` can overflow.  Every cell that a term
-with an overflowed twist lands in is non-finite, and no other cell is
-touched by it: ``0 * inf`` never spreads a NaN to its neighbours.
+Every twist ``q^e`` comes from :func:`_twist`.  For ``|q| > 1`` it can
+overflow.  Every cell that a term with an overflowed twist lands in is
+non-finite, and no other cell is touched by it: ``0 * inf`` never
+spreads a NaN to its neighbours.
 """
 
 from __future__ import annotations
@@ -46,19 +48,58 @@ CHUNK = 2048  # term pairs per step of _scatter_pairs
 PAIR_COST = 1
 
 
-def _toeplitz(v: np.ndarray, width: int) -> np.ndarray:
-    """Banded Toeplitz matrix ``T[r, j] = v[r - j]`` of shape ``(len(v)+width-1, width)``.
+def _toeplitz(v: np.ndarray, width: int, rows: int) -> np.ndarray:
+    """The first ``rows`` rows of the banded Toeplitz matrix ``T[r, j] = v[r - j]``.
 
+    ``T`` has ``width`` columns and at most ``len(v)+width-1`` rows;
     ``T @ m`` convolves ``v`` with every column of ``m``.
     """
     pad = np.zeros(width - 1, dtype=v.dtype)
-    windows = sliding_window_view(np.concatenate([pad, v, pad]), width)
+    windows = sliding_window_view(np.concatenate([pad, v, pad]), width)[:rows]
     return np.ascontiguousarray(windows[:, ::-1])
 
 
 def _support(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the nonzero entries, in row-major order."""
     return np.divmod(np.flatnonzero(table.astype(bool)), table.shape[1])
+
+
+def _powers(z: complex, n: int) -> np.ndarray:
+    """``z^0, z^1, ..., z^(n-1)``, every ``np.power`` exponent below 100.
+
+    numpy multiplies out a complex power whose integer exponent is below
+    100 and calls ``cpow`` from 100 on, at about 80 ns an entry against
+    25.  Longer runs are rows of 100 low powers times the powers of
+    ``z^100``.
+    """
+    if n <= 100:
+        return np.power(z, np.arange(n))
+    low = np.power(z, np.arange(100))
+    return (_powers(low[-1] * z, -(-n // 100))[:, None] * low).ravel()[:n]
+
+
+def _twist(q: complex, emax: int):
+    """``e -> q^e`` on integer arrays with ``0 <= e <= emax``.
+
+    ``q^e = q^(base*(e // base)) * q^(e % base)`` with ``base`` about
+    ``sqrt(emax)``: two tables of about ``sqrt(emax)`` powers each, not
+    one of ``emax``; below 100, ``np.power`` takes ``e`` directly.
+    Both routes of :func:`qmul_full` and the power formula take their
+    twists here.  Call it, and the function it returns, under
+    ``np.errstate(over="ignore", invalid="ignore")``: at ``|q| > 1``
+    powers overflow, and the callers find those entries.
+    """
+    if emax < 100:  # no tables to build for a few short products
+        return lambda e: np.power(q, e)
+    base = math.isqrt(emax) + 1
+    fine = _powers(q, base)
+    coarse = _powers(fine[-1] * q, emax // base + 1)
+
+    def power(e: np.ndarray) -> np.ndarray:
+        hi, lo = np.divmod(e, base)
+        return coarse[hi] * fine[lo]
+
+    return power
 
 
 def _scatter_pairs(out: np.ndarray, head, tail, q: complex) -> None:
@@ -83,27 +124,22 @@ def _scatter_pairs(out: np.ndarray, head, tail, q: complex) -> None:
     tcell = ti * width + tk
     step_t = min(ti.size, CHUNK)
     step_h = CHUNK // step_t
-    # q^e = q^(base*(e // base)) * q^(e % base): two tables of about
-    # sqrt(emax) powers each, not one of emax (numpy's complex power
-    # takes about 80 ns an entry above exponent 100)
-    emax = int(he.max() + te.max() + hk.max() * ti.max())
-    base = math.isqrt(emax) + 1
     with np.errstate(over="ignore", invalid="ignore"):
-        coarse = np.power(q, base * np.arange(emax // base + 1))
-        fine = np.power(q, np.arange(base))
+        twist = _twist(q, int(he.max() + te.max() + hk.max() * ti.max()))
         for t0 in range(0, ti.size, step_t):
             t = slice(t0, t0 + step_t)
             for h0 in range(0, hi.size, step_h):
                 h = slice(h0, h0 + step_h)
                 e = (he[h, None] + te[t]) + hk[h, None] * ti[t]
-                hi_e, lo_e = np.divmod(e, base)
-                term = (hc[h, None] * tc[t]) * (coarse[hi_e] * fine[lo_e])
+                term = (hc[h, None] * tc[t]) * twist(e)
                 # 1-D operands keep np.add.at on its fast path
                 np.add.at(flat, (hcell[h, None] + tcell[t]).ravel(), term.ravel())
 
 
-def qmul_full(a: np.ndarray, b: np.ndarray, q: complex) -> np.ndarray:
-    """Untruncated normal-ordered product of two coefficient tables.
+def qmul_full(
+    a: np.ndarray, b: np.ndarray, q: complex, degree: int | None = None
+) -> np.ndarray:
+    """Normal-ordered product of two coefficient tables.
 
     ``a[i, k]`` is the coefficient of the monomial with x-degree ``i``
     and y-degree ``k``.  Reordering the middle factors costs the twist
@@ -111,9 +147,9 @@ def qmul_full(a: np.ndarray, b: np.ndarray, q: complex) -> np.ndarray:
 
         out[n, m] = sum_{i1+i2=n, k1+k2=m} q^(i2*k1) a[i1,k1] b[i2,k2].
 
-    The result has shape ``(da+db+1, ka+kb+1)``; truncation (and the
-    loss flag) is the caller's business.  Each operand's support is
-    found once, and one of two routes forms the table:
+    Untruncated, the result has shape ``(da+db+1, ka+kb+1)``.  Each
+    operand's support is found once, and one of two routes forms the
+    table:
 
     * pairs: the support of ``a`` (head) against that of ``b`` (tail)
       through :func:`_scatter_pairs`, with ``e = k1*i2``;
@@ -123,22 +159,33 @@ def qmul_full(a: np.ndarray, b: np.ndarray, q: complex) -> np.ndarray:
       that matmul, and the cells their terms reach are set to NaN.
 
     The pair route is taken when ``PAIR_COST * nnz(a) * nnz(b)`` is below
-    the column route's scaled-box cells, ``cols(a) * box(b)``.
+    the column route's scaled-box cells, ``cols(a) * box(b)``, counted
+    untruncated.
+
+    ``degree`` truncates the column route: it returns exactly the
+    ``(degree+1, degree+1)`` box, and for each column ``k1`` forms only
+    the Toeplitz rows of output rows ``<= degree``, the rows
+    ``i2 <= degree - first`` of ``b``'s box (``first`` the column's
+    lowest x-degree) and its columns ``k2 <= degree - k1``, and marks
+    overflowed terms only there.  The pair route ignores ``degree`` and
+    returns the untruncated table, so a caller that passes ``degree``
+    tells the two apart by the shape and truncates itself.  A zero
+    operand runs neither route: the result is the zero table, the box
+    when ``degree`` is given.
     """
     q = complex(q)
-    out = np.zeros(
-        (a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1),
-        dtype=np.complex128,
-    )
+    whole = (a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1)
+    shape = whole if degree is None else (degree + 1, degree + 1)
     k1, i1 = _support(a.T)  # column by column
     i2, k2 = _support(b)
     if i1.size == 0 or i2.size == 0:
-        return out
+        return np.zeros(shape, dtype=np.complex128)
     # a's nonzero columns are runs of equal k1; b's rows come sorted
-    bounds = [0, *(np.flatnonzero(np.diff(k1)) + 1).tolist(), k1.size]
+    bounds = [0, *(np.flatnonzero(k1[1:] != k1[:-1]) + 1).tolist(), k1.size]
     r0, r1 = int(i2[0]), int(i2[-1]) + 1
     c0, c1 = int(k2.min()), int(k2.max()) + 1
     if PAIR_COST * i1.size * i2.size < (len(bounds) - 1) * (r1 - r0) * (c1 - c0):
+        out = np.zeros(whole, dtype=np.complex128)
         _scatter_pairs(
             out,
             (i1, k1, np.zeros_like(i1), a[i1, k1]),
@@ -146,24 +193,32 @@ def qmul_full(a: np.ndarray, b: np.ndarray, q: complex) -> np.ndarray:
             q,
         )
         return out
-    box = b[r0:r1, c0:c1]
-    rows = np.arange(r0, r1)
+    out = np.zeros(shape, dtype=np.complex128)
+    top, right = shape[0] - 1, shape[1] - 1  # the highest x- and y-degree kept
+    cols = k1[bounds[:-1]]
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in zip(bounds, bounds[1:]):
-            col, first, last = k1[lo], i1[lo], i1[hi - 1]
-            span = a[first : last + 1, col]
-            scaled = box * np.power(q, rows * col)[:, None]
+        twist = _twist(q, (r1 - 1) * int(cols[-1]))(np.arange(r0, r1)[:, None] * cols)
+        for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            col, first, last = int(cols[j]), int(i1[lo]), int(i1[hi - 1])
+            inner = min(r1, top - first + 1) - r0  # rows i2 < r0 + inner of b's box
+            width = min(c1, right - col + 1) - c0  # columns k2 < c0 + width
+            if inner <= 0 or width <= 0:
+                continue
+            span = a[first : min(last, top - r0) + 1, col]
+            box = b[r0 : r0 + inner, c0 : c0 + width]
+            scaled = box * twist[:inner, j, None]
             overflowed = ~np.isfinite(scaled)
             if overflowed.any():
                 scaled[overflowed] = 0
                 overflowed &= box != 0  # a zero entry times inf is no term
-            block = out[first + r0 : last + r1, col + c0 : col + c1]
-            if hi - lo == 1:  # the Toeplitz matrix would be a multiple of I
+            rows = min(top - first - r0 + 1, span.size + inner - 1)  # output rows kept
+            block = out[first + r0 : first + r0 + rows, col + c0 : col + c0 + width]
+            if span.size == 1:  # the Toeplitz matrix would be a multiple of I
                 block += span[0] * scaled
             else:
-                block += _toeplitz(span, r1 - r0) @ scaled
+                block += _toeplitz(span, inner, rows) @ scaled
             if overflowed.any():
-                hits = _toeplitz((span != 0).astype(float), r1 - r0) @ overflowed
+                hits = _toeplitz((span != 0).astype(float), inner, rows) @ overflowed
                 block[hits > 0] = np.nan
     return out
 

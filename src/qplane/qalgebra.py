@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -110,6 +111,15 @@ class QSeries:
     def trunc_degree(self) -> int:
         return self.coeffs.shape[0] - 1
 
+    @cached_property
+    def _degrees(self) -> tuple[int, int]:
+        """Highest x- and y-degree of a nonzero coefficient; ``(-1, -1)`` for none."""
+        held = np.flatnonzero(self.coeffs.astype(bool))
+        if not held.size:
+            return -1, -1
+        n = self.coeffs.shape[1]
+        return int(held[-1]) // n, int((held % n).max())
+
     def terms(self) -> list[tuple[int, int, complex]]:
         """Nonzero entries as ``(i, k, value)``, sorted by (i, k)."""
         ii, kk = np.nonzero(self.coeffs)
@@ -198,22 +208,151 @@ def qmul(f: QSeries, g: QSeries) -> QSeries:
 
         (fg)[n, m] = sum q^(i2*k1) f[i1, k1] g[i2, k2]
 
-    over ``i1+i2 = n``, ``k1+k2 = m``.  The full product table is
-    formed (:func:`qplane._accel.qmul_full`) so that discarded nonzero
-    mass beyond the truncation degree sets ``lossy``; a twist that
-    overflows there only sets ``lossy``.  A cell inside the table that
-    overflows raises :class:`PreconditionError`, which names ``|q|``
-    unless the coefficients overflow without any twist (:func:`_finite`).
+    over ``i1+i2 = n``, ``k1+k2 = m``.  :func:`qplane._accel.qmul_full`
+    forms the product truncated to the table where its column route
+    runs, and the whole table where it scatters term pairs.  ``lossy``
+    says whether the untruncated table has a nonzero or non-finite cell
+    outside the truncation box: read from those cells when they were
+    formed, and decided by :func:`_lost_outside` otherwise, so a twist
+    that overflows there only sets ``lossy``.  A cell inside the table
+    that overflows raises :class:`PreconditionError`, which names
+    ``|q|`` unless the coefficients overflow without any twist
+    (:func:`_finite`).
     """
     _check_compatible(f, g)
     d = f.trunc_degree
-    full = _accel.qmul_full(f.coeffs, g.coeffs, f.q)
+    full = _accel.qmul_full(f.coeffs, g.coeffs, f.q, d)
     out = _finite(
         full[: d + 1, : d + 1], f.q, d, "product",
-        lambda: _accel.qmul_full(f.coeffs, g.coeffs, 1.0)[: d + 1, : d + 1],
+        lambda: _accel.qmul_full(f.coeffs, g.coeffs, 1.0, d)[: d + 1, : d + 1],
     )
-    lost = bool(full[d + 1 :, :].any() or full[:, d + 1 :].any())
+    if full.shape[0] > d + 1:  # the pair route formed the whole table
+        lost = bool(full[d + 1 :, :].any() or full[:, d + 1 :].any())
+    else:
+        lost = _lost_outside(f, g)
     return QSeries(f.q, out, lossy=f.lossy or g.lossy or lost)
+
+
+# log2 thresholds of the lossy decision, from the roundings in _lost_outside
+_KEPT_LOG2 = -1000.0  # partial products all at least this: a normal nonzero term
+_ZERO_LOG2 = -1100.0  # a term below this that overflows nowhere: 0
+_FINITE_LOG2 = 1000.0  # a power or partial product below this: finite
+_OVER_LOG2 = 1025.0  # one at least this: non-finite
+
+
+def _lost_outside(f: QSeries, g: QSeries) -> bool:
+    """Whether the untruncated product of ``f`` and ``g`` has a nonzero
+    or non-finite cell outside the truncation box, without forming it.
+
+    The thresholds come from the roundings of the routes.  The column
+    route of :func:`qplane._accel.qmul_full` forms each term as
+    ``a·(b·q^e)``, with ``q^e`` multiplied out from powers of ``q``
+    (:func:`qplane._accel._twist`); the pair route forms ``(a·b)·q^e``
+    from the same powers, but ``qmul`` reads that route's whole table
+    instead.  A rounding moves a value of at least 2^-1022 by a
+    relative 2^-53, so a term whose exact partial products all reach
+    2^-1000 (and so do the powers inside ``q^e``, which lie between
+    ``q^e`` and 1) comes out a nonzero double, or a non-finite one where
+    something overflows.  Below 2^-1022 a rounding at most doubles a
+    value and sends anything below 2^-1075 to 0; the 25 bits between
+    2^-1100 and 2^-1075 leave room for those doublings, so a term below
+    2^-1100 that overflows nowhere comes out 0.  The randomized test in
+    ``tests/test_qalgebra.py`` holds the rule to the formed table with
+    coefficients from 1e-320 to 1e307 and ``q`` from 1e-150 to 1e10.
+    Four steps, in order:
+
+    1. the highest x-degrees of ``a`` and ``b`` sum to at most ``d``,
+       and so do the highest y-degrees: no term lies outside (False).
+       Only ``g``'s degrees are found (and kept on ``g``); ``f``'s rows
+       above ``d - xb`` and columns above ``d - yb`` are tested;
+    2. a vertex cell of the support sum lies outside and holds a single
+       term, for instance ``(Ia+Ib, kmin_a(Ia)+kmin_b(Ib))`` with ``Ia``
+       the highest x-degree of ``a`` and ``kmin_a(Ia)`` the lowest
+       y-degree in that row, whose twist is ``q^(Ib·kmin_a(Ia))``.  No
+       sum can cancel it, so if each of its partial products reaches
+       2^-1000, or one overflows, the cell is nonzero (True);
+    3. :func:`_outside_bound` takes, in O(d²), the largest log2 of a
+       term outside the box and the largest log2 of a term's smallest
+       partial product: True when the latter reaches -1000, False when
+       the former is below -1100 and no twist or ``b·q^e`` overflows;
+    4. otherwise the untruncated table is formed and its outside cells
+       read.
+
+    An outside cell whose nonzero terms cancel exactly still counts as
+    lossy here, as it does term by term in the benchmark's sparse
+    reference product, though the formed table would hold 0 there.
+    """
+    a, b, q, d = f.coeffs, g.coeffs, f.q, f.trunc_degree
+    xb, yb = g._degrees  # the right factor is the fixed one in a run of powers
+    if not (a[d + 1 - xb :].any() or a[:, d + 1 - yb :].any()):
+        return False
+    xa, ya = f._degrees
+    lq = math.log2(abs(q))
+    if xa + xb > d:
+        ka, kb = _first(a[xa]), _first(b[xb])
+        if _term_kept(a[xa, ka], b[xb, kb], xb * ka * lq):
+            return True
+    if ya + yb > d:
+        ia, ib = _first(a[:, ya]), _first(b[:, yb])
+        if _term_kept(a[ia, ya], b[ib, yb], ib * ya * lq):
+            return True
+    decided = _outside_bound(a, b, lq, d)
+    if decided is not None:
+        return decided
+    full = _accel.qmul_full(a, b, q)
+    return bool(full[d + 1 :, :].any() or full[:, d + 1 :].any())
+
+
+def _first(line: np.ndarray) -> int:
+    """Index of the first nonzero entry of ``line``."""
+    return int(np.flatnonzero(line)[0])
+
+
+def _term_kept(ca: complex, cb: complex, t: float) -> bool:
+    """Whether ``ca·(cb·q^e)``, with ``t = e·log2|q|``, is formed nonzero or non-finite."""
+    scaled = math.log2(abs(cb)) + t
+    whole = math.log2(abs(ca)) + scaled
+    return min(t, scaled, whole) >= _KEPT_LOG2 or max(t, scaled, whole) >= _OVER_LOG2
+
+
+def _outside_bound(a: np.ndarray, b: np.ndarray, lq: float, d: int) -> bool | None:
+    """Step 3 of :func:`_lost_outside`: True, False or undecided (None).
+
+    A term outside the box has ``i1 + i2 > d`` or ``k1 + k2 > d``.  For
+    each ``(i2, k1)`` the largest such term takes the largest
+    ``log2|a[i1, k1]|`` over the admissible ``i1`` (a suffix maximum
+    down column ``k1``, or the whole column) and the largest
+    ``log2|b[i2, k2]|`` over the admissible ``k2`` (the whole row, or a
+    suffix maximum along row ``i2``); every partial product grows with
+    both, so the same pair also has the largest smallest partial
+    product.
+    """
+    n = d + 1
+    with np.errstate(divide="ignore"):
+        # |c| of a finite complex may round to inf; 2^1025 still bounds it
+        la = np.minimum(np.log2(np.abs(a)), _OVER_LOG2)
+        lb = np.minimum(np.log2(np.abs(b)), _OVER_LOG2)
+    t = np.multiply.outer(np.arange(n), np.arange(n)) * lq  # t[i2, k1]
+    none = np.full((n, 1), -np.inf)
+    # i1 >= n - i2: row i2 - 1 of the suffix maxima from the bottom of a
+    suffix_a = np.maximum.accumulate(la[::-1], axis=0)
+    # k2 >= n - k1: column k1 - 1 of the suffix maxima from the right of b
+    suffix_b = np.maximum.accumulate(lb[:, ::-1], axis=1)
+    kept, largest, overflow = -np.inf, -np.inf, -np.inf
+    for la_, lb_ in (
+        (np.vstack([none.T, suffix_a[:-1]]), lb.max(axis=1)[:, None]),  # x outside
+        (la.max(axis=0)[None, :], np.hstack([none, suffix_b[:, :-1]])),  # y outside
+    ):
+        scaled = lb_ + t
+        whole = la_ + scaled
+        kept = max(kept, np.minimum(np.minimum(t, scaled), whole).max())
+        largest = max(largest, whole.max())
+        overflow = max(overflow, np.where(whole > -np.inf, np.maximum(t, scaled), -np.inf).max())
+    if kept >= _KEPT_LOG2:
+        return True
+    if largest < _ZERO_LOG2 and overflow < _FINITE_LOG2:
+        return False
+    return None
 
 
 def _drop_overflow(

@@ -180,7 +180,10 @@ def naive_hull_contains(hull, z: complex, max_steps: int = 100_000) -> bool:
     """Hull membership by walking every copy ``q^n`` of the base from ``n = 0``.
 
     A base that is itself a hull is asked the same way, copy by copy;
-    the walk stops once the shrinking copies can no longer reach ``z``.
+    the walk stops once the shrinking copies can no longer reach ``z``
+    (``|z / q^n| >= r``, tested on the quotient so that ``|q^n| r`` is
+    not rounded first at the bottom of the double range), or once
+    ``q^n`` underflows to 0.
     """
     z = complex(z)
     if z == 0:
@@ -200,7 +203,7 @@ def naive_hull_contains(hull, z: complex, max_steps: int = 100_000) -> bool:
         if member(z / scale):
             return True
         scale *= hull.q
-        if abs(scale) * r <= abs(z):
+        if scale == 0 or abs(z / scale) >= r:
             break
     return False
 

@@ -178,7 +178,7 @@ KERNEL_CASES = [
 ]
 
 
-def routed(route, a, b, q):
+def routed(route, a, b, q, degree=None):
     """``_accel.qmul_full`` held to one route.
 
     A term pair costing 0 always takes the pair route; one costing
@@ -187,7 +187,7 @@ def routed(route, a, b, q):
     saved = _accel.PAIR_COST
     _accel.PAIR_COST = {"pair": 0.0, "column": math.inf}[route]
     try:
-        return _accel.qmul_full(a, b, q)
+        return _accel.qmul_full(a, b, q, degree)
     finally:
         _accel.PAIR_COST = saved
 
@@ -204,6 +204,16 @@ class TestKernels:
         assert_scaled_close(_accel.qmul_full(a, b, q), want)
         for route in ROUTES:
             assert_scaled_close(routed(route, a, b, q), want)
+        # truncated, the column route forms exactly the (d+1)^2 box; the
+        # pair route still hands back the whole table (a zero factor
+        # runs neither)
+        box = routed("column", a, b, q, d)
+        assert box.shape == (d + 1, d + 1)
+        n, m = min(d + 1, want.shape[0]), min(d + 1, want.shape[1])
+        assert_scaled_close(box[:n, :m], want[:n, :m])
+        assert not box[n:, :].any() and not box[:, m:].any()
+        pairs = routed("pair", a, b, q, d)
+        assert pairs.shape == (want.shape if a.any() else (d + 1, d + 1))
 
     def test_routing(self, monkeypatch, rng):
         # the diagonal mixed part of the worked logarithm scatters its
@@ -294,6 +304,12 @@ class TestKernels:
             got = routed(route, a, b, q)
             assert np.array_equal(~np.isfinite(got), reached), route
             assert_scaled_close(got[~reached], want[~reached])
+        # the box route marks only the overflowed terms it keeps
+        for d in (6, 12, 18):
+            box = routed("column", a, b, q, d)
+            assert np.array_equal(~np.isfinite(box), reached[: d + 1, : d + 1]), d
+            kept = ~reached[: d + 1, : d + 1]
+            assert_scaled_close(box[kept], want[: d + 1, : d + 1][kept])
 
     @pytest.mark.parametrize("layout", ["plain", "twisted"])
     def test_cross_check_routes_drop_overflow_outside_the_table(self, layout):
@@ -375,6 +391,125 @@ class TestKernels:
             for method in ("formula", "repeated"):
                 with pytest.raises(PreconditionError, match=r"\|q\| = 2 inside the degree-199"):
                     qa.qpow(f, 2, method)
+
+
+def outside_any(a, b, q, d):
+    """The loss flag read off the untruncated table: any cell outside the box."""
+    full = _accel.qmul_full(a, b, q)
+    return bool(full[d + 1 :, :].any() or full[:, d + 1 :].any())
+
+
+def lossy_table(rng, d):
+    """A dense, sparse, banded or one-term table with a seeded magnitude."""
+    n = d + 1
+    mask = [
+        np.ones((n, n), dtype=bool),
+        rng.random((n, n)) < 0.2,
+        np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1,
+        np.arange(n * n).reshape(n, n) == rng.integers(n * n),
+    ][rng.integers(4)]
+    scale = 10.0 ** rng.choice([0, 0, 300, -300, 150, -150, -320, 307, rng.uniform(-320, 300)])
+    return np.where(mask, (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * scale, 0)
+
+
+LOSSY_QS = (1e-150, 0.01, 0.5, 0.3 + 0.4j, 1.5, 1e10)
+
+
+class TestLossyRule:
+    """``qmul``'s loss flag without the cells outside the box (qalgebra._lost_outside)."""
+
+    @pytest.mark.parametrize("route", ["chosen", "column"])
+    def test_matches_the_untruncated_table(self, route, monkeypatch):
+        # 1500 seeded cases per route: the flag equals .any() over the
+        # outside cells of the untruncated product; the column route
+        # held for every product reaches all four steps of the decision
+        if route == "column":
+            monkeypatch.setattr(_accel, "PAIR_COST", math.inf)
+        rng = np.random.default_rng(19 if route == "column" else 20)
+        compared = 0
+        for case in range(1500):
+            d = int(rng.integers(0, 10))
+            a, b = lossy_table(rng, d), lossy_table(rng, d)
+            if not (np.isfinite(a).all() and np.isfinite(b).all()):
+                continue
+            q = LOSSY_QS[case % len(LOSSY_QS)]
+            try:
+                got = qa.qmul(QSeries(q, a), QSeries(q, b)).lossy
+            except PreconditionError:  # a cell inside the box overflowed
+                continue
+            assert got == outside_any(a, b, q, d), (case, d, q)
+            compared += 1
+        assert compared >= 1200
+
+    @staticmethod
+    def steps(monkeypatch, cases):
+        """``qmul``'s loss flags on ``cases``, with its step-3 answers and untruncated kernel calls.
+
+        A case is ``(d, q, f_terms, g_terms)``; every flag is checked
+        against the untruncated table first, before the spies go in.
+        """
+        monkeypatch.setattr(_accel, "PAIR_COST", math.inf)  # the column route
+        pairs = [
+            (QSeries.from_terms(q, d, f), QSeries.from_terms(q, d, g)) for d, q, f, g in cases
+        ]
+        want = [outside_any(f.coeffs, g.coeffs, f.q, f.trunc_degree) for f, g in pairs]
+        taken = {"bound": [], "untruncated": 0}
+        bound, kernel = qa._outside_bound, _accel.qmul_full
+
+        def spied_bound(*args):
+            taken["bound"].append(bound(*args))
+            return taken["bound"][-1]
+
+        def spied_kernel(a, b, q, degree=None):
+            taken["untruncated"] += degree is None
+            return kernel(a, b, q, degree)
+
+        monkeypatch.setattr(qa, "_outside_bound", spied_bound)
+        monkeypatch.setattr(_accel, "qmul_full", spied_kernel)
+        got = [qa.qmul(f, g).lossy for f, g in pairs]
+        assert got == want
+        return got, taken
+
+    def test_step_1_degrees_that_fit(self, monkeypatch):
+        got, taken = self.steps(
+            monkeypatch, [(8, Q, [(2, 1, 1.0), (0, 5, 2.0)], [(6, 0, 1.0), (1, 3, 1.0)])]
+        )
+        assert got == [False]
+        assert taken == {"bound": [], "untruncated": 0}
+
+    def test_step_2_a_vertex_cell(self, monkeypatch):
+        # dense: (2D, 0) holds the one term a[D, 0] b[D, 0] q^0.  The
+        # vertex (1, 3) of 2^-1070 y^2 * 2^-1070 xy holds 2^-2140 q^2,
+        # 2^-1110 at q = 2^515, but its twist 2^1030 overflows
+        rng = np.random.default_rng(5)
+        dense = [(i, k, complex(*rng.standard_normal(2))) for i in range(5) for k in range(5)]
+        got, taken = self.steps(monkeypatch, [
+            (4, 0.3 + 0.4j, dense, dense[::-1]),
+            (2, 2.0**515, [(0, 2, 2.0**-1070)], [(1, 1, 2.0**-1070)]),
+        ])
+        assert got == [True, True]
+        assert taken == {"bound": [], "untruncated": 0}
+
+    def test_step_3_the_bound_decides(self, monkeypatch):
+        got, taken = self.steps(monkeypatch, [
+            # the vertex (5, 0) holds 1e-600, below 2^-1000; the term at
+            # (5, 1), 0.5 * 1e300 * 1e-300, is far above it
+            (4, Q, [(4, 0, 1e-300), (4, 1, 1e300)], [(1, 0, 1e-300)]),
+            # the only outside term is 1e-600, below 2^-1100
+            (4, Q, [(4, 0, 1e-300)], [(1, 0, 1e-300)]),
+        ])
+        assert got == [True, False]
+        assert taken == {"bound": [True, False], "untruncated": 0}
+
+    def test_step_4_the_table_between_the_bounds(self, monkeypatch):
+        # 1e-320 (about 2^-1063) is subnormal but not 0; 1e-324 (about
+        # 2^-1076) rounds to 0
+        got, taken = self.steps(monkeypatch, [
+            (4, Q, [(4, 0, 1e-160)], [(1, 0, 1e-160)]),
+            (4, Q, [(4, 0, 1e-162)], [(1, 0, 1e-162)]),
+        ])
+        assert got == [True, False]
+        assert taken == {"bound": [None, None], "untruncated": 2}
 
 
 class TestDecompose:

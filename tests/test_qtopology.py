@@ -218,6 +218,13 @@ class TestHullAgainstWalk:
         assert np.array_equal([hull.contains(z) for z in pts], want)
         assert hull._scales_upto(3) == [1.0, 1e-200]
 
+    def test_subnormal_point_in_the_last_copy(self):
+        # 5e-324 = 2^-1074 lies in the copy n = 1074, where |q^n| r rounds
+        # 1.1 * 2^-1074 down to 2^-1074
+        hull = QHull(DiskUnion.single(1, 0.1), 0.5)
+        assert naive_hull_contains(hull, 5e-324)
+        assert hull.contains(5e-324)
+
     def test_non_finite_points_are_outside(self):
         hull = QHull(QHull(base_disk(), Q), Q)
         bad = [complex(math.inf, 0), complex(0, -math.inf), complex(math.nan, 0.5)]

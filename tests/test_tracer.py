@@ -72,3 +72,20 @@ def test_pair_route_products_still_record_a_kernel_span(monkeypatch):
     summary = tracer.summarize(t.names, t.arrays())
     assert summary["accel.qmul_full"]["calls"] == 1
     assert t.counts["accel.qmul_full.cells_computed"] == 65 * 65
+
+
+def test_dense_products_record_only_the_box(monkeypatch):
+    # a dense D = 32 product runs the column route, which forms only the
+    # 33 x 33 box it keeps
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    rng = np.random.default_rng(3)
+    f, g = (QSeries(0.5 + 0.25j, rng.standard_normal((33, 33))) for _ in range(2))
+    t = tracer.Tracer()
+    tracer.install(t)
+    try:
+        assert qa.qmul(f, g).lossy
+    finally:
+        t.pause()
+    assert t.counts["accel.qmul_full.cells_computed"] == 33 * 33
