@@ -83,14 +83,11 @@ def _twist(q: complex, emax: int):
 
     ``q^e = q^(base*(e // base)) * q^(e % base)`` with ``base`` about
     ``sqrt(emax)``: two tables of about ``sqrt(emax)`` powers each, not
-    one of ``emax``; below 100, ``np.power`` takes ``e`` directly.
-    Both routes of :func:`qmul_full` and the power formula take their
+    one of ``emax``.  Both routes of :func:`qmul_full` and the power formula take their
     twists here.  Call it, and the function it returns, under
     ``np.errstate(over="ignore", invalid="ignore")``: at ``|q| > 1``
     powers overflow, and the callers find those entries.
     """
-    if emax < 100:  # no tables to build for a few short products
-        return lambda e: np.power(q, e)
     base = math.isqrt(emax) + 1
     fine = _powers(q, base)
     coarse = _powers(fine[-1] * q, emax // base + 1)

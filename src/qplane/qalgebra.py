@@ -235,14 +235,13 @@ def qmul(f: QSeries, g: QSeries) -> QSeries:
 
 # log2 thresholds of the lossy decision, from the roundings in _lost_outside
 _KEPT_LOG2 = -1000.0  # partial products all at least this: a normal nonzero term
-_ZERO_LOG2 = -1100.0  # a term below this that overflows nowhere: 0
-_FINITE_LOG2 = 1000.0  # a power or partial product below this: finite
 _OVER_LOG2 = 1025.0  # one at least this: non-finite
 
 
 def _lost_outside(f: QSeries, g: QSeries) -> bool:
     """Whether the untruncated product of ``f`` and ``g`` has a nonzero
-    or non-finite cell outside the truncation box, without forming it.
+    or non-finite cell outside the truncation box, forming it only when
+    that is not certain.
 
     The thresholds come from the roundings of the routes.  The column
     route of :func:`qplane._accel.qmul_full` forms each term as
@@ -252,14 +251,9 @@ def _lost_outside(f: QSeries, g: QSeries) -> bool:
     instead.  A rounding moves a value of at least 2^-1022 by a
     relative 2^-53, so a term whose exact partial products all reach
     2^-1000 (and so do the powers inside ``q^e``, which lie between
-    ``q^e`` and 1) comes out a nonzero double, or a non-finite one where
-    something overflows.  Below 2^-1022 a rounding at most doubles a
-    value and sends anything below 2^-1075 to 0; the 25 bits between
-    2^-1100 and 2^-1075 leave room for those doublings, so a term below
-    2^-1100 that overflows nowhere comes out 0.  The randomized test in
-    ``tests/test_qalgebra.py`` holds the rule to the formed table with
-    coefficients from 1e-320 to 1e307 and ``q`` from 1e-150 to 1e10.
-    Four steps, in order:
+    ``q^e`` and 1) comes out a nonzero double; one whose twist, ``b·q^e``
+    or whole term reaches 2^1025 comes out non-finite.  Three steps, in
+    order:
 
     1. the highest x-degrees of ``a`` and ``b`` sum to at most ``d``,
        and so do the highest y-degrees: no term lies outside (False).
@@ -271,16 +265,12 @@ def _lost_outside(f: QSeries, g: QSeries) -> bool:
        y-degree in that row, whose twist is ``q^(Ib·kmin_a(Ia))``.  No
        sum can cancel it, so if each of its partial products reaches
        2^-1000, or one overflows, the cell is nonzero (True);
-    3. :func:`_outside_bound` takes, in O(d²), the largest log2 of a
-       term outside the box and the largest log2 of a term's smallest
-       partial product: True when the latter reaches -1000, False when
-       the former is below -1100 and no twist or ``b·q^e`` overflows;
-    4. otherwise the untruncated table is formed and its outside cells
+    3. otherwise the untruncated table is formed and its outside cells
        read.
 
-    An outside cell whose nonzero terms cancel exactly still counts as
-    lossy here, as it does term by term in the benchmark's sparse
-    reference product, though the formed table would hold 0 there.
+    A cell decided in step 2 holds one term, so it cannot cancel; the
+    formed table of step 3 reads 0 where the terms of a cell cancel
+    exactly, as ``qmul`` always has.
     """
     a, b, q, d = f.coeffs, g.coeffs, f.q, f.trunc_degree
     xb, yb = g._degrees  # the right factor is the fixed one in a run of powers
@@ -296,9 +286,6 @@ def _lost_outside(f: QSeries, g: QSeries) -> bool:
         ia, ib = _first(a[:, ya]), _first(b[:, yb])
         if _term_kept(a[ia, ya], b[ib, yb], ib * ya * lq):
             return True
-    decided = _outside_bound(a, b, lq, d)
-    if decided is not None:
-        return decided
     full = _accel.qmul_full(a, b, q)
     return bool(full[d + 1 :, :].any() or full[:, d + 1 :].any())
 
@@ -308,51 +295,17 @@ def _first(line: np.ndarray) -> int:
     return int(np.flatnonzero(line)[0])
 
 
+def _log2_abs(c: complex) -> float:
+    """``log2|c|`` of a finite nonzero ``c``, also where ``|c|`` itself overflows."""
+    small, large = sorted((abs(c.real), abs(c.imag)))
+    return math.log2(large) + 0.5 * math.log2(1 + (small / large) ** 2)
+
+
 def _term_kept(ca: complex, cb: complex, t: float) -> bool:
     """Whether ``ca·(cb·q^e)``, with ``t = e·log2|q|``, is formed nonzero or non-finite."""
-    scaled = math.log2(abs(cb)) + t
-    whole = math.log2(abs(ca)) + scaled
+    scaled = _log2_abs(cb) + t
+    whole = _log2_abs(ca) + scaled
     return min(t, scaled, whole) >= _KEPT_LOG2 or max(t, scaled, whole) >= _OVER_LOG2
-
-
-def _outside_bound(a: np.ndarray, b: np.ndarray, lq: float, d: int) -> bool | None:
-    """Step 3 of :func:`_lost_outside`: True, False or undecided (None).
-
-    A term outside the box has ``i1 + i2 > d`` or ``k1 + k2 > d``.  For
-    each ``(i2, k1)`` the largest such term takes the largest
-    ``log2|a[i1, k1]|`` over the admissible ``i1`` (a suffix maximum
-    down column ``k1``, or the whole column) and the largest
-    ``log2|b[i2, k2]|`` over the admissible ``k2`` (the whole row, or a
-    suffix maximum along row ``i2``); every partial product grows with
-    both, so the same pair also has the largest smallest partial
-    product.
-    """
-    n = d + 1
-    with np.errstate(divide="ignore"):
-        # |c| of a finite complex may round to inf; 2^1025 still bounds it
-        la = np.minimum(np.log2(np.abs(a)), _OVER_LOG2)
-        lb = np.minimum(np.log2(np.abs(b)), _OVER_LOG2)
-    t = np.multiply.outer(np.arange(n), np.arange(n)) * lq  # t[i2, k1]
-    none = np.full((n, 1), -np.inf)
-    # i1 >= n - i2: row i2 - 1 of the suffix maxima from the bottom of a
-    suffix_a = np.maximum.accumulate(la[::-1], axis=0)
-    # k2 >= n - k1: column k1 - 1 of the suffix maxima from the right of b
-    suffix_b = np.maximum.accumulate(lb[:, ::-1], axis=1)
-    kept, largest, overflow = -np.inf, -np.inf, -np.inf
-    for la_, lb_ in (
-        (np.vstack([none.T, suffix_a[:-1]]), lb.max(axis=1)[:, None]),  # x outside
-        (la.max(axis=0)[None, :], np.hstack([none, suffix_b[:, :-1]])),  # y outside
-    ):
-        scaled = lb_ + t
-        whole = la_ + scaled
-        kept = max(kept, np.minimum(np.minimum(t, scaled), whole).max())
-        largest = max(largest, whole.max())
-        overflow = max(overflow, np.where(whole > -np.inf, np.maximum(t, scaled), -np.inf).max())
-    if kept >= _KEPT_LOG2:
-        return True
-    if largest < _ZERO_LOG2 and overflow < _FINITE_LOG2:
-        return False
-    return None
 
 
 def _drop_overflow(

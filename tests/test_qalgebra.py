@@ -412,7 +412,10 @@ def lossy_table(rng, d):
     return np.where(mask, (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * scale, 0)
 
 
-LOSSY_QS = (1e-150, 0.01, 0.5, 0.3 + 0.4j, 1.5, 1e10)
+# 2^-105 e^0.7i has a subnormal power q^10, with complex parts
+LOSSY_QS = (
+    1e-150, 0.01, 0.5, 0.3 + 0.4j, 1.5, 1e10, 2.0**-105 * complex(math.cos(0.7), math.sin(0.7))
+)
 
 
 class TestLossyRule:
@@ -422,7 +425,7 @@ class TestLossyRule:
     def test_matches_the_untruncated_table(self, route, monkeypatch):
         # 1500 seeded cases per route: the flag equals .any() over the
         # outside cells of the untruncated product; the column route
-        # held for every product reaches all four steps of the decision
+        # held for every product reaches all three steps of the decision
         if route == "column":
             monkeypatch.setattr(_accel, "PAIR_COST", math.inf)
         rng = np.random.default_rng(19 if route == "column" else 20)
@@ -443,39 +446,34 @@ class TestLossyRule:
 
     @staticmethod
     def steps(monkeypatch, cases):
-        """``qmul``'s loss flags on ``cases``, with its step-3 answers and untruncated kernel calls.
+        """``qmul``'s loss flags on ``cases``, and how many untruncated kernel calls it made.
 
         A case is ``(d, q, f_terms, g_terms)``; every flag is checked
-        against the untruncated table first, before the spies go in.
+        against the untruncated table first, before the spy goes in.
         """
         monkeypatch.setattr(_accel, "PAIR_COST", math.inf)  # the column route
         pairs = [
             (QSeries.from_terms(q, d, f), QSeries.from_terms(q, d, g)) for d, q, f, g in cases
         ]
         want = [outside_any(f.coeffs, g.coeffs, f.q, f.trunc_degree) for f, g in pairs]
-        taken = {"bound": [], "untruncated": 0}
-        bound, kernel = qa._outside_bound, _accel.qmul_full
-
-        def spied_bound(*args):
-            taken["bound"].append(bound(*args))
-            return taken["bound"][-1]
+        untruncated = []
+        kernel = _accel.qmul_full
 
         def spied_kernel(a, b, q, degree=None):
-            taken["untruncated"] += degree is None
+            untruncated.append(degree is None)
             return kernel(a, b, q, degree)
 
-        monkeypatch.setattr(qa, "_outside_bound", spied_bound)
         monkeypatch.setattr(_accel, "qmul_full", spied_kernel)
         got = [qa.qmul(f, g).lossy for f, g in pairs]
         assert got == want
-        return got, taken
+        return got, sum(untruncated)
 
     def test_step_1_degrees_that_fit(self, monkeypatch):
-        got, taken = self.steps(
+        got, untruncated = self.steps(
             monkeypatch, [(8, Q, [(2, 1, 1.0), (0, 5, 2.0)], [(6, 0, 1.0), (1, 3, 1.0)])]
         )
         assert got == [False]
-        assert taken == {"bound": [], "untruncated": 0}
+        assert untruncated == 0
 
     def test_step_2_a_vertex_cell(self, monkeypatch):
         # dense: (2D, 0) holds the one term a[D, 0] b[D, 0] q^0.  The
@@ -483,33 +481,39 @@ class TestLossyRule:
         # 2^-1110 at q = 2^515, but its twist 2^1030 overflows
         rng = np.random.default_rng(5)
         dense = [(i, k, complex(*rng.standard_normal(2))) for i in range(5) for k in range(5)]
-        got, taken = self.steps(monkeypatch, [
+        got, untruncated = self.steps(monkeypatch, [
             (4, 0.3 + 0.4j, dense, dense[::-1]),
             (2, 2.0**515, [(0, 2, 2.0**-1070)], [(1, 1, 2.0**-1070)]),
         ])
         assert got == [True, True]
-        assert taken == {"bound": [], "untruncated": 0}
+        assert untruncated == 0
 
-    def test_step_3_the_bound_decides(self, monkeypatch):
-        got, taken = self.steps(monkeypatch, [
-            # the vertex (5, 0) holds 1e-600, below 2^-1000; the term at
-            # (5, 1), 0.5 * 1e300 * 1e-300, is far above it
-            (4, Q, [(4, 0, 1e-300), (4, 1, 1e300)], [(1, 0, 1e-300)]),
-            # the only outside term is 1e-600, below 2^-1100
-            (4, Q, [(4, 0, 1e-300)], [(1, 0, 1e-300)]),
-        ])
-        assert got == [True, False]
-        assert taken == {"bound": [True, False], "untruncated": 0}
-
-    def test_step_4_the_table_between_the_bounds(self, monkeypatch):
-        # 1e-320 (about 2^-1063) is subnormal but not 0; 1e-324 (about
-        # 2^-1076) rounds to 0
-        got, taken = self.steps(monkeypatch, [
+    def test_step_3_the_table_where_the_vertex_is_tiny(self, monkeypatch):
+        # the vertex (5, 0) holds 1e-320 (about 2^-1063), subnormal but
+        # not 0, then 1e-324 (about 2^-1076), which rounds to 0; the
+        # third case has a vertex below 2^-1000 and a large term at (5, 1)
+        got, untruncated = self.steps(monkeypatch, [
             (4, Q, [(4, 0, 1e-160)], [(1, 0, 1e-160)]),
             (4, Q, [(4, 0, 1e-162)], [(1, 0, 1e-162)]),
+            (4, Q, [(4, 0, 1e-300), (4, 1, 1e300)], [(1, 0, 1e-300)]),
         ])
-        assert got == [True, False]
-        assert taken == {"bound": [None, None], "untruncated": 2}
+        assert got == [True, False, True]
+        assert untruncated == 3
+
+    def test_a_coefficient_whose_modulus_overflows(self, monkeypatch):
+        # |1.3e308 (1 + i)| is about 2^1024.4, above the largest double,
+        # though both parts are finite.  Times 2^-80 x at q = 2^-1000 the
+        # vertex term is 2^-55.6, but b q = 2^-1080 rounds to 0 first,
+        # so the formed outside cell is 0; at q = 1/2 it is kept
+        big = [(1, 1, 1.3e308 + 1.3e308j)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, untruncated = self.steps(monkeypatch, [
+                (1, 2.0**-1000, big, [(1, 0, 2.0**-80)]),
+                (1, 0.5, big, [(1, 0, 2.0**-80)]),
+            ])
+        assert got == [False, True]
+        assert untruncated == 1
 
 
 class TestDecompose:
