@@ -25,10 +25,10 @@ each term into its cell with ``np.add.at``.
 :mod:`qplane.qalgebra` calls both through the module attributes
 ``qmul_full`` and ``qpow_formula``.
 
-Every twist ``q^e`` comes from :func:`_twist`.  For ``|q| > 1`` it can
-overflow.  Every cell that a term with an overflowed twist lands in is
-non-finite, and no other cell is touched by it: ``0 * inf`` never
-spreads a NaN to its neighbours.
+Every twist ``q^e`` comes from :func:`_twist`, and both routes form a
+term as ``c_h·(c_t·q^e)``, so it rounds alike on either.  At ``|q| > 1``
+a twist can overflow: every cell its term lands in is non-finite, and
+no other: ``0 * inf`` never spreads a NaN to its neighbours.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .holo import _powers
 
 CHUNK = 2048  # term pairs per step of _scatter_pairs
 # The price of one term pair of the pair route in scaled-box cells of
@@ -64,27 +66,12 @@ def _support(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.flatnonzero(table.astype(bool)), table.shape[1])
 
 
-def _powers(z: complex, n: int) -> np.ndarray:
-    """``z^0, z^1, ..., z^(n-1)``, every ``np.power`` exponent below 100.
-
-    numpy multiplies out a complex power whose integer exponent is below
-    100 and calls ``cpow`` from 100 on, at about 80 ns an entry against
-    25.  Longer runs are rows of 100 low powers times the powers of
-    ``z^100``.
-    """
-    if n <= 100:
-        return np.power(z, np.arange(n))
-    low = np.power(z, np.arange(100))
-    return (_powers(low[-1] * z, -(-n // 100))[:, None] * low).ravel()[:n]
-
-
 def _twist(q: complex, emax: int):
     """``e -> q^e`` on integer arrays with ``0 <= e <= emax``.
 
     ``q^e = q^(base*(e // base)) * q^(e % base)`` with ``base`` about
     ``sqrt(emax)``: two tables of about ``sqrt(emax)`` powers each, not
-    one of ``emax``.  Both routes of :func:`qmul_full` and the power formula take their
-    twists here.  Call it, and the function it returns, under
+    one of ``emax``.  Call it, and the function it returns, under
     ``np.errstate(over="ignore", invalid="ignore")``: at ``|q| > 1``
     powers overflow, and the callers find those entries.
     """
@@ -103,7 +90,7 @@ def _scatter_pairs(out: np.ndarray, head, tail, q: complex) -> None:
     """Add the product of every head term with every tail term into ``out``.
 
     ``head`` and ``tail`` are ``(wi, wk, e, c)`` arrays; the pair
-    ``(h, t)`` adds ``c_h c_t q^(e_h + e_t + wk_h*wi_t)`` to cell
+    ``(h, t)`` adds ``c_h·(c_t·q^(e_h + e_t + wk_h*wi_t))`` to cell
     ``(wi_h + wi_t, wk_h + wk_t)``.  Each step takes as many head rows
     as fit :data:`CHUNK` pairs against the whole tail (a tail longer
     than :data:`CHUNK` is taken in slices), so no temporary holds more
@@ -128,7 +115,9 @@ def _scatter_pairs(out: np.ndarray, head, tail, q: complex) -> None:
             for h0 in range(0, hi.size, step_h):
                 h = slice(h0, h0 + step_h)
                 e = (he[h, None] + te[t]) + hk[h, None] * ti[t]
-                term = (hc[h, None] * tc[t]) * twist(e)
+                term = twist(e)  # a fresh array, scaled in place
+                term *= tc[t]
+                term *= hc[h, None]
                 # 1-D operands keep np.add.at on its fast path
                 np.add.at(flat, (hcell[h, None] + tcell[t]).ravel(), term.ravel())
 

@@ -46,6 +46,20 @@ def _as_coeffs(values) -> np.ndarray:
     return arr
 
 
+def _powers(z: complex, n: int) -> np.ndarray:
+    """``z^0, z^1, ..., z^(n-1)``: the package's one table of complex powers.
+
+    numpy multiplies out a complex power whose integer exponent is below
+    100 and calls ``cpow`` from 100 on, at about 80 ns an entry against
+    25.  So longer runs are rows of 100 low powers times the powers of
+    ``z^100``.  Powers past the double range are the caller's to catch.
+    """
+    if n <= 100:
+        return np.power(z, np.arange(n))
+    low = np.power(z, np.arange(100))
+    return (_powers(low[-1] * z, -(-n // 100))[:, None] * low).ravel()[:n]
+
+
 def scale_coeffs(coeffs: np.ndarray, c: complex) -> np.ndarray:
     """``a_n -> c^n a_n``: the coefficients of the substituted series
     ``z -> c*z``.
@@ -55,7 +69,7 @@ def scale_coeffs(coeffs: np.ndarray, c: complex) -> np.ndarray:
     drop or reject.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.power(complex(c), np.arange(coeffs.size))
+        powers = _powers(complex(c), coeffs.size)
         return np.where(coeffs != 0, coeffs * powers, 0)
 
 

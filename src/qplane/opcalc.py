@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import NonConvergenceError, PreconditionError
-from .holo import HoloSeries, _eval_columns
+from .holo import HoloSeries, _eval_columns, _powers
 
 # calc_qseries reads only ``f.q`` and ``f.coeffs``, so the operator layer
 # stands on holo alone and loads no series algebra.
@@ -146,7 +146,7 @@ def model_pair(q: complex, n: int) -> OperatorPair:
         t[m + 1, m] = 1.0
     # q = 0 and a q^m past the double range are left to OperatorPair to reject
     with np.errstate(over="ignore", invalid="ignore"):
-        s = np.diag(np.power(complex(q), np.arange(n)))
+        s = np.diag(_powers(complex(q), n))
     return OperatorPair(t, s, complex(q))
 
 
@@ -314,8 +314,10 @@ def spectral_mapping_check(f: QFunctionRep, pair: OperatorPair) -> SpectralMappi
     """Compare the spectrum of ``f(T, S)`` with its predicted image.
 
     The prediction is the multiset of character values ``f(0, q^m)``,
-    ``m < N``, from the constants ``f_n(0)`` of the coefficient series;
-    the report pairs it optimally against the computed eigenvalues.
+    ``m < N``, from the constants ``f_n(0)`` of the coefficient series,
+    at the points ``q^m`` of :func:`model_pair`'s ``S`` (a point past the
+    double range is a :class:`PreconditionError`); the report pairs it
+    optimally against the computed eigenvalues.
 
     That multiset is the spectrum of ``f(T, S)`` only for
     :func:`model_pair` and its conjugates, where ``f(T, S)`` is (similar
@@ -326,12 +328,13 @@ def spectral_mapping_check(f: QFunctionRep, pair: OperatorPair) -> SpectralMappi
     the predictions 0.5, 1 and ``max_distance`` is 0.7, though spectral
     mapping holds exactly there.
     """
-    a = calc(f, pair)
-    ev = eigenvalues(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = _powers(pair.q, pair.n)
+    if not np.isfinite(points).all():
+        raise PreconditionError(f"q^m overflows for some m < {pair.n} at |q| = {abs(pair.q):g}")
+    ev = eigenvalues(calc(f, pair))
     constants = HoloSeries([fn.coeffs[0] for fn in f.f_list])
-    predicted = np.asarray(
-        [constants(pair.q**m) for m in range(pair.n)], dtype=np.complex128
-    )
+    predicted = np.asarray([constants(z) for z in points], dtype=np.complex128)
     perm, distances = pair_eigenvalues(ev, predicted)
     return SpectralMappingReport(
         tuple(map(complex, ev)),

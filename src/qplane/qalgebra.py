@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _accel
 from .errors import PreconditionError
-from .holo import HoloSeries, _weighted_l1, log_series, scale_coeffs
+from .holo import HoloSeries, _powers as _power_table, _weighted_l1, log_series, scale_coeffs
 
 __all__ = [
     "QSeries",
@@ -243,17 +243,15 @@ def _lost_outside(f: QSeries, g: QSeries) -> bool:
     or non-finite cell outside the truncation box, forming it only when
     that is not certain.
 
-    The thresholds come from the roundings of the routes.  The column
-    route of :func:`qplane._accel.qmul_full` forms each term as
-    ``a·(b·q^e)``, with ``q^e`` multiplied out from powers of ``q``
-    (:func:`qplane._accel._twist`); the pair route forms ``(a·b)·q^e``
-    from the same powers, but ``qmul`` reads that route's whole table
-    instead.  A rounding moves a value of at least 2^-1022 by a
-    relative 2^-53, so a term whose exact partial products all reach
-    2^-1000 (and so do the powers inside ``q^e``, which lie between
-    ``q^e`` and 1) comes out a nonzero double; one whose twist, ``b·q^e``
-    or whole term reaches 2^1025 comes out non-finite.  Three steps, in
-    order:
+    The thresholds come from the roundings of the routes.  Both routes
+    of :func:`qplane._accel.qmul_full` form each term as ``a·(b·q^e)``,
+    with ``q^e`` multiplied out from powers of ``q``
+    (:func:`qplane._accel._twist`).  A rounding moves a value of at
+    least 2^-1022 by a relative 2^-53, so a term whose exact partial
+    products all reach 2^-1000 (and so do the powers inside ``q^e``,
+    which lie between ``q^e`` and 1) comes out a nonzero double; one
+    whose twist, ``b·q^e`` or whole term reaches 2^1025 comes out
+    non-finite.  Three steps, in order:
 
     1. the highest x-degrees of ``a`` and ``b`` sum to at most ``d``,
        and so do the highest y-degrees: no term lies outside (False).
@@ -381,7 +379,8 @@ def qmul_opposite(f: QSeries, g: QSeries) -> QSeries:
     q = f.q
     rows = np.zeros((d + 1, d + 1), dtype=np.complex128)
     lost = False
-    ydeg = np.arange(d + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        twists = _power_table(q, d + 1)  # q^j; past the double range not finite
     for i in range(d + 1):
         fi = f.coeffs[i, :]
         if not fi.any():
@@ -390,9 +389,7 @@ def qmul_opposite(f: QSeries, g: QSeries) -> QSeries:
             gj = g.coeffs[j, :]
             if not gj.any():
                 continue
-            with np.errstate(over="ignore", invalid="ignore"):
-                scaled = np.where(fi != 0, fi * np.power(q, ydeg * j), 0)
-            scaled, dropped = _drop_overflow(scaled, gj, i + j, q, d)
+            scaled, dropped = _drop_overflow(scale_coeffs(fi, twists[j]), gj, i + j, q, d)
             conv = np.convolve(scaled, gj)
             if i + j > d:
                 lost = lost or dropped or bool(np.any(conv != 0))
@@ -432,7 +429,8 @@ def qpow(f: QSeries, s: int, method: str = "repeated") -> QSeries:
 
     collects each y-block crossing the x-blocks of all later factors
     (:func:`qplane._accel.qpow_formula`).  The enumeration is
-    refused above :data:`QPOW_FORMULA_CAP` tuples.  Either method raises
+    refused above :data:`QPOW_FORMULA_CAP` tuples, and so is its
+    untruncated table above that many cells.  Either method raises
     :class:`PreconditionError` when a cell inside the table overflows,
     as :func:`qmul` does.
     """
@@ -451,10 +449,17 @@ def qpow(f: QSeries, s: int, method: str = "repeated") -> QSeries:
     m = ii.size
     if m == 0:
         return f
-    if m**s > QPOW_FORMULA_CAP:
+    # m**s passes the cap from s = bit_length on, unless m is 1
+    if m ** min(s, QPOW_FORMULA_CAP.bit_length()) > QPOW_FORMULA_CAP:
         raise PreconditionError(
             f"formula method would enumerate {m}**{s} > {QPOW_FORMULA_CAP} "
             "index tuples; use method='repeated'"
+        )
+    rows, cols = s * int(ii.max()) + 1, s * int(kk.max()) + 1
+    if rows * cols > QPOW_FORMULA_CAP:
+        raise PreconditionError(
+            f"formula method would form a {rows} x {cols} table > {QPOW_FORMULA_CAP} "
+            "cells; use method='repeated'"
         )
     ii, kk, aa = ii.astype(np.int64), kk.astype(np.int64), f.coeffs[ii, kk]
     full = _accel.qpow_formula(ii, kk, aa, s, f.q)

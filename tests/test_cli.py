@@ -964,9 +964,11 @@ BOUNDARY = [  # (subcommand, the options after its base arguments)
       for opt, readers in FLOAT_READERS.items() for c in sorted(readers) for v in FLOAT_EDGES],
     *[(c, [f"--n={v}"]) for c in sorted(N_READERS) for v in [*INT_EDGES, str(cli._max_n(c) + 1)]],
     *[("pow", [f"--s={v}"]) for v in INT_EDGES],
-    # 2 terms to the 20th power pass QPOW_FORMULA_CAP; --s has no cap with
-    # the repeated method
+    # 2 terms to the 20th power pass QPOW_FORMULA_CAP, and so does xy's
+    # 10^9-th power's table; --s has no cap with the repeated method
     ("pow", ["--method=formula", "--s=20", "{two}"]),
+    ("pow", ["--method=formula", "--s=1000000000", "{two}"]),
+    ("pow", ["--method=formula", "--s=1000000000"]),
     *[("decay", [f"--smax={v}"]) for v in [*INT_EDGES, str(cli._MAX_SMAX + 1)]],
     *[("scan", [f"--steps={v}"]) for v in [*INT_EDGES, str(cli._MAX_POINTS + 1)]],
     *[(c, [f"--q-re={re}", f"--q-im={im}"])

@@ -368,6 +368,24 @@ class TestSpectralMapping:
         expected = sorted(LOG32 + Q**m / (Q**m - 1.5) for m in range(24))
         assert np.allclose(predicted, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [120, 200])
+    def test_prediction_is_read_at_the_diagonal_of_s(self, n):
+        # past N = 100 the points q^m must be S's own entries, bit for bit
+        q = 0.6 + 0.3j
+        f, pair = orbit_log_function(q, 40, 40), oc.model_pair(q, n)
+        report = oc.spectral_mapping_check(f, pair)
+        constants = HoloSeries([fn.coeffs[0] for fn in f.f_list])
+        want = [constants(s) for s in np.diag(pair.s)]
+        assert np.array_equal(np.sort_complex(report.predicted), np.sort_complex(want))
+        assert report.max_distance == 0.0
+
+    def test_points_past_the_double_range_are_refused(self):
+        # T = S = 0 satisfies the relation at any q, but q^2 = 1e400
+        zero = np.zeros((3, 3))
+        f = oc.QFunctionRep(1e200, (HoloSeries.zero(2), HoloSeries.one(2)), 2.0, 2.0)
+        with pytest.raises(PreconditionError, match=r"q\^m overflows for some m < 3"):
+            oc.spectral_mapping_check(f, oc.OperatorPair(zero, zero, 1e200))
+
     @pytest.mark.parametrize("n", [8, 24])
     @pytest.mark.parametrize(
         "make", [log_xy_function, orbit_log_function], ids=["log_xy_rep", "second_example_rep"]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import warnings
 
 import numpy as np
@@ -114,6 +115,22 @@ class TestQPow:
         f = random_qseries(np.random.default_rng(0), Q, 20, 12, 10)
         with pytest.raises(PreconditionError, match="repeated"):
             qa.qpow(f, 7, "formula")
+
+    def test_cap_never_forms_the_whole_tuple_count(self):
+        # 33 terms: forming 33**(10^7) in full would take about 15 s
+        f = QSeries.from_terms(Q, 32, [(i, 32 - i, 1.0) for i in range(33)])
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match=r"33\*\*10000000 > 1000000 index tuples"):
+            qa.qpow(f, 10**7, "formula")
+        assert time.perf_counter() - start < 1.0
+
+    def test_cap_refuses_a_one_term_table_before_allocating(self):
+        # one term passes the tuple cap (1**s = 1), but x y to the 10^9th
+        # would fill a (10^9 + 1)^2 table
+        xy = QSeries.monomial(Q, 3, 1, 1)
+        with pytest.raises(PreconditionError, match="1000000001 x 1000000001 table"):
+            qa.qpow(xy, 10**9, "formula")
+        assert not qa.qpow(xy, 10**9, "repeated").coeffs.any()  # the method it names
 
     def test_rejects_bad_power(self):
         with pytest.raises(PreconditionError):
@@ -499,6 +516,20 @@ class TestLossyRule:
         ])
         assert got == [True, False, True]
         assert untruncated == 3
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_routes_agree_where_a_twist_underflows(self, route, monkeypatch):
+        # 1e300 y times 1e300 x^3 is 1e150 x^3 y, but the twist q^3 =
+        # 1e-450 underflows.  Both routes form c_h (c_t q^e), so the term
+        # is lost the same way on each, without a warning or an error
+        monkeypatch.setattr(_accel, "PAIR_COST", {"pair": 0.0, "column": math.inf}[route])
+        f = QSeries.monomial(1e-150, 4, 0, 1, 1e300)
+        g = QSeries.monomial(1e-150, 4, 3, 0, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = qa.qmul(f, g)
+        assert not out.coeffs.any()
+        assert not out.lossy
 
     def test_a_coefficient_whose_modulus_overflows(self, monkeypatch):
         # |1.3e308 (1 + i)| is about 2^1024.4, above the largest double,

@@ -15,7 +15,7 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.mark.parametrize("part", ["topology", "series_sparse", "kernels_dense"])
+@pytest.mark.parametrize("part", ["topology", "spectrum", "series_sparse", "kernels_dense"])
 def test_one_task_of_each_kind_passes_its_check(part, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # perfbench/ stays as checked out
