@@ -10,6 +10,11 @@ The module holds the one weighted-l1 sum behind every norm and
 seminorm (:func:`_weighted_l1`) and the one matrix evaluator
 ``sum_m c_m(T) S^m`` (:func:`_eval_columns`), which serves
 :meth:`HoloSeries.eval_matrix` and the calculus in :mod:`qplane.opcalc`.
+The evaluator has two routes, chosen by the exact zeros of ``T`` and
+``S``: when both hold at most one nonzero in every row and every column
+it follows ``T``'s orbits and scales columns for ``S``
+(:func:`_eval_monomial`); any other pair is multiplied dense
+(:func:`_eval_dense`).
 
 Truncation never errors: any operation that would push mass beyond the
 kept degree returns a result with ``lossy=True`` instead.
@@ -319,8 +324,8 @@ def _power_split(degs: np.ndarray) -> int:
     return int(p[::-1][np.argmin(cost[::-1])])
 
 
-def _eval_columns(cols: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``sum_m c_m(T) S^m`` for the coefficient table ``cols[m] = c_m``.
+def _eval_dense(cols: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """:func:`_eval_columns` by dense matrix products, for any pair.
 
     Every step multiplies on the right, so each block of rows of the
     result needs only the same rows of the left factors.  The
@@ -378,3 +383,113 @@ def _eval_columns(cols: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
             acc = val if acc is None else acc + val
         out[rows] = acc
     return out
+
+
+def _monomial(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(col, w)`` with row ``r`` of ``m`` equal to ``w[r] e_col[r]``.
+
+    Read off exact zeros: ``None`` unless every row and every column of
+    ``m`` holds at most one nonzero entry.  An empty row has ``w = 0``.
+    """
+    nz = m != 0
+    if (np.count_nonzero(nz, axis=0) > 1).any() or (np.count_nonzero(nz, axis=1) > 1).any():
+        return None
+    col = np.argmax(nz, axis=1)
+    return col, m[np.arange(m.shape[0]), col]
+
+
+def _eval_monomial(cols: np.ndarray, t: tuple, s: tuple) -> np.ndarray | None:
+    """:func:`_eval_columns` for monomial factors, given by :func:`_monomial`
+    as ``t`` for the rows of ``T`` and ``s`` for the columns of ``S``.
+
+    Row ``r`` of ``T^j`` is ``w_j(r) e_{pi^j(r)}``: the orbit table is
+    one gather and one product per degree.  ``c_m(T)`` is ``c_mj w_j(r)``
+    put into the cells ``(r, pi^j(r))`` of nonzero weight, summed by
+    ``np.add.at`` only where a cycle of nonzero weights revisits a cell.
+    ``S`` enters by the right Horner of :func:`_eval_dense`,
+    ``acc = acc S + c_m(T)``.  Column ``c`` of ``acc S`` is the column of
+    ``acc`` that ``S`` moves to ``c``, times its weight.  For a diagonal
+    ``S`` nothing moves, so ``acc`` is kept on the cells of ``T``'s orbits
+    alone (those of every nilpotent ``T`` are distinct, and each
+    ``c_m(T)`` adds in place); otherwise on every cell, gathered each
+    step.  The scale is written in real parts,
+    ``(ar sr - ai si, ar si + ai sr)``, which rounds as Python's complex
+    product does; numpy's complex ``*`` may fuse a multiply and an add.
+    ``None`` when an orbit weight is not finite.
+    """
+    (t_col, t_w), (s_row, s_w) = t, s
+    n = t_col.size
+    nonzero = cols.any(axis=1)
+    top = int(np.flatnonzero(nonzero)[-1])
+    deg = int(np.flatnonzero(cols.any(axis=0))[-1])
+    pos = np.empty((deg + 1, n), dtype=np.intp)
+    w = np.empty((deg + 1, n), dtype=np.complex128)
+    pos[0], w[0] = np.arange(n), 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, deg + 1):
+            pos[j] = t_col[pos[j - 1]]
+            np.multiply(w[j - 1], t_w[pos[j - 1]], out=w[j])
+    if not np.isfinite(w.view(np.float64)).all():
+        return None
+    j, r = np.nonzero(w)
+    cell = r * n + pos[j, r]
+    weight = w[j, r]
+    seen = np.zeros(n * n, dtype=bool)
+    seen[cell] = True
+    revisits = np.count_nonzero(seen) < cell.size
+    src = np.where(s_w != 0, s_row, np.arange(n))
+    moves = bool((src != np.arange(n)).any())
+    if moves:
+        cells, slot = np.arange(n * n), cell
+    elif revisits:
+        cells = np.flatnonzero(seen)
+        slot = np.searchsorted(cells, cell)
+    else:
+        cells, slot = cell, None
+    col = cells % n
+    gather = cells - col + src[col] if moves else None
+    sr, si = s_w.real[col], s_w.imag[col]
+    acc = np.zeros((2, cells.size))  # real and imaginary parts
+    prod = np.empty_like(acc)
+    for m in range(top, -1, -1):
+        if m < top:
+            if gather is not None:
+                acc = acc[:, gather]
+            np.multiply(acc, si, out=prod)
+            acc *= sr
+            acc[0] -= prod[1]
+            acc[1] += prod[0]
+        if not nonzero[m]:
+            continue
+        v = (cols[m, j] * weight).view(np.float64).reshape(-1, 2).T
+        if revisits:
+            np.add.at(acc, (slice(None), slot), v)
+        elif slot is None:
+            acc += v
+        else:
+            acc[:, slot] += v
+    out = np.zeros(n * n, dtype=np.complex128)
+    out.real[cells], out.imag[cells] = acc
+    return out.reshape(n, n)
+
+
+def _eval_columns(cols: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``sum_m c_m(T) S^m`` for the coefficient table ``cols[m] = c_m``.
+
+    Two routes, chosen by the exact zeros of the factors alone.  When
+    ``T`` and ``S`` are both monomial, at most one nonzero in every row
+    and every column (the shift and the diagonal of the model pair, and
+    their permutations), :func:`_eval_monomial` follows ``T``'s orbits and
+    gathers and scales the columns for ``S``.  Every other pair, and a
+    monomial one whose orbit weights leave the double range, goes to
+    :func:`_eval_dense`.  A zero table or an empty matrix gives zeros.
+    """
+    if not (cols.any() and t.size):
+        return np.zeros(t.shape, dtype=np.complex128)
+    t_rows = _monomial(t)
+    s_cols = _monomial(s.T) if t_rows is not None else None
+    if s_cols is not None:
+        out = _eval_monomial(cols, t_rows, s_cols)
+        if out is not None:
+            return out
+    return _eval_dense(cols, t, s)

@@ -188,8 +188,16 @@ class QFunctionRep:
 
 
 def spectral_radius(m: np.ndarray) -> float:
-    ev = eigenvalues(m)
-    return float(np.max(np.abs(ev))) if ev.size else 0.0
+    """``max |lambda|`` over the spectrum of ``m``; 0.0 for an empty matrix.
+
+    A triangular ``m``, read off exact zeros, has its diagonal for
+    spectrum, so the radius is ``max |m_ii|`` with no eigenvalue
+    iteration; any other ``m`` takes :func:`eigenvalues`.
+    """
+    m = _as_matrix(m)
+    if not np.triu(m, 1).any() or not np.tril(m, -1).any():
+        return float(np.max(np.abs(np.diagonal(m)), initial=0.0))
+    return float(np.max(np.abs(eigenvalues(m))))
 
 
 def calc(f: QFunctionRep, pair: OperatorPair) -> np.ndarray:
@@ -203,12 +211,21 @@ def calc(f: QFunctionRep, pair: OperatorPair) -> np.ndarray:
     untruncated model, and passing this check says nothing about it.
 
     Evaluation order: right Horner in ``S`` over the coefficient
-    functions, ``acc = acc @ S + f_n(T)`` from the top ``n`` down, block
-    of rows by block of rows.  Each block forms its rows of
-    ``T^0 .. T^(p-1)`` once and gets its rows of every ``f_n(T)`` from
-    one product with the coefficient table, plus Horner in ``T^p`` for
-    degrees ``>= p``; ``p`` minimises the matrix products (see
-    ``holo._eval_columns``), so a table of many columns stores every power.
+    functions, ``acc = acc @ S + f_n(T)`` from the top ``n`` down, by
+    one of two routes (``holo._eval_columns``), chosen by the exact zeros
+    of the pair alone:
+
+    - when ``T`` and ``S`` both hold at most one nonzero in every row and
+      every column, as the model pair's shift and diagonal do, row ``r``
+      of ``T^j`` is one weight at one column, so each ``f_n(T)`` is put
+      cell by cell from ``T``'s orbits, and ``acc @ S`` is a gather and
+      scale of columns;
+    - any other pair, or one whose orbit weights leave the double range,
+      is multiplied dense, block of rows by block of rows.  Each block
+      forms its rows of ``T^0 .. T^(p-1)`` once and gets its rows of
+      every ``f_n(T)`` from one product with the coefficient table, plus
+      Horner in ``T^p`` for degrees ``>= p``; ``p`` minimises the matrix
+      products, so a table of many columns stores every power.
     """
     if f.q != pair.q:
         raise PreconditionError(f"q mismatch: function {f.q} vs pair {pair.q}")
@@ -375,15 +392,25 @@ def resolvent_twist_residual(
     Measures ``|| S^k T^i (T - lam)^(-m)
     - q^(ik) T^i (q^k T - lam)^(-m) S^k ||_F``.  For ``m = 0`` this
     degenerates to the plain reordering rule.  ``relative`` divides by
-    the Frobenius norm of the left-hand side.
+    the Frobenius norm of the left-hand side.  A power ``T^i``, ``S^k``,
+    ``q^k`` or ``q^(ik)`` past the double range is a
+    :class:`PreconditionError`.
     """
     if min(i, k, m) < 0:
         raise PreconditionError("exponents must be nonnegative")
-    q = pair.q
-    t_i = np.linalg.matrix_power(pair.t, i)
-    s_k = np.linalg.matrix_power(pair.s, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = {
+            "T^i": np.linalg.matrix_power(pair.t, i),
+            "S^k": np.linalg.matrix_power(pair.s, k),
+            "q^k": np.power(pair.q, k),
+            "q^(ik)": np.power(pair.q, i * k),
+        }
+    for name, value in powers.items():
+        if not np.isfinite(value).all():
+            raise PreconditionError(f"{name} is past the double range at i = {i}, k = {k}")
+    t_i, s_k, q_k, twist = powers.values()
     lhs = _right_resolvent(s_k @ t_i, pair.t, lam, m)
-    rhs = q ** (i * k) * _right_resolvent(t_i, (q**k) * pair.t, lam, m) @ s_k
+    rhs = twist * _right_resolvent(t_i, q_k * pair.t, lam, m) @ s_k
     res = float(np.linalg.norm(lhs - rhs))
     if relative:
         scale = float(np.linalg.norm(lhs))

@@ -343,6 +343,8 @@ def qmul_rowwise(f: QSeries, g: QSeries) -> QSeries:
     d = f.trunc_degree
     cols = [HoloSeries.zero(d) for _ in range(d + 1)]
     lost = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        twists = _power_table(f.q, d + 1)  # q^i; past the double range not finite
     for i in range(d + 1):
         fi = f.series_in_x(i)
         if fi.max_degree < 0:
@@ -353,7 +355,7 @@ def qmul_rowwise(f: QSeries, g: QSeries) -> QSeries:
                 continue
             # gj(q^i x), with overflowed coefficients taken apart
             scaled, dropped = _drop_overflow(
-                scale_coeffs(gj.coeffs, f.q**i), fi.coeffs, i + j, f.q, d
+                scale_coeffs(gj.coeffs, twists[i]), fi.coeffs, i + j, f.q, d
             )
             term = fi * HoloSeries(scaled, lossy=gj.lossy)
             if i + j > d:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qplane import holo
 from qplane.errors import PreconditionError
 from qplane.holo import HoloSeries, _weighted_l1, log_series, scale_coeffs
 
@@ -291,6 +292,27 @@ class TestEvalMatrix:
         out = f.eval_matrix(np.diag(d))
         expected = np.diag([f(z) for z in d])
         assert np.allclose(out, expected, atol=1e-12)
+
+    def test_shift_places_each_coefficient_on_its_subdiagonal(self):
+        n, f = 10, log_series(1.5, 6)
+        shift = np.eye(n, k=-1, dtype=complex)
+        want = sum(a * np.eye(n, k=-j) for j, a in enumerate(f.coeffs))
+        out = f.eval_matrix(shift)
+        assert np.array_equal(out, want)
+        assert np.array_equal(out, holo._eval_dense(f.coeffs[None, :], shift, shift))
+
+    def test_diagonal_matrix_against_dense_products(self, rng):
+        # every orbit of a diagonal matrix stays on its own cell
+        d = rng.uniform(-0.4, 0.4, 7) + 1j * rng.uniform(-0.4, 0.4, 7)
+        f = log_series(1.5, 25)
+        m = np.diag(d)
+        out = f.eval_matrix(m)
+        assert np.array_equal(out, np.diag(np.diag(out)))
+        assert np.allclose(out, holo._eval_dense(f.coeffs[None, :], m, m), rtol=0, atol=1e-15)
+
+    def test_empty_matrix(self):
+        out = log_series(1.5, 4).eval_matrix(np.zeros((0, 0)))
+        assert out.shape == (0, 0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(PreconditionError):

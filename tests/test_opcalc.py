@@ -183,6 +183,25 @@ def conjugated_pair(q, n, stretch=1.5):
     return oc.OperatorPair(v @ (stretch * base.t) @ vinv, v @ base.s @ vinv, q)
 
 
+def monomial_pair(kind, q, n):
+    """A q-commuting pair whose factors hold at most one nonzero in every
+    row and every column, other than the model pair itself."""
+    base = oc.model_pair(q, n)
+    if kind == "permuted":
+        p = np.eye(n)[np.random.default_rng(n).permutation(n)]
+        return oc.OperatorPair(p @ base.t @ p.T, p @ base.s @ p.T, q)
+    if kind == "x_axis":
+        # T = diag(d) with d_k = q d_(k+1), S a weighted shift: S T = q T S
+        return oc.OperatorPair(np.diag(holo._powers(q, n)[::-1]), (0.8 + 0.6j) * base.t, q)
+    if kind == "two_shifts":
+        # S e_m = q^m e_(m+1) beside the shift T: S T = q T S, and S moves columns
+        return oc.OperatorPair(base.t, base.t @ base.s, q)
+    assert kind == "zero_t"
+    s = base.s.copy()
+    s[n // 2, n // 2] = 0.0
+    return oc.OperatorPair(np.zeros((n, n)), s, q)
+
+
 def coefficient_table(rep):
     width = max(fn.coeffs.size for fn in rep.f_list)
     cols = np.zeros((len(rep.f_list), width), dtype=complex)
@@ -220,9 +239,16 @@ class TestCalcAgainstHorner:
 
     @pytest.mark.parametrize("q", [Q, 0.5 + 0.25j])
     @pytest.mark.parametrize("n", [8, 32])
-    @pytest.mark.parametrize("kind", ["model", "conjugated"])
+    @pytest.mark.parametrize(
+        "kind", ["model", "conjugated", "permuted", "x_axis", "two_shifts", "zero_t"]
+    )
     def test_calc(self, q, n, kind):
-        pair = oc.model_pair(q, n) if kind == "model" else conjugated_pair(q, n)
+        if kind == "model":
+            pair = oc.model_pair(q, n)
+        elif kind == "conjugated":
+            pair = conjugated_pair(q, n)
+        else:
+            pair = monomial_pair(kind, q, n)
         if kind == "conjugated":
             assert np.linalg.norm(pair.t, 2) > 1 and np.count_nonzero(np.triu(pair.t)) > 0
         for name, rep in self.functions(q).items():
@@ -295,8 +321,19 @@ class TestRowBlocks:
         for name, cols in self.tables(rng).items():
             if height is not None:
                 monkeypatch.setattr(holo, "_BLOCK_ENTRIES", self.row_height(cols, n, height))
-            got = holo._eval_columns(cols, pair.t, pair.s)
+            want = naive_calc(cols, pair.t, pair.s)
+            # the model pair takes the monomial route; the row blocks are the dense one's
+            for route in (holo._eval_columns, holo._eval_dense):
+                assert_close_to_majorant(route(cols, pair.t, pair.s), want, cols, pair)
+
+    @pytest.mark.parametrize("q", [Q, 0.6 + 0.3j])
+    @pytest.mark.parametrize("kind", ["permuted", "x_axis", "two_shifts", "zero_t"])
+    def test_monomial_pairs_against_horner(self, kind, q, rng):
+        pair = monomial_pair(kind, q, 23)
+        for name, cols in self.tables(rng).items():
+            got, dense = both_routes(cols, pair.t, pair.s)
             assert_close_to_majorant(got, naive_calc(cols, pair.t, pair.s), cols, pair)
+            assert_close_to_majorant(got, dense, cols, pair)
 
     def test_constant_is_a_multiple_of_the_identity(self):
         rep = oc.QFunctionRep(Q, (HoloSeries([2.5, 0.0]), HoloSeries.zero(1)), 2.0, 2.0)
@@ -312,6 +349,117 @@ class TestRowBlocks:
         best = min(split_cost(degs, p) for p in ps)
         assert want == max(p for p in ps if split_cost(degs, p) == best)
         assert holo._power_split(np.array(degs)) == want
+
+
+def both_routes(cols, t, s):
+    """``(_eval_columns, _eval_dense)``, checking that the first took the monomial route."""
+    got = holo._eval_columns(cols, t, s)
+    monomial = holo._eval_monomial(cols, holo._monomial(t), holo._monomial(s.T))
+    assert monomial is not None and np.array_equal(got, monomial)
+    return got, holo._eval_dense(cols, t, s)
+
+
+class TestMonomialRoute:
+    """``_eval_columns`` reads monomial factors off their zeros."""
+
+    @pytest.mark.parametrize("q", [Q, 0.6 + 0.3j])
+    @pytest.mark.parametrize("n", [8, 32, 64, 128])
+    def test_model_pair(self, q, n):
+        pair = oc.model_pair(q, n)
+        for make in (log_xy_function, orbit_log_function):
+            cols = coefficient_table(make(q, 40, 40))
+            got, dense = both_routes(cols, pair.t, pair.s)
+            assert_close_to_majorant(got, dense, cols, pair)
+            if n != 64:
+                assert_close_to_majorant(got, naive_calc(cols, pair.t, pair.s), cols, pair)
+            if q == Q:
+                # one nonzero term a cell and real scales: both routes are exact
+                assert np.array_equal(got, dense)
+
+    def test_cycle_revisits_cells(self):
+        # a weighted cyclic permutation: T^8 = (prod w) I, so the orbit of
+        # every row comes back to its cells from degree 8 on
+        n, q = 8, 0.5
+        t = np.zeros((n, n), dtype=complex)
+        t[np.arange(n), (np.arange(n) + 1) % n] = 0.9 * np.exp(1j * np.arange(n))
+        pair = oc.OperatorPair(t, np.zeros((n, n)), q)
+        cols = np.stack([log_series(1.5, 30).coeffs, log_series(2.0, 30).coeffs])
+        got, dense = both_routes(cols, pair.t, pair.s)
+        want = naive_calc(cols, pair.t, pair.s)
+        assert_close_to_majorant(got, want, cols, pair, rtol=1e-15)
+        assert_close_to_majorant(got, dense, cols, pair, rtol=1e-15)
+
+    def test_orbit_weight_past_the_double_range_goes_dense(self):
+        # T^2 holds 1e400: the route is refused and the dense products
+        # overflow as they always have, with numpy's warnings from matmul
+        t = np.zeros((4, 4), dtype=complex)
+        t[np.arange(1, 4), np.arange(3)] = 1e200
+        cols = np.ones((2, 3), dtype=complex)
+        assert holo._eval_monomial(cols, holo._monomial(t), holo._monomial(t.T)) is None
+        with pytest.warns(RuntimeWarning, match="encountered in matmul"):
+            holo._eval_columns(cols, t, t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = holo._eval_columns(cols, t, t), holo._eval_dense(cols, t, t)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("q", [Q, 0.6 + 0.3j])
+    def test_random_conjugate_is_dense_bit_for_bit(self, q):
+        pair = conjugated_pair(q, 24)
+        assert holo._monomial(pair.t) is None and holo._monomial(pair.s) is None
+        for make in (log_xy_function, orbit_log_function):
+            cols = coefficient_table(make(q, 40, 40))
+            got = holo._eval_columns(cols, pair.t, pair.s)
+            assert np.array_equal(got, holo._eval_dense(cols, pair.t, pair.s))
+
+    def test_one_monomial_factor_is_not_enough(self):
+        # a monomial S beside a dense T, and the reverse, multiply dense
+        pair = conjugated_pair(Q, 12)
+        cols = coefficient_table(orbit_log_function(Q, 40, 40))
+        for t, s in ((pair.t, np.diag(np.diag(pair.s))), (np.eye(12), pair.s)):
+            assert np.array_equal(holo._eval_columns(cols, t, s), holo._eval_dense(cols, t, s))
+
+    @pytest.mark.parametrize(
+        "m, want",
+        [
+            (np.diag([1.0, 0.0, 2.0]), ([0, 0, 2], [1.0, 0.0, 2.0])),
+            (np.array([[0, 3j, 0], [0, 0, 0], [5.0, 0, 0]]), ([1, 0, 0], [3j, 0.0, 5.0])),
+            (np.array([[1.0, 1.0], [0.0, 1.0]]), None),  # two nonzeros in a row
+            (np.array([[1.0, 0.0], [1.0, 0.0]]), None),  # two nonzeros in a column
+        ],
+    )
+    def test_monomial_is_read_off_zeros(self, m, want):
+        got = holo._monomial(np.asarray(m, dtype=complex))
+        if want is None:
+            assert got is None
+        else:
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+class TestSpectralRadius:
+    @pytest.mark.parametrize("q", [Q, 0.6 + 0.3j, 3.0])
+    def test_model_pair_matches_lapack(self, q):
+        pair = oc.model_pair(q, 128)
+        for m in (pair.t, pair.s):
+            assert oc.spectral_radius(m) == float(np.max(np.abs(np.linalg.eigvals(m))))
+
+    def test_triangles_are_read_at_the_diagonal(self, rng):
+        for n in (1, 5, 17):
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for tri in (np.tril(m), np.triu(m)):
+                want = float(np.max(np.abs(np.diag(tri))))
+                assert oc.spectral_radius(tri) == want
+                lapack = float(np.max(np.abs(np.linalg.eigvals(tri))))
+                assert abs(lapack - want) <= 1e-15 * want
+
+    def test_full_matrix_takes_lapack(self):
+        # nilpotent but not triangular: the diagonal would say 1
+        m = np.array([[1.0, 1.0], [-1.0, -1.0]])
+        assert oc.spectral_radius(m) <= 1e-7
+
+    def test_empty_and_non_finite(self):
+        assert oc.spectral_radius(np.zeros((0, 0))) == 0.0
+        with pytest.raises(PreconditionError, match="finite"):
+            oc.spectral_radius(np.diag([1.0, math.inf]))
 
 
 class TestEigenvalues:
@@ -502,6 +650,16 @@ class TestResolventTwist:
                             oc.resolvent_twist_residual(pair, i, k, m, lam, relative=True)
                             <= 1e-10
                         )
+
+    def test_powers_past_the_double_range_are_refused(self):
+        # S^200 holds 100^200 and q^(ik) is 10^40000
+        with pytest.raises(PreconditionError, match=r"S\^k is past the double range"):
+            oc.resolvent_twist_residual(oc.model_pair(10, 3), 200, 200, 1, 2.0)
+        with pytest.raises(PreconditionError, match=r"T\^i is past the double range"):
+            pair = oc.OperatorPair(np.diag([1e200, 0.0]), np.zeros((2, 2)), 0.5)
+            oc.resolvent_twist_residual(pair, 2, 0, 0, 2.0)
+        with pytest.raises(PreconditionError, match=r"q\^\(ik\) is past the double range"):
+            oc.resolvent_twist_residual(oc.model_pair(1e10, 1), 20, 20, 0, 2.0)
 
     def test_singular_resolvent_rejected(self):
         pair = oc.model_pair(Q, 4)

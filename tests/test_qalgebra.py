@@ -357,6 +357,18 @@ class TestKernels:
         with pytest.raises(PreconditionError, match="overflows"):
             qa.qmul_opposite(qa.twist(g), qa.twist(f))
 
+    def test_rowwise_refuses_a_power_of_q_past_the_double_range(self):
+        # q^35 = 1e350 comes from the shared power table, so the reference
+        # route refuses the product as qmul does, not with an OverflowError
+        q = 1e10
+        f = QSeries.from_terms(q, 40, [(0, 35, 1.0), (0, 0, 1.0)])
+        g = QSeries.from_terms(q, 40, [(35, 0, 1.0), (0, 0, 1.0)])
+        with pytest.raises(PreconditionError) as want:
+            qa.qmul(f, g)
+        with pytest.raises(PreconditionError) as got:
+            qa.qmul_rowwise(f, g)
+        assert str(got.value) == str(want.value)
+
     def test_cross_check_routes_agree_at_q_above_one(self, rng):
         # finite twists at q = 1.5, the benchmark's reference setting
         for _ in range(5):
