@@ -403,20 +403,15 @@ class TestMonomialRoute:
         assert np.array_equal(got, want, equal_nan=True)
 
     @pytest.mark.parametrize("q", [Q, 0.6 + 0.3j])
-    def test_random_conjugate_is_dense_bit_for_bit(self, q):
+    def test_other_pairs_are_dense_bit_for_bit(self, q):
+        # a random conjugate, and one monomial factor beside a dense one
         pair = conjugated_pair(q, 24)
         assert holo._monomial(pair.t) is None and holo._monomial(pair.s) is None
+        others = ((pair.t, pair.s), (pair.t, np.diag(np.diag(pair.s))), (np.eye(24), pair.s))
         for make in (log_xy_function, orbit_log_function):
             cols = coefficient_table(make(q, 40, 40))
-            got = holo._eval_columns(cols, pair.t, pair.s)
-            assert np.array_equal(got, holo._eval_dense(cols, pair.t, pair.s))
-
-    def test_one_monomial_factor_is_not_enough(self):
-        # a monomial S beside a dense T, and the reverse, multiply dense
-        pair = conjugated_pair(Q, 12)
-        cols = coefficient_table(orbit_log_function(Q, 40, 40))
-        for t, s in ((pair.t, np.diag(np.diag(pair.s))), (np.eye(12), pair.s)):
-            assert np.array_equal(holo._eval_columns(cols, t, s), holo._eval_dense(cols, t, s))
+            for t, s in others:
+                assert np.array_equal(holo._eval_columns(cols, t, s), holo._eval_dense(cols, t, s))
 
     @pytest.mark.parametrize(
         "m, want",
