@@ -279,7 +279,11 @@ class HoloSeries:
         return complex(acc)
 
     def eval_matrix(self, m: np.ndarray) -> np.ndarray:
-        """``sum_n a_n M^n`` on a square matrix, by :func:`_eval_columns`."""
+        """``sum_n a_n M^n`` on a square matrix, by :func:`_eval_columns`.
+
+        A result with an entry past the double range is a
+        :class:`~qplane.errors.PreconditionError`.
+        """
         m = np.asarray(m, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise PreconditionError(f"expected a square matrix, got shape {m.shape}")
@@ -483,13 +487,23 @@ def _eval_columns(cols: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     gathers and scales the columns for ``S``.  Every other pair, and a
     monomial one whose orbit weights leave the double range, goes to
     :func:`_eval_dense`.  A zero table or an empty matrix gives zeros.
+    Both routes run without numpy's warnings, and a result with an entry
+    that is not finite (a power or product past the double range, or the
+    ``inf * 0`` such a product meets in a matrix product) is a
+    :class:`PreconditionError`.
     """
     if not (cols.any() and t.size):
         return np.zeros(t.shape, dtype=np.complex128)
     t_rows = _monomial(t)
     s_cols = _monomial(s.T) if t_rows is not None else None
-    if s_cols is not None:
-        out = _eval_monomial(cols, t_rows, s_cols)
-        if out is not None:
-            return out
-    return _eval_dense(cols, t, s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _eval_monomial(cols, t_rows, s_cols) if s_cols is not None else None
+        if out is None:
+            out = _eval_dense(cols, t, s)
+    if not np.isfinite(out).all():
+        bad = np.count_nonzero(~np.isfinite(out))
+        raise PreconditionError(
+            f"the matrix function leaves the double range: {bad} of {out.size} entries "
+            "are not finite"
+        )
+    return out

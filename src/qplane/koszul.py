@@ -18,6 +18,15 @@ Ranks come from singular values with a relative threshold; a rank jump
 is exactly what joint-spectrum membership means, so near-threshold
 singular values flag the answer as unstable instead of being hidden.
 
+The singular values of a map come by one of two routes, chosen by its
+exact zeros alone.  When one of its two ``N x N`` blocks is diagonal
+and the other bidiagonal, as for both maps of the model pair at every
+``q`` (``T`` a shift, ``S`` diagonal), the map is reduced in ``O(N)``
+to a real upper-bidiagonal ``N x N`` triangle with the same singular
+values (Golub & Kahan, 1965), and only the triangle goes to LAPACK.
+Every other map takes the complex SVD of the ``2N x N`` map itself.
+:func:`homology_dims` and the scans choose the same way.
+
 A scan does not take an SVD at every grid character.  Between two
 characters only the diagonals of the maps differ, so ``d0`` moves by
 ``sqrt(|dgy|^2 + |q|^2 |dgx|^2)`` and ``d1`` by ``sqrt(|dgx|^2 + |dgy|^2)``
@@ -155,19 +164,24 @@ def _defect_error(defect: float, scale: float) -> str:
     )
 
 
+def _q_s(pair: OperatorPair) -> np.ndarray:
+    """``qS``; past the double range it concerns every character, so it is a
+    :class:`PreconditionError`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        qs = pair.q * pair.s
+    if not np.all(np.isfinite(qs)):
+        raise PreconditionError(f"q S leaves the double range at q = {pair.q}")
+    return qs
+
+
 def _blocks(pair: OperatorPair, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays for ``m`` characters holding the constant blocks of the maps.
 
     Every ``d0[i]`` holds ``[-qS; T]`` and every ``d1[i]`` holds
     ``[T, S]``; :func:`_write_diagonals` writes a character's diagonals over
-    them, which is all that depends on the character.  A ``qS`` past the
-    double range concerns every character, so it is a
-    :class:`PreconditionError`.
+    them, which is all that depends on the character.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        qs = pair.q * pair.s
-    if not np.all(np.isfinite(qs)):
-        raise PreconditionError(f"q S leaves the double range at q = {pair.q}")
+    qs = _q_s(pair)
     n = pair.n
     d0 = np.empty((m, 2 * n, n), dtype=np.complex128)
     d1 = np.empty((m, n, 2 * n), dtype=np.complex128)
@@ -327,12 +341,162 @@ def _sv(a: np.ndarray) -> np.ndarray:
     conjugation: the singular values are the same in exact arithmetic,
     and LAPACK ``gesdd`` on the tall ``2N x N`` orientation of ``d1``
     costs about half what it costs on the wide ``N x 2N`` one (OpenBLAS,
-    one thread).  Every SVD of this module goes through here, so ``d0``,
-    ``d1``, stacked chunks and single characters all take that rule.
+    one thread).  Every SVD of this module goes through here: the maps
+    of the complex route, tall, and the real ``N x N`` triangles of the
+    bidiagonal route (:func:`_reduced`), square.
     """
     if a.shape[-2] < a.shape[-1]:
         a = a.swapaxes(-1, -2)
     return np.linalg.svd(a, compute_uv=False)
+
+
+def _stacked_sv(
+    maps: np.ndarray, rows: np.ndarray, errors: list[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(kept, sv)`` for the stack ``maps``, whose matrix ``j`` is that of row ``rows[j]``.
+
+    One stacked :func:`_sv`; if LAPACK fails, one :func:`_sv` per
+    matrix, and a matrix that fails again is left out of the indices
+    ``kept`` into the stack, with its LAPACK error in ``errors[rows[j]]``.
+    """
+    try:
+        return np.arange(len(maps)), _sv(maps)
+    except np.linalg.LinAlgError:
+        kept, svs = [], []
+        for j, i in enumerate(rows):
+            try:
+                svs.append(_sv(maps[j]))
+            except np.linalg.LinAlgError as exc:
+                errors[i] = str(exc)
+            else:
+                kept.append(j)
+        return np.asarray(kept, dtype=np.intp), np.reshape(svs, (len(kept), min(maps.shape[-2:])))
+
+
+class _Bidiagonal(NamedTuple):
+    """How a tall map ``[top; bottom]`` reduces; see :func:`_bidiagonal`."""
+
+    diagonal_on_top: bool
+    flip: bool
+    e: np.ndarray
+
+
+def _outside_band(m: np.ndarray, lo: int, hi: int) -> bool:
+    """Whether ``m`` has a nonzero outside its diagonals ``lo .. hi`` (0 the main one)."""
+    nz = m != 0
+    return bool(np.tril(nz, lo - 1).any() or np.triu(nz, hi + 1).any())
+
+
+def _bidiagonal(top: np.ndarray, bottom: np.ndarray) -> _Bidiagonal | None:
+    """The form of the tall map ``[top; bottom]``, read off the exact zeros of its blocks.
+
+    A map is in the bidiagonal class when one ``N x N`` block is
+    diagonal and the other is zero outside its diagonal and one
+    neighbouring diagonal; else this is ``None``.  ``e`` holds the
+    other block's off-diagonal as the subdiagonal of ``L`` in
+    ``[diag(a); L]``: as read for a lower bidiagonal block, reversed
+    for an upper one, which reversing the index order of rows and
+    columns (``flip``) makes lower.  Only the diagonals of the maps
+    change between characters, so the form read off the constant blocks
+    of a pair is that of each of its complexes.
+    """
+    for diagonal_on_top, diag, band in ((True, top, bottom), (False, bottom, top)):
+        if _outside_band(diag, 0, 0):
+            continue
+        if not _outside_band(band, -1, 0):
+            e = np.diagonal(band, -1)
+            return _Bidiagonal(diagonal_on_top, False, e.astype(np.complex128))
+        if not _outside_band(band, 0, 1):
+            e = np.diagonal(band, 1)[::-1]
+            return _Bidiagonal(diagonal_on_top, True, e.astype(np.complex128))
+    return None
+
+
+def _reduced(
+    form: _Bidiagonal, top: np.ndarray, bottom: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rho, f, k)``: a real upper-bidiagonal ``R`` with the singular values of each map.
+
+    ``top[i]`` and ``bottom[i]`` are the diagonals of the blocks of map
+    ``i``, whose off-diagonal is ``form.e``.  After a row permutation,
+    and the reversal ``form.flip``, the map is ``[diag(a); L]``, ``L``
+    lower bidiagonal with diagonal ``b`` and subdiagonal ``e``.  The
+    graph that joins row ``r`` to column ``c`` where the entry is
+    nonzero is a forest, so diagonal unitaries on both sides turn every
+    entry into its modulus and the singular values are those of ``|d|``.
+    Each map's moduli are scaled by ``2^-k[i]``, ``k[i]`` the exponent of
+    its largest real or imaginary part, so no step below overflows, and
+    ``R`` holds the singular values times ``2^-k[i]``.  Givens rotations
+    on the rows give ``R`` (Golub & Kahan, 1965): from ``x_0 = b_0``,
+    ``r_j = hypot(a_j, x_j)``, ``rho_j = hypot(r_j, e_j)``, ``R_jj =
+    rho_j``, ``R_{j,j+1} = f_j = (e_j / rho_j) b_{j+1}`` and ``x_{j+1} =
+    (r_j / rho_j) b_{j+1}``; where ``rho_j = 0``, ``f_j = 0`` and
+    ``x_{j+1} = b_{j+1}``.  The N steps run on all maps at once.
+
+    Backward error, against the ``4N u`` times the norm that the
+    certified radius allots to each SVD (see :func:`spectrum_scan`): each
+    modulus is one rounding from the exact one, and the scaling is exact
+    but for parts ``2^-1022`` below the peak; every row takes part in at
+    most three rotations, each a few ``u`` relative to the two rows it
+    mixes (so a few ``u sqrt(N)`` times the norm in all); and the real
+    SVD of the ``N x N`` triangle is about ``N u`` times the norm where
+    the complex one of the ``2N x N`` map is about ``4N u``.
+    """
+    e = form.e.view(np.float64)
+    peak = np.abs(e).max(initial=0.0)
+    for d in (top, bottom):
+        peak = np.maximum(peak, np.abs(d.view(np.float64)).max(axis=1, initial=0.0))
+    k = np.frexp(peak)[1][:, None]
+    top, bottom, e = (np.abs(np.ldexp(d, -k).view(np.complex128)).T for d in (
+        top.view(np.float64), bottom.view(np.float64), e[None, :]
+    ))
+    a, b = (top, bottom) if form.diagonal_on_top else (bottom, top)
+    if form.flip:
+        a, b = a[::-1], b[::-1]
+    n, m = b.shape
+    rho, f = np.empty((n, m)), np.empty((n - 1, m))
+    x = b[0]
+    # where rho_j = 0, 0 / 0 is NaN, which fmax and fmin drop for 0 and 1
+    with np.errstate(invalid="ignore"):
+        for j in range(n - 1):
+            r = np.hypot(a[j], x)
+            np.hypot(r, e[j], out=rho[j])
+            np.fmax(np.divide(e[j], rho[j], out=f[j]), 0.0, out=f[j])
+            f[j] *= b[j + 1]
+            x = np.fmin(np.divide(r, rho[j], out=r), 1.0, out=r)
+            x *= b[j + 1]
+    rho[n - 1] = np.hypot(a[n - 1], x)
+    return rho.T, f.T, k
+
+
+def _triangles(rho: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The real upper-bidiagonal ``N x N`` matrices with diagonals ``rho[i]`` and ``f[i]``."""
+    m, n = rho.shape
+    r = np.zeros((m, n * n))
+    r[:, :: n + 1], r[:, 1 :: n + 1] = rho, f
+    return r.reshape(m, n, n)
+
+
+def _unscale(sv: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``sv * 2^k``, ``inf`` past the double range without a warning."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(sv, k)
+
+
+def _map_sv(a: np.ndarray) -> np.ndarray:
+    """Singular values of one tall ``2N x N`` map, by the route its zeros choose.
+
+    A map in the bidiagonal class (:func:`_bidiagonal`) is ranked
+    through its triangle (:func:`_reduced`); any other takes the complex
+    SVD of the map itself.
+    """
+    n = a.shape[1]
+    form = _bidiagonal(a[:n], a[n:])
+    if form is None:
+        return _sv(a)
+    top, bottom = (np.diagonal(d).astype(np.complex128)[None] for d in (a[:n], a[n:]))
+    rho, f, k = _reduced(form, top, bottom)
+    return _unscale(_sv(_triangles(rho, f)), k)[0]
 
 
 def _homology(
@@ -368,7 +532,7 @@ def homology_dims(
             "vanish there and homology is undefined"
         )
     _check_rank_tol(rank_tol)
-    dims, stable = _homology(_sv(comp.d0), _sv(comp.d1), comp.n, rank_tol)
+    dims, stable = _homology(_map_sv(comp.d0), _map_sv(comp.d1.T), comp.n, rank_tol)
     return Homology(int(dims[0]), int(dims[1]), int(dims[2]), bool(stable))
 
 
@@ -481,13 +645,56 @@ def _radius(sv: np.ndarray, rank: np.ndarray, rank_tol: float, slack: np.ndarray
     return np.where(rho > 0, rho, 0.0)
 
 
+class _ScanMaps(NamedTuple):
+    """How a scan ranks its two maps; see :func:`_scan_maps`."""
+
+    forms: tuple[_Bidiagonal | None, _Bidiagonal | None]
+    chunks: tuple[np.ndarray, np.ndarray] | None
+    size: int
+
+
+def _scan_maps(pair: OperatorPair, points: int) -> _ScanMaps:
+    """Each map's :func:`_bidiagonal` form, the chunk arrays, and the characters a chunk takes.
+
+    ``d0`` is ``[y - qS; T - q x]`` and ``d1`` is ranked as ``d1^T = [T^T
+    - x; S^T - y]``, so their forms come from the blocks ``qS``, ``T`` and
+    ``T^T``, ``S^T``.  A map with no form is ranked as built, through the
+    chunk arrays of :func:`_blocks` (``chunks``, ``None`` when both maps
+    have a form), and then a chunk takes as many characters as those
+    hold, at most ``points``.  Else a chunk takes as many characters as
+    have ``_STACK_ENTRIES`` diagonal entries (4N a character).
+    """
+    n = pair.n
+    forms = (_bidiagonal(_q_s(pair), pair.t), _bidiagonal(pair.t.T, pair.s.T))
+    if forms[0] is not None and forms[1] is not None:
+        return _ScanMaps(forms, None, max(1, _STACK_ENTRIES // (4 * n)))
+    size = min(max(1, _STACK_ENTRIES // (2 * n * n)), points)
+    return _ScanMaps(forms, _blocks(pair, size), size)
+
+
+def _triangle_sv(
+    form: _Bidiagonal, top: np.ndarray, bottom: np.ndarray, rows: np.ndarray, errors: list[str]
+):
+    """``(rows, sv)`` stacks of the maps of form ``form`` with block diagonals ``top``, ``bottom``.
+
+    The maps' triangles come from one :func:`_reduced` and go to LAPACK
+    as many at a time as hold ``_STACK_ENTRIES`` entries, through
+    :func:`_stacked_sv`, so a failed triangle leaves only its own row.
+    """
+    rho, f, k = _reduced(form, top, bottom)
+    step = max(1, _STACK_ENTRIES // rho.shape[1] ** 2)
+    for start in range(0, rows.size, step):
+        part = slice(start, start + step)
+        kept, sv = _stacked_sv(_triangles(rho[part], f[part]), rows[part], errors)
+        yield rows[part][kept], _unscale(sv, k[part][kept])
+
+
 def _chunk_ranks(
     pair: OperatorPair,
     gx: np.ndarray,
     gy: np.ndarray,
     want: np.ndarray,
-    d0: np.ndarray,
-    d1: np.ndarray,
+    maps: _ScanMaps,
     pair_scale: float,
     rank_tol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
@@ -495,15 +702,19 @@ def _chunk_ranks(
 
     Every character has a complex; ``want[i, k]`` says whether map ``k``
     (0 for ``d0``, 1 for ``d1``) is ranked there, and the three arrays
-    are ``(m, 2)`` like ``want``.  The complexes are written into the
-    leading rows of ``d0`` and ``d1`` (:func:`_write_diagonals`), and each map
-    is ranked by one stacked SVD, on those rows themselves when every
-    character wants it, else on the rows that do.  If LAPACK fails, that
-    map is ranked one SVD per character; a character that fails again
-    gets the LAPACK error in ``errors`` and radius 0.  The radius is
-    :func:`_radius` with slack ``_SLACK * N * u * (s_0 + (1 + |q|) scale)``.
+    are ``(m, 2)`` like ``want``.  A map with a :func:`_bidiagonal` form
+    is ranked through the triangles of :func:`_triangle_sv`.  Any other is
+    written into the leading rows of the chunk arrays
+    (:func:`_write_diagonals`) and ranked by one stacked SVD, on those
+    rows themselves when every character wants it, else on the rows that
+    do.  If LAPACK fails on a stack, its matrices are ranked one SVD each
+    (:func:`_stacked_sv`); a character that fails again gets the LAPACK
+    error in ``errors`` and radius 0.  The radius is :func:`_radius` with
+    slack ``_SLACK * N * u * (s_0 + (1 + |q|) scale)``.
     """
-    _write_diagonals(pair, _diagonals(pair, gx, gy), d0, d1)
+    diags = _diagonals(pair, gx, gy)
+    if maps.chunks is not None:
+        _write_diagonals(pair, diags, *maps.chunks)
     m = gx.size
     rank = np.zeros((m, 2), dtype=np.int64)
     stable = np.zeros((m, 2), dtype=bool)
@@ -511,19 +722,16 @@ def _chunk_ranks(
     errors = [""] * m
     with np.errstate(over="ignore"):
         norms = (1.0 + abs(pair.q)) * (pair_scale + np.abs(gx) + np.abs(gy))
-    for k, maps in enumerate((d0[:m], d1[:m])):
+    for k, form in enumerate(maps.forms):
         rows = np.flatnonzero(want[:, k])
         if not rows.size:
             continue
-        try:
-            ranked = [(rows, _sv(maps if rows.size == m else maps[rows]))]
-        except np.linalg.LinAlgError:
-            ranked = []
-            for i in rows:
-                try:
-                    ranked.append(([i], _sv(maps[i])[None]))
-                except np.linalg.LinAlgError as exc:
-                    errors[i] = str(exc)
+        if form is None:
+            built = maps.chunks[k][:m]
+            kept, sv = _stacked_sv(built if rows.size == m else built[rows], rows, errors)
+            ranked = [(rows[kept], sv)]
+        else:
+            ranked = _triangle_sv(form, diags[2 * k][rows], diags[2 * k + 1][rows], rows, errors)
         for at, sv in ranked:
             rank[at, k], stable[at, k] = _ranks(sv, rank_tol)
             with np.errstate(over="ignore"):
@@ -542,8 +750,7 @@ def _certified_ranks(
     pair: OperatorPair,
     axis: Literal["x", "y"],
     g: np.ndarray,
-    d0: np.ndarray,
-    d1: np.ndarray,
+    maps: _ScanMaps,
     pair_scale: float,
     rank_tol: float,
 ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
@@ -556,9 +763,9 @@ def _certified_ranks(
     nearest ranked neighbour on either side takes that neighbour's rank
     and stability, and in every gap that still holds an undecided
     character its middle undecided one is ranked, by :func:`_chunk_ranks`
-    on as many characters at a time as the chunk arrays ``d0``, ``d1``
-    hold.  Between two characters on one axis ``d0`` moves by ``|q| |dg|``
-    on the x-axis and ``|dg|`` on the y-axis, and ``d1`` by ``|dg|``.
+    on ``maps.size`` characters at a time.  Between two characters on one
+    axis ``d0`` moves by ``|q| |dg|`` on the x-axis and ``|dg|`` on the
+    y-axis, and ``d1`` by ``|dg|``.
     """
     m = g.size
     rank = np.full((m, 2), -1, dtype=np.int32)
@@ -573,11 +780,11 @@ def _certified_ranks(
     wanted[[0, m - 1]] = True
     while wanted.any():
         level = np.flatnonzero(wanted.any(axis=1))
-        for start in range(0, level.size, d0.shape[0]):
-            at = level[start : start + d0.shape[0]]
+        for start in range(0, level.size, maps.size):
+            at = level[start : start + maps.size]
             want = wanted[at]
             r, s, rho, errors = _chunk_ranks(
-                pair, *_on_axis(axis, g[at]), want, d0, d1, pair_scale, rank_tol
+                pair, *_on_axis(axis, g[at]), want, maps, pair_scale, rank_tol
             )
             rank[at] = np.where(want, r, rank[at])
             stable[at] = np.where(want, s, stable[at])
@@ -665,35 +872,42 @@ def spectrum_scan(
     bounds the norm of both maps): it covers the backward error of the
     ranked SVD and of the SVD the character itself would have taken,
     each about ``2N u`` times the norm on the ``2N`` rows of the tall
-    orientation and doubled for complex arithmetic, and the rounding of
-    the written diagonals.  A map that drops a singular value has a
-    radius of at most ``rank_tol s_0 / 10`` (``1e-11 s_0`` at the default),
-    so on any coarser grid it is ranked itself: ``d0`` on the x-axis of
-    ``model_pair(1/2, 64)``, whose rows are pseudospectral members
-    (``s_r / s_0`` about ``2^-64``), is ranked at every node.  The rows
-    equal those of :func:`build` and :func:`homology_dims` point by point.
+    orientation and doubled for complex arithmetic (the moduli, rotations
+    and real SVD of the bidiagonal route stay inside it, see
+    :func:`_reduced`), and the rounding of the written diagonals.  A map
+    that drops a singular value has a radius of at most ``rank_tol s_0 /
+    10`` (``1e-11 s_0`` at the default), so on any coarser grid it is
+    ranked itself: ``d0`` on the x-axis of ``model_pair(1/2, 64)``, whose
+    rows are pseudospectral members (``s_r / s_0`` about ``2^-64``), is
+    ranked at every node.  The rows equal those of :func:`build` and
+    :func:`homology_dims` point by point.
 
     The grid is taken 2^15 points at a time, each block with its own two
     ends, so the per-point arrays stay a few MiB however large the grid.
-    Ranked characters go to LAPACK in chunks of as many as fit in 2^15
-    complex entries, through one pair of chunk arrays that gets the
-    constant blocks of the maps once; only the diagonals are rewritten,
-    and each map is ranked by one stacked SVD a chunk, ``d0`` as built
-    and ``d1`` through its tall transpose (see :func:`_sv`).  When
-    LAPACK fails on a chunk its characters are ranked one SVD at a time,
-    and a row that fails again holds the LAPACK error.
+    Each map takes the route its zeros choose (:func:`_scan_maps`).  A
+    map in the bidiagonal class, such as either map of the model pair,
+    is reduced to real ``N x N`` triangles (:func:`_reduced`), once for
+    all the characters of a level that have 2^15 diagonal entries, and
+    the triangles go to LAPACK in stacks of 2^15 entries.  Any other map
+    goes to LAPACK in chunks of as many characters as fit in 2^15 complex
+    entries, through one pair of chunk arrays that gets the constant
+    blocks of the maps once; only the diagonals are rewritten, and the
+    map is ranked by one stacked SVD a chunk, ``d0`` as built and ``d1``
+    through its tall transpose (see :func:`_sv`).  When LAPACK fails on
+    a stack its matrices are ranked one SVD at a time, and a row that
+    fails again holds the LAPACK error.
     """
     if axis not in ("x", "y"):
         raise PreconditionError(f"axis must be 'x' or 'y', got {axis!r}")
     _check_rank_tol(rank_tol)
     points = grid.points()
     pair_defect, pair_scale = _pair_defect(pair), _pair_scale(pair)
-    d0, d1 = _blocks(pair, min(max(1, _STACK_ENTRIES // (2 * pair.n * pair.n)), len(points)))
+    maps = _scan_maps(pair, len(points))
     rows: list[ScanRow] = []
     for start in range(0, len(points), _SCAN_BLOCK):
         block = points[start : start + _SCAN_BLOCK]
         for g_j, (h0, h2), st, e in zip(block, *_block_homology(
-            pair, axis, block, d0, d1, pair_defect, pair_scale, rank_tol
+            pair, axis, block, maps, pair_defect, pair_scale, rank_tol
         )):
             if e:
                 rows.append(ScanRow(g_j.real, g_j.imag, axis, -1, -1, -1, False, False, e))
@@ -708,8 +922,7 @@ def _block_homology(
     pair: OperatorPair,
     axis: Literal["x", "y"],
     points: list[complex],
-    d0: np.ndarray,
-    d1: np.ndarray,
+    maps: _ScanMaps,
     pair_defect: float,
     pair_scale: float,
     rank_tol: float,
@@ -718,9 +931,9 @@ def _block_homology(
 
     Where ``errors[i]`` is set, ``h[i]`` is ``[-1, -1]``.  The errors are
     found for a quarter of ``_STACK_ENTRIES`` diagonal entries at a time
-    (4N a point), so that pass holds no more than the chunk arrays do,
+    (4N a point), so that pass holds no more than a chunk of the ranking,
     and the points that have a complex are ranked by
-    :func:`_certified_ranks` through the chunk arrays ``d0``, ``d1``.
+    :func:`_certified_ranks` as ``maps`` says.
     """
     g = np.asarray(points, dtype=np.complex128).reshape(-1)
     errors: list[str] = []
@@ -730,7 +943,7 @@ def _block_homology(
         errors += _errors(pair, gx, gy, _diagonals(pair, gx, gy), pair_defect, pair_scale)
     ok = np.flatnonzero([not e for e in errors])
     rank, stable, failed = _certified_ranks(
-        pair, axis, g if ok.size == g.size else g[ok], d0, d1, pair_scale, rank_tol
+        pair, axis, g if ok.size == g.size else g[ok], maps, pair_scale, rank_tol
     )
     for i, e in failed.items():
         errors[ok[i]] = e

@@ -226,6 +226,9 @@ def calc(f: QFunctionRep, pair: OperatorPair) -> np.ndarray:
       every ``f_n(T)`` from one product with the coefficient table, plus
       Horner in ``T^p`` for degrees ``>= p``; ``p`` minimises the matrix
       products, so a table of many columns stores every power.
+
+    A result with an entry that is not finite, as where powers of ``T``
+    pass the double range, is a :class:`~qplane.errors.PreconditionError`.
     """
     if f.q != pair.q:
         raise PreconditionError(f"q mismatch: function {f.q} vs pair {pair.q}")
@@ -253,7 +256,9 @@ def calc_qseries(f: QSeries, pair: OperatorPair) -> np.ndarray:
     satisfies the same rewriting rule as the plane, it is an algebra
     homomorphism on tables (products map to products).  The evaluator
     is that of :func:`calc`, column ``k`` of the table being the
-    coefficient function of ``S^k``.
+    coefficient function of ``S^k``, and so is the
+    :class:`~qplane.errors.PreconditionError` on a result that is not
+    finite.
     """
     if f.q != pair.q:
         raise PreconditionError(f"q mismatch: series {f.q} vs pair {pair.q}")

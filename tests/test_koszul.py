@@ -8,7 +8,7 @@ from qplane import koszul as kz
 from qplane import opcalc as oc
 from qplane.errors import PreconditionError
 
-from oracles import naive_spectrum_scan, oracle_homology
+from oracles import naive_homology_dims, naive_spectrum_scan, oracle_homology
 
 Q = 0.5
 
@@ -21,6 +21,21 @@ def conjugated_pair(rng, q, n):
     d = np.diag(np.exp(rng.uniform(-0.3, 0.3, n)))
     dinv = np.linalg.inv(d)
     return oc.OperatorPair(d @ (alpha * base.t) @ dinv, d @ (beta * base.s) @ dinv, q)
+
+
+def outside_class(pair):
+    """A unitary conjugate of ``pair`` outside the bidiagonal class: indices 1 and 2 swapped.
+
+    The conjugate has the same complexes up to unitaries on both sides, so
+    the same members.  Index 0 stays put, so ``d0[0, 0]`` is unchanged,
+    while the shift's chain ``e_0 -> e_1 -> e_2`` becomes ``e_0 -> e_2 ->
+    e_1 -> e_3``, which leaves both bands.
+    """
+    p = np.eye(pair.n)
+    p[[1, 2]] = p[[2, 1]]
+    conjugate = oc.OperatorPair(p @ pair.t @ p.T, p @ pair.s @ p.T, pair.q)
+    assert kz._scan_maps(conjugate, 1).forms == (None, None)
+    return conjugate
 
 
 class TestBuild:
@@ -507,7 +522,8 @@ class TestBatchedScan:
         assert {r.g_re for r in rows if r.member} == {0.0, 1.0}
 
     def test_failed_stacked_svd_lands_in_its_own_rows(self, monkeypatch):
-        pair = oc.model_pair(Q, 8)
+        # the complex route, on a conjugate of the model pair
+        pair = outside_class(oc.model_pair(Q, 8))
         step = kz._STACK_ENTRIES // (2 * 8 * 8)  # points per chunk
         grid = kz.GridSpec(0.0, 1.0, 0.0, 0.0, 2 * step + 1)  # two full chunks and one point
         want = naive_spectrum_scan(pair, "y", grid)
@@ -530,10 +546,11 @@ class TestBatchedScan:
         assert rows[:i] + rows[i + 1 :] == want[:i] + want[i + 1 :]
 
     def test_every_svd_takes_a_tall_matrix(self, monkeypatch):
-        # d1 (N x 2N) is ranked through its 2N x N transpose, in a stacked
+        # on the complex route, here for a conjugate of the model pair, d1
+        # (N x 2N) is ranked through its 2N x N transpose, in a stacked
         # chunk, in the one-at-a-time fallback and in homology_dims alike
         n, steps = 8, 9
-        pair = oc.model_pair(Q, n)
+        pair = outside_class(oc.model_pair(Q, n))
         grid = kz.GridSpec(0.0, 1.0, 0.0, 0.0, steps)
         want = naive_spectrum_scan(pair, "y", grid)  # ranks the wide d1 as built
         real_svd = np.linalg.svd
@@ -565,11 +582,13 @@ class TestBatchedScan:
         # an earlier fill, or a skipped refill, shows as a row that
         # differs.  At the default two fills rank the two ends and one
         # middle node per map, and those certify every other node.  The
-        # non-finite point is an error row that is never ranked.
+        # non-finite point is an error row that is never ranked.  The pairs
+        # are conjugates of the model pair and of the swapped pair, which
+        # take the complex route through the chunk arrays.
         n = 8
         base = oc.model_pair(Q, n)
         # the y axis of the model pair; the swapped pair has the same members on x
-        pair = base if axis == "y" else oc.OperatorPair(base.s, base.t, 1.0 / Q)
+        pair = outside_class(base if axis == "y" else oc.OperatorPair(base.s, base.t, 1.0 / Q))
         step = kz._STACK_ENTRIES // (2 * n * n)
         size = 4 * step + 5
         points = list(np.linspace(0.3, 0.7, size) + 0j)
@@ -601,6 +620,80 @@ class TestBatchedScan:
                 assert filled == fills
         assert len(filled) == 13 and filled.count(step) == 3 and sum(filled) == size - 1
 
+    def test_failed_triangle_stack_lands_in_its_own_row(self, monkeypatch):
+        # The bidiagonal route of the model pair: at rank_tol = 0.1 no map is
+        # certified, so every node is ranked.  A map's triangles go to LAPACK
+        # in stacks of _STACK_ENTRIES / N^2 = 512: one full stack at the level
+        # of 512 nodes and two at the level of 1024.
+        # Every stack fails, so every triangle is ranked alone, and the first
+        # of those, d0 at the first end node, fails again.
+        n = 8
+        pair = oc.model_pair(Q, n)
+        step = kz._STACK_ENTRIES // (n * n)  # triangles per stack
+        grid = kz.GridSpec(0.0, 1.0, 0.0, 0.0, 4 * step + 3)
+        want = naive_spectrum_scan(pair, "y", grid, 0.1)
+        real_svd = np.linalg.svd
+        stacks, alone = [], []
+
+        def svd(a, *args, **kwargs):
+            if a.ndim > 2:
+                stacks.append(a.shape[0])
+                raise np.linalg.LinAlgError("SVD did not converge")
+            alone.append(a.shape)
+            if len(alone) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        rows = kz.spectrum_scan(pair, "y", grid, 0.1)
+        assert [i for i, r in enumerate(rows) if r.error] == [0]
+        assert rows[0].error == "SVD did not converge"
+        assert rows[1:] == want[1:]
+        assert max(stacks) == step and stacks.count(step) == 2 * 3
+        assert len(alone) == sum(stacks) == 2 * grid.size
+
+    def test_every_svd_takes_a_real_square_matrix_on_the_model_pair(self, monkeypatch):
+        # both maps of the model pair are bidiagonal, so each is ranked
+        # through its real N x N triangle: stacked, one at a time after a
+        # failed stack, and in homology_dims alike
+        n, steps = 8, 9
+        pair = oc.model_pair(Q, n)
+        grid = kz.GridSpec(0.0, 1.0, 0.0, 0.0, steps)
+        want = naive_spectrum_scan(pair, "y", grid)
+        real_svd = np.linalg.svd
+        taken, fail_stacked = [], []
+
+        def svd(a, *args, **kwargs):
+            taken.append((a.dtype, a.shape[-2:]))
+            if fail_stacked and a.ndim > 2:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        for axis in ("x", "y"):
+            kz.spectrum_scan(pair, axis, grid)
+        kz.homology_dims(kz.build(pair, (0.0, 0.5)))
+        fail_stacked.append(True)
+        assert kz.spectrum_scan(pair, "y", grid) == want
+        assert set(taken) == {(np.dtype(np.float64), (n, n))}
+
+    def test_benchmark_scans_rank_the_stated_nodes(self, monkeypatch):
+        # README and ROADMAP state how many nodes each map ranks on the
+        # four benchmark scans (d0 / d1); the rest are certified
+        chunk_ranks, ranked = kz._chunk_ranks, []
+
+        def counted(pair, gx, gy, want, *args):
+            ranked.append(want.sum(axis=0))
+            return chunk_ranks(pair, gx, gy, want, *args)
+
+        monkeypatch.setattr(kz, "_chunk_ranks", counted)
+        got = {}
+        for axis, n, steps in [("x", 8, 1025), ("y", 8, 1025), ("x", 64, 257), ("y", 64, 257)]:
+            ranked.clear()
+            kz.spectrum_scan(oc.model_pair(Q, n), axis, kz.GridSpec(0.0, 1.0, 0.0, 0.0, steps))
+            got[axis, n] = tuple(np.sum(ranked, axis=0).tolist())
+        assert got == {("x", 8): (65, 2), ("y", 8): (3, 2), ("x", 64): (257, 2), ("y", 64): (2, 2)}
+
     def test_built_maps_are_not_rewritten(self):
         pair = oc.model_pair(Q, 8)
         built = [kz.build(pair, (0.0, 0.25)), kz.build(pair, (0.5, 0.0))]
@@ -610,3 +703,110 @@ class TestBatchedScan:
             kz.spectrum_scan(pair, axis, kz.GridSpec(0.0, 1.0, 0.0, 0.0, 600))
         after = [m for c in built for m in (c.d0, c.d1)]
         assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+
+class ListedGrid:
+    """A grid of the given points, in order."""
+
+    def __init__(self, points):
+        self._points = [complex(g) for g in points]
+
+    def points(self):
+        return self._points
+
+
+def weighted_shift_pair(rng, q, n, upper=False):
+    """A weighted shift with random complex weights, about a third of them 0, beside
+    ``S = c diag(q^j)`` (``c diag(q^-j)`` for the upper shift), which q-commutes with it."""
+    w = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+    w[rng.random(n - 1) < 0.3] = 0.0
+    c = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
+    powers = complex(q) ** (-np.arange(n) if upper else np.arange(n))
+    return oc.OperatorPair(np.diag(w, 1 if upper else -1), c * np.diag(powers), q)
+
+
+def bidiagonal_pairs(rng):
+    """Pairs in the bidiagonal class, by name."""
+    base = oc.model_pair(Q, 6)
+    four = oc.model_pair(Q, 4)
+    pairs = {
+        "direct sum": oc.OperatorPair(
+            np.block([[four.t, np.zeros((4, 2))], [np.zeros((2, 4)), np.diag([0.2, 0.3])]]),
+            np.block([[four.s, np.zeros((4, 2))], [np.zeros((2, 6))]]),
+            Q,
+        ),
+        "T = 0": oc.OperatorPair(np.zeros((2, 2)), np.diag([0.2, 0.3]), Q),
+        "swapped": oc.OperatorPair(base.s, base.t, 1.0 / Q),
+    }
+    for q in (2.0, 0.6 + 0.3j):
+        for n in (1, 2, 5):
+            pairs[f"model q={q} N={n}"] = oc.model_pair(q, n)
+    for k, (q, n) in enumerate([(Q, 8), (0.6 + 0.3j, 7), (2.0, 5), (Q, 3)]):
+        pairs[f"shift {k}"] = weighted_shift_pair(rng, q, n)
+        pairs[f"upper shift {k}"] = weighted_shift_pair(rng, q, n, upper=True)
+    for alpha, beta in [(1e-150, 1e150), (1e150, 1e-150), (1e100, 1e100), (1e-120, 1e-90)]:
+        pairs[f"model scaled {alpha:.0e}, {beta:.0e}"] = oc.OperatorPair(
+            alpha * base.t, beta * base.s, Q
+        )
+        shift = weighted_shift_pair(rng, 0.6 + 0.3j, 6)
+        pairs[f"shift scaled {alpha:.0e}, {beta:.0e}"] = oc.OperatorPair(
+            alpha * shift.t, beta * shift.s, shift.q
+        )
+    return pairs
+
+
+class TestBidiagonalRoute:
+    """Pairs in the bidiagonal class against the dense oracles."""
+
+    @staticmethod
+    def axis_scale(pair, axis):
+        """The size of the characters where the pair's homology changes on ``axis``."""
+        if axis == "x":
+            return float(np.abs(pair.t).max(initial=0.0) / min(1.0, abs(pair.q))) or 1.0
+        return float(np.abs(pair.s).max(initial=0.0) * max(1.0, abs(pair.q))) or 1.0
+
+    @staticmethod
+    def special_points(pair, axis):
+        """Axis coordinates where a block of a map is exactly singular."""
+        t, s = np.diag(pair.t), np.diag(pair.s)
+        values = (t, t / pair.q) if axis == "x" else (s, pair.q * s)
+        return np.unique(np.concatenate(values))
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("rank_tol", [kz.DEFAULT_RANK_TOL, 1e-6])
+    def test_scan_rows_equal_the_dense_oracle(self, axis, rank_tol, rng):
+        for name, pair in bidiagonal_pairs(rng).items():
+            forms = kz._scan_maps(pair, 1).forms
+            assert forms[0] is not None and forms[1] is not None, name
+            c = self.axis_scale(pair, axis)
+            grid = kz.GridSpec(-1.5 * c, 1.5 * c, -c, c, 9)
+            special = ListedGrid(self.special_points(pair, axis))
+            for points in (grid, special):
+                rows = kz.spectrum_scan(pair, axis, points, rank_tol)
+                assert rows == naive_spectrum_scan(pair, axis, points, rank_tol), name
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_modulus_past_the_double_range_as_the_dense_route(self, axis):
+        # |g| passes the double range though its parts do not: the moduli
+        # are taken of each map scaled by a power of two, so the triangle's
+        # singular values leave the range only where the map's do
+        pair = oc.model_pair(Q, 4)
+        grid = ListedGrid([complex(1.5e308, 1.5e308), complex(1e308, -1e308), 0.5])
+        rows = kz.spectrum_scan(pair, axis, grid)
+        assert [r.error for r in rows] == ["", "", ""]
+        assert rows == naive_spectrum_scan(pair, axis, grid)
+
+    def test_homology_dims_equals_the_dense_oracle(self, rng):
+        members = 0
+        for name, pair in bidiagonal_pairs(rng).items():
+            for axis in ("x", "y"):
+                c = self.axis_scale(pair, axis)
+                coords = list(self.special_points(pair, axis)) + [
+                    c * complex(rng.uniform(-1.5, 1.5), rng.uniform(-1, 1)) for _ in range(4)
+                ]
+                for g in coords:
+                    comp = kz.build(pair, (g, 0j) if axis == "x" else (0j, g))
+                    hom = kz.homology_dims(comp)
+                    assert hom == naive_homology_dims(comp, kz.DEFAULT_RANK_TOL), (name, g)
+                    members += hom.member
+        assert members >= 40

@@ -133,6 +133,24 @@ class TestCalc:
         with pytest.raises(PreconditionError, match="q mismatch"):
             oc.calc(rep, oc.model_pair(Q, 4))
 
+    def test_powers_past_the_double_range_are_refused(self):
+        # T is nilpotent, so the domain check passes, but T^2 holds 1e400:
+        # the monomial route refuses the orbit weight and the dense products
+        # meet inf * 0.  Every caller of the evaluator raises, with no
+        # RuntimeWarning on the way (the suite turns those into errors).
+        n = 6
+        t = np.diag(np.full(n - 1, 1e200), -1)
+        pair = oc.OperatorPair(t, np.zeros((n, n)), Q)
+        not_finite = "the matrix function leaves the double range: 24 of 36 entries"
+        with pytest.raises(PreconditionError, match=not_finite):
+            oc.calc(orbit_log_function(Q, 40, 40), pair)
+        table = np.zeros((41, 41), dtype=complex)
+        table[:, 0] = log_series(1.5, 40).coeffs
+        with pytest.raises(PreconditionError, match="leaves the double range"):
+            oc.calc_qseries(QSeries(Q, table), pair)
+        with pytest.raises(PreconditionError, match="leaves the double range"):
+            log_series(1.5, 40).eval_matrix(t)
+
 
 class TestCalcQSeries:
     def test_x_maps_to_t(self):
@@ -391,16 +409,17 @@ class TestMonomialRoute:
 
     def test_orbit_weight_past_the_double_range_goes_dense(self):
         # T^2 holds 1e400: the route is refused and the dense products
-        # overflow as they always have, with numpy's warnings from matmul
+        # overflow, so the evaluator refuses the result, without warnings
         t = np.zeros((4, 4), dtype=complex)
         t[np.arange(1, 4), np.arange(3)] = 1e200
         cols = np.ones((2, 3), dtype=complex)
         assert holo._eval_monomial(cols, holo._monomial(t), holo._monomial(t.T)) is None
-        with pytest.warns(RuntimeWarning, match="encountered in matmul"):
-            holo._eval_columns(cols, t, t)
         with np.errstate(over="ignore", invalid="ignore"):
-            got, want = holo._eval_columns(cols, t, t), holo._eval_dense(cols, t, t)
-        assert np.array_equal(got, want, equal_nan=True)
+            dense = holo._eval_dense(cols, t, t)
+        bad = np.count_nonzero(~np.isfinite(dense))
+        assert bad
+        with pytest.raises(PreconditionError, match=f"{bad} of 16 entries are not finite"):
+            holo._eval_columns(cols, t, t)
 
     @pytest.mark.parametrize("q", [Q, 0.6 + 0.3j])
     def test_other_pairs_are_dense_bit_for_bit(self, q):
