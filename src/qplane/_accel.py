@@ -13,10 +13,10 @@ pairs at a time (a block of head rows times the whole tail), and adds
 each term into its cell with ``np.add.at``.
 
 * ``qmul_full`` scatters the support of ``a`` (head) against the
-  support of ``b`` (tail), or runs one Toeplitz matmul per nonzero
-  column of ``a`` over ``b``'s nonzero bounding box, whichever
-  :data:`PAIR_COST` prices lower.  Given a degree, the matmuls form
-  only the cells of the truncation box.
+  support of ``b`` (tail), or contracts ``a``'s nonzero columns with
+  ``b``'s nonzero bounding box in a few blocked GEMMs
+  (:func:`_column_blocks`), whichever :data:`PAIR_COST` prices lower.
+  Given a degree, the GEMMs form only the cells of the truncation box.
 * ``qpow_formula`` splits each index s-tuple into a head of ``s // 2``
   factors and a tail of the rest, so that
   ``e = e_head + e_tail + K_head*I_tail``; it enumerates each half once
@@ -33,36 +33,34 @@ no other: ``0 * inf`` never spreads a NaN to its neighbours.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .holo import _powers
 
 CHUNK = 2048  # term pairs per step of _scatter_pairs
 # The price of one term pair of the pair route in scaled-box cells of
 # the column route.  At D = 32 and 64 (2 vCPUs, x86-64, numpy 2.4, one
-# BLAS thread) a pair cost 22-37 ns on banded, random-sparse and dense
-# tables; a cell cost 12-20 ns where every column of the left factor
-# holds one term (diagonal tables) and 37-86 ns where its columns need a
-# matmul (banded, random-sparse, dense).
-PAIR_COST = 1
-
-
-def _toeplitz(v: np.ndarray, width: int, rows: int) -> np.ndarray:
-    """The first ``rows`` rows of the banded Toeplitz matrix ``T[r, j] = v[r - j]``.
-
-    ``T`` has ``width`` columns and at most ``len(v)+width-1`` rows;
-    ``T @ m`` convolves ``v`` with every column of ``m``.
-    """
-    pad = np.zeros(width - 1, dtype=v.dtype)
-    windows = sliding_window_view(np.concatenate([pad, v, pad]), width)[:rows]
-    return np.ascontiguousarray(windows[:, ::-1])
+# BLAS thread, q = 0.5+0.25j) a pair cost 29-37 ns on banded,
+# random-sparse and dense tables, and a cell of the blocked GEMMs 9-18
+# ns on diagonal, banded, random-sparse and dense ones.
+PAIR_COST = 3
+BLOCK = 2**14  # complex entries in one GEMM operand of the column route
+_LIFT = 2.0**600  # exact lift of the twisted rows near the subnormal range
+_NORMAL = 2.0**-1022  # the smallest normal double
+_LIFTABLE = 2.0**-800  # a row below this stays below 2^-200 when lifted
+_HUGE = 2.0**1022  # a row below this forms no non-finite entry
 
 
 def _support(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the nonzero entries, in row-major order."""
+    """Row and column indices of the nonzero entries, in row-major order.
+
+    The table goes through ``astype(bool)`` first: numpy finds the
+    nonzeros of a bool array 2-5 times faster than of a complex one, so
+    the two passes beat one (a one-term 65 x 65 table: 5 against 24 us).
+    """
     return np.divmod(np.flatnonzero(table.astype(bool)), table.shape[1])
 
 
@@ -122,6 +120,164 @@ def _scatter_pairs(out: np.ndarray, head, tail, q: complex) -> None:
                 np.add.at(flat, (hcell[h, None] + tcell[t]).ravel(), term.ravel())
 
 
+def _column_blocks(out, a, b, q: complex, cols, firsts, lasts, box) -> None:
+    """Add ``a[n-i2, k1]·(b[i2, k2]·q^(i2·k1))`` into ``out[n, k1+k2]`` over every term.
+
+    ``cols`` are the nonzero columns of ``a`` (ascending), ``firsts`` and
+    ``lasts`` their lowest and highest nonzero rows, and ``box`` is
+    ``(r0, r1, c0, c1)``, the rows and columns of ``b``'s nonzero
+    bounding box.  Only the cells of ``out`` are formed: the rows of the
+    box, output rows and columns that cannot reach them are trimmed.
+
+    The sum over ``(k1, i2)`` runs as one GEMM per block of at most
+    ``per`` consecutive columns ``k1``:
+
+    * the left operand ``A[n, (i2, k1)] = a[n-i2, k1]`` is a strided
+      Toeplitz view of the block's columns, ``i2`` descending;
+    * the right operand holds the box's rows times ``q^(i2·k1)``, each
+      shifted right by ``k1``.
+
+    ``per`` keeps each operand within :data:`BLOCK` complex entries, and
+    one workspace holds both for every block.  Before any row is formed,
+    it is bounded by ``|q^(i2·k1)|·max|b[i2, :]|``:
+
+    * in a block whose columns reach rows below 2^-1022 (so every entry
+      is subnormal or 0), the trailing rows bounded below 2^-800 in every
+      column of the block go to their own GEMM, each lifted by an exact
+      :data:`_LIFT` once formed and the result moved back down: BLAS,
+      which takes 2-8x longer on subnormal operands, sees normal numbers.
+      Rows past the block's last nonzero bound drop out;
+    * a row not bounded below 2^1022 may overflow: its non-finite entries
+      stay out of the GEMM, and the cells their terms reach are set to
+      NaN (a 0 entry times an infinite twist is no term).
+    """
+    r0, r1, c0, c1 = box
+    top, right = out.shape[0] - 1, out.shape[1] - 1
+    emax = (r1 - 1) * int(cols[-1])  # so q^e splits as on the pair route
+    landing = (cols <= right - c0) & (firsts <= top - r0)
+    if not landing.all():
+        cols, firsts, lasts = cols[landing], firsts[landing], lasts[landing]
+        if not cols.size:
+            return
+    low = int(firsts.min())
+    inner = min(r1, top - low + 1) - r0  # rows of the box in use
+    wide = min(c1, right - int(cols[0]) + 1) - c0  # its columns in use
+    rows = min(top, int(lasts.max()) + r1 - 1) - low - r0 + 1  # output rows reached
+    # per columns: at most rows*inner*per and inner*per*(wide+per-1) entries
+    per = (math.isqrt((wide - 1) ** 2 + 4 * (BLOCK // inner)) - wide + 1) // 2
+    per = max(1, min(per, BLOCK // (rows * inner), int(cols[-1] - cols[0]) + 1))
+    span = per - 1  # the farthest a block shifts a row of b
+    colist, firstl, lastl = cols.tolist(), firsts.tolist(), lasts.tolist()
+    # a block ends where a's columns skip one, so its shifts step by 1
+    ends = [*(np.flatnonzero(np.diff(cols) != 1) + 1).tolist(), cols.size]
+    with np.errstate(over="ignore", invalid="ignore"):
+        twist = _twist(q, emax)(np.arange(r0, r0 + inner)[:, None] * cols)
+        bound = np.abs(twist)
+        bound *= np.abs(b[r0 : r0 + inner, c0 : c0 + wide]).max(axis=1)[:, None]
+        held = None  # per column: rows up to its last nonzero bound
+        if not (bound >= _NORMAL).all():  # subnormal, 0 or NaN somewhere
+            nonzero = bound != 0
+            held = np.where(nonzero.any(axis=0), inner - nonzero[::-1].argmax(axis=0), 0)
+            liftable = bound < _LIFTABLE
+            tail = np.where(liftable.all(axis=0), inner, (~liftable[::-1]).argmax(axis=0))
+            held, lifted = held.tolist(), (inner - tail).tolist()  # lifted: its tail's first row
+            subnormal = (bound < _NORMAL).any(axis=0).tolist()
+        risky = ~(bound < _HUGE)
+        risky = risky.any(axis=0).tolist() if risky.any() else None
+        # one workspace: b's box with span zero columns each side, then per
+        # block a's padded columns, both operands and the GEMM's result.
+        # Taken after the twist's temporaries are freed: before them, glibc
+        # trimmed and regrew the heap on every dense D = 64 product (about
+        # 210 minor page faults each in a fresh process, 0 after them)
+        sizes = [inner * (wide + 2 * span), (rows + inner - 1) * per, rows * inner * per,
+                 inner * per * (wide + span), rows * (wide + span)]
+        offsets = np.cumsum([0, *sizes]).tolist()
+        work = np.empty(offsets[-1], dtype=np.complex128)
+        ext = work[: sizes[0]].reshape(inner, -1)
+        ext[:, :span] = 0
+        ext[:, span + wide :] = 0
+        ext[:, span : span + wide] = b[r0 : r0 + inner, c0 : c0 + wide]
+        e0, e1 = ext.strides
+        j = 0
+        while j < cols.size:
+            stop = min(
+                bisect.bisect_right(colist, colist[j] + span, j),
+                ends[bisect.bisect_right(ends, j)],
+            )
+            first, last = min(firstl[j:stop]), max(lastl[j:stop])
+            n = lift = min(r1, top - first + 1) - r0  # rows i2 < r0 + n of the box
+            if held is not None:
+                n = lift = min(n, max(held[j:stop]))
+                if any(subnormal[j:stop]):
+                    lift = min(n, max(lifted[j:stop]))
+            if n <= 0:
+                j = stop
+                continue
+            lo, hi = first + r0, min(top, last + r0 + n - 1) + 1  # output rows
+            mlo, mhi = colist[j] + c0, min(right + 1, colist[stop - 1] + c1)  # output columns
+            m, w, nj = hi - lo, mhi - mlo, stop - j
+            # lhs[u, (t, j)] = pad[u + t, j] = a[lo + u - i2, k1] with t = n-1 - (i2-r0)
+            base = lo - r0 - n + 1  # the row of a in pad's first row
+            pad = work[offsets[1] : offsets[1] + (m + n - 1) * nj].reshape(-1, nj)
+            x0, x1 = max(base, 0), min(base + m + n - 1, a.shape[0])
+            pad[: x0 - base] = 0
+            pad[x1 - base :] = 0
+            pad[x0 - base : x1 - base] = a[x0:x1, colist[j] : colist[stop - 1] + 1]
+            lhs = work[offsets[2] : offsets[2] + m * n * nj].reshape(m, -1)
+            np.copyto(lhs, np.ndarray(lhs.shape, lhs.dtype, pad, 0, pad.strides))
+            # rhs[(t, j), c] = b[i2, mlo + c - k1]·q^(i2·k1), from ext
+            rhs = work[offsets[3] : offsets[3] + n * nj * w].reshape(n, nj, w)
+            corner = (n - 1) * e0 + span * e1  # ext[n-1, span]: t = 0, j = 0, c = 0
+            shifted = np.ndarray(rhs.shape, rhs.dtype, work, corner, (-e0, -e1, e1))
+            np.multiply(shifted, twist[n - 1 :: -1, j:stop, None], out=rhs)
+            rhs = rhs.reshape(-1, w)
+            res = work[offsets[4] : offsets[4] + m * w].reshape(m, w)
+            block = out[lo:hi, mlo:mhi]
+            split = (n - lift) * nj  # the lifted rows i2 >= r0 + lift come first
+            if split:
+                rhs[:split] *= _LIFT
+                np.matmul(lhs[:, :split], rhs[:split], out=res)
+                res *= 1 / _LIFT
+                block += res
+                lhs, rhs = lhs[:, split:], rhs[split:]
+            bad = None
+            if risky is not None and any(risky[j:stop]):
+                bad = ~np.isfinite(rhs)
+                rhs[bad] = 0
+                bad &= shifted.reshape(-1, w)[split:] != 0
+            if rhs.size:
+                block += np.matmul(lhs, rhs, out=res)
+            if bad is not None and bad.any():
+                block[(lhs != 0).astype(float) @ bad > 0] = np.nan
+            j = stop
+
+
+def _monomial_times(out, c, i: int, k: int, b, q: complex, box) -> None:
+    """Add ``c x^i y^k`` times ``b`` into ``out``.
+
+    The term ``c·(b[i2, k2]·q^(i2·k))`` lands at ``(i+i2, k+k2)``;
+    ``box``, ``b``'s nonzero bounding box, is trimmed to the cells of
+    ``out``.  A twisted entry that overflows stays out, and its cell is
+    set to NaN (a 0 entry times an infinite twist is no term).
+    """
+    r0, r1, c0, c1 = box
+    emax = (r1 - 1) * k  # so q^e splits as on the pair route
+    r1, c1 = min(r1, out.shape[0] - i), min(c1, out.shape[1] - k)
+    if r1 <= r0 or c1 <= c0:
+        return
+    part = b[r0:r1, c0:c1]
+    block = out[i + r0 : i + r1, k + c0 : k + c1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = part * _twist(q, emax)(np.arange(r0, r1) * k)[:, None]
+        overflowed = ~np.isfinite(scaled)
+        hit = overflowed.any()
+        if hit:
+            scaled[overflowed] = 0
+        block += c * scaled
+        if hit:
+            block[overflowed & (part != 0)] = np.nan
+
+
 def qmul_full(
     a: np.ndarray, b: np.ndarray, q: complex, degree: int | None = None
 ) -> np.ndarray:
@@ -139,21 +295,22 @@ def qmul_full(
 
     * pairs: the support of ``a`` (head) against that of ``b`` (tail)
       through :func:`_scatter_pairs`, with ``e = k1*i2``;
-    * columns: column ``k1`` of ``a``, trimmed to its nonzero span,
-      convolves every column of ``b``'s nonzero bounding box with rows
-      scaled by q^(i2*k1).  Scaled entries that overflow stay out of
-      that matmul, and the cells their terms reach are set to NaN.
+    * columns: the sum over ``(k1, i2)`` of ``a``'s nonzero columns
+      times ``b``'s nonzero bounding box, its rows scaled by
+      q^(i2*k1), as a few blocked GEMMs (:func:`_column_blocks`); a
+      one-term ``a`` scales and shifts the box instead
+      (:func:`_monomial_times`).  Scaled entries that overflow stay out
+      of the GEMMs, and the cells their terms reach are set to NaN.
 
     The pair route is taken when ``PAIR_COST * nnz(a) * nnz(b)`` is below
     the column route's scaled-box cells, ``cols(a) * box(b)``, counted
     untruncated.
 
     ``degree`` truncates the column route: it returns exactly the
-    ``(degree+1, degree+1)`` box, and for each column ``k1`` forms only
-    the Toeplitz rows of output rows ``<= degree``, the rows
-    ``i2 <= degree - first`` of ``b``'s box (``first`` the column's
-    lowest x-degree) and its columns ``k2 <= degree - k1``, and marks
-    overflowed terms only there.  The pair route ignores ``degree`` and
+    ``(degree+1, degree+1)`` box, and each block of columns forms only
+    output rows and columns ``<= degree`` and the rows
+    ``i2 <= degree - first`` of ``b``'s box (``first`` the block's
+    lowest x-degree), and marks overflowed terms only there.  The pair route ignores ``degree`` and
     returns the untruncated table, so a caller that passes ``degree``
     tells the two apart by the shape and truncates itself.  A zero
     operand runs neither route: the result is the zero table, the box
@@ -180,32 +337,13 @@ def qmul_full(
         )
         return out
     out = np.zeros(shape, dtype=np.complex128)
-    top, right = shape[0] - 1, shape[1] - 1  # the highest x- and y-degree kept
-    cols = k1[bounds[:-1]]
-    with np.errstate(over="ignore", invalid="ignore"):
-        twist = _twist(q, (r1 - 1) * int(cols[-1]))(np.arange(r0, r1)[:, None] * cols)
-        for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            col, first, last = int(cols[j]), int(i1[lo]), int(i1[hi - 1])
-            inner = min(r1, top - first + 1) - r0  # rows i2 < r0 + inner of b's box
-            width = min(c1, right - col + 1) - c0  # columns k2 < c0 + width
-            if inner <= 0 or width <= 0:
-                continue
-            span = a[first : min(last, top - r0) + 1, col]
-            box = b[r0 : r0 + inner, c0 : c0 + width]
-            scaled = box * twist[:inner, j, None]
-            overflowed = ~np.isfinite(scaled)
-            if overflowed.any():
-                scaled[overflowed] = 0
-                overflowed &= box != 0  # a zero entry times inf is no term
-            rows = min(top - first - r0 + 1, span.size + inner - 1)  # output rows kept
-            block = out[first + r0 : first + r0 + rows, col + c0 : col + c0 + width]
-            if span.size == 1:  # the Toeplitz matrix would be a multiple of I
-                block += span[0] * scaled
-            else:
-                block += _toeplitz(span, inner, rows) @ scaled
-            if overflowed.any():
-                hits = _toeplitz((span != 0).astype(float), inner, rows) @ overflowed
-                block[hits > 0] = np.nan
+    if i1.size == 1:  # a monomial: b's box shifted and twisted, no GEMM
+        _monomial_times(out, a[i1[0], k1[0]], int(i1[0]), int(k1[0]), b, q, (r0, r1, c0, c1))
+        return out
+    starts = bounds[:-1]
+    _column_blocks(
+        out, a, b, q, k1[starts], i1[starts], i1[np.subtract(bounds[1:], 1)], (r0, r1, c0, c1)
+    )
     return out
 
 

@@ -223,11 +223,13 @@ def _errors(
     """One string per character, ``""`` or why it has no complex.
 
     ``diags`` are the character's :func:`_diagonals`.  A character has no
-    complex when a coordinate is not finite, or when the composite ``d1
-    d0`` is more than ``1e-12 * (pair_scale + |gx| + |gy|)^2`` from ``(q-1)
-    gx gy I``.  That distance is ``pair_defect`` wherever ``(q-1) gx gy``
-    and the diagonals are finite and NaN where they are not, so each
-    character takes a scalar test and no matrix product is formed.
+    complex when a coordinate is not finite, when the bound's scale
+    ``pair_scale + |gx| + |gy|`` is not (a coordinate's modulus can pass
+    the double range though its parts do not), or when the composite
+    ``d1 d0`` is more than ``1e-12 * scale^2`` from ``(q-1) gx gy I``.
+    That distance is ``pair_defect`` wherever ``(q-1) gx gy`` and the
+    diagonals are finite and NaN where they are not, so each character
+    takes a scalar test and no matrix product is formed.
     """
     finite = np.isfinite(gx) & np.isfinite(gy)
     x, y = np.where(finite, gx, 0), np.where(finite, gy, 0)
@@ -239,8 +241,10 @@ def _errors(
     for diag in diags:
         bounded &= np.isfinite(diag).all(axis=1)
     return [
-        _defect_error(pair_defect if b else math.nan, s)
-        if ok else f"character ({a}, {c}) is not finite"
+        f"character ({a}, {c}) is not finite" if not ok
+        else f"the defect bound's scale at character ({a}, {c}) leaves the double range"
+        if s == math.inf
+        else _defect_error(pair_defect if b else math.nan, s)
         for a, c, ok, b, s in zip(
             gx.tolist(), gy.tolist(), finite.tolist(), bounded.tolist(), scales.tolist()
         )
@@ -270,9 +274,10 @@ def build(pair: OperatorPair, gamma: tuple[complex, complex]) -> KoszulComplexAt
     does not satisfy the commutation relation to working precision.  The
     distance is the pair's ``||ST - qTS||_F``, whatever ``gamma``, so it
     is checked as a scalar against this character's bound; a character
-    whose coordinates, ``(q-1) gamma_x gamma_y`` or map entries are not
-    finite is a :class:`PreconditionError`.  The maps are those a scan
-    ranks, from the same builder on one character, in arrays of their own.
+    whose coordinates, ``(q-1) gamma_x gamma_y``, bound or map entries
+    are not finite is a :class:`PreconditionError`.  The maps are those a
+    scan ranks, from the same builder on one character, in arrays of
+    their own.
     """
     gx, gy = np.asarray([complex(gamma[0])]), np.asarray([complex(gamma[1])])
     d0, d1 = _blocks(pair, 1)
@@ -846,8 +851,10 @@ def spectrum_scan(
     spectrum on that axis.  Rows come out in row-major grid order, so
     identical inputs produce identical tables; a numerical failure at
     one point is recorded in its row instead of aborting the sweep, and
-    a non-finite grid point is an error row.  A ``rank_tol`` that is not
-    positive concerns every point, so it raises before any is built.
+    a grid point that is not finite, or whose bound's scale
+    ``||T|| + ||S|| + |gamma|`` is not, is an error row.  A ``rank_tol``
+    that is not positive concerns every point, so it raises before any
+    is built.
 
     The pair's composite defect ``||ST - qTS||_F`` and
     ``||T||_2 + ||S||_2`` are computed once per scan; each character

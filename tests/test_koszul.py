@@ -478,6 +478,22 @@ class TestBatchedScan:
         with pytest.raises(PreconditionError, match="composite identity violated"):
             kz.build(pair, (g, 0.0))
 
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_modulus_past_the_double_range_is_an_error_row(self, axis):
+        # both parts of g are finite, but |g| = 2.1e308 is not, so the defect
+        # bound's scale ||T|| + ||S|| + |g| is inf and bounds nothing: no
+        # complex there, where the maps are injective and surjective
+        pair = oc.model_pair(Q, 4)
+        grid = kz.GridSpec(1.5e308, 1.5e308, 1.5e308, 1.5e308, 1)
+        (row,) = kz.spectrum_scan(pair, axis, grid)
+        assert (row.h0, row.h1, row.h2, row.member) == (-1, -1, -1, False)
+        assert "leaves the double range" in row.error
+        assert [row] == naive_spectrum_scan(pair, axis, grid)
+        g = complex(1.5e308, 1.5e308)
+        match = "scale at character .* leaves the double range"
+        with pytest.raises(PreconditionError, match=match):
+            kz.build(pair, (g, 0j) if axis == "x" else (0j, g))
+
     def test_q_s_past_the_double_range_raises_before_any_point(self):
         pair = oc.model_pair(1e100, 4)  # q S holds 1e400
         grid = kz.GridSpec(0.0, 1.0, 0.0, 0.0, 3)
@@ -787,13 +803,17 @@ class TestBidiagonalRoute:
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_modulus_past_the_double_range_as_the_dense_route(self, axis):
-        # |g| passes the double range though its parts do not: the moduli
-        # are taken of each map scaled by a power of two, so the triangle's
-        # singular values leave the range only where the map's do
+        # |g| near the top of the double range: the moduli are taken of
+        # each map scaled by a power of two, so the triangle's singular
+        # values leave the range only where the map's do.  A |g| past the
+        # range, though its parts are finite, is an error row on both routes
         pair = oc.model_pair(Q, 4)
-        grid = ListedGrid([complex(1.5e308, 1.5e308), complex(1e308, -1e308), 0.5])
+        grid = ListedGrid([
+            complex(1.5e308, 1.5e308), complex(1.2e308, 1.2e308), complex(1e308, -1e308), 0.5,
+        ])
         rows = kz.spectrum_scan(pair, axis, grid)
-        assert [r.error for r in rows] == ["", "", ""]
+        assert ["leaves the double range" in r.error for r in rows] == [True, False, False, False]
+        assert [r.error for r in rows[1:]] == ["", "", ""]
         assert rows == naive_spectrum_scan(pair, axis, grid)
 
     def test_homology_dims_equals_the_dense_oracle(self, rng):

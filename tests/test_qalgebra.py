@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -254,6 +255,27 @@ class TestKernels:
         _accel.qmul_full(dense, dense, Q)
         assert not calls
 
+    @pytest.mark.parametrize("q", [0.5 + 0.25j, 1.5])
+    def test_dense_product_memory(self, q, rng):
+        # every GEMM block of the column route lives in one workspace, so a
+        # dense D = 64 product peaks below 2 MiB of traced memory (each
+        # table is 66 KiB).  At q = 1.5 it is the CLI's overflowing
+        # product, which qmul refuses after forming it
+        f, g = (
+            QSeries(q, rng.standard_normal((65, 65)) + 1j * rng.standard_normal((65, 65)))
+            for _ in range(2)
+        )
+        tracemalloc.start()
+        try:
+            try:
+                qa.qmul(f, g)
+            except PreconditionError:
+                assert q == 1.5
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_overflow_outside_the_table_only_sets_lossy(self):
         # x^10 y^30 * (x^35 + 1) at q = 2: the only twist that overflows,
         # 2^(35*30), belongs to the term at (45, 30), outside the D = 40 box
@@ -370,10 +392,16 @@ class TestKernels:
         assert str(got.value) == str(want.value)
 
     def test_cross_check_routes_agree_at_q_above_one(self, rng):
-        # finite twists at q = 1.5, the benchmark's reference setting
-        for _ in range(5):
-            f = random_qseries(rng, 1.5, 16, 8, 16)
-            g = random_qseries(rng, 1.5, 16, 8, 16)
+        # finite twists at q = 1.5, the benchmark's reference setting; then
+        # a dense D = 64 product at q = 0.5+0.25j, whose twists q^(i2*k1)
+        # cross the subnormal range (the rows the column route lifts)
+        pairs = [
+            (random_qseries(rng, 1.5, 16, 8, 16), random_qseries(rng, 1.5, 16, 8, 16))
+            for _ in range(5)
+        ]
+        dense = [rng.standard_normal((65, 65)) + 1j * rng.standard_normal((65, 65)) for _ in "fg"]
+        pairs.append(tuple(QSeries(0.5 + 0.25j, t) for t in dense))
+        for f, g in pairs:
             want = qa.qmul(f, g)
             opposite = qa.twist(qa.qmul_opposite(qa.twist(g), qa.twist(f)))
             for got in (qa.qmul_rowwise(f, g), opposite):
@@ -541,6 +569,28 @@ class TestLossyRule:
             warnings.simplefilter("error")
             out = qa.qmul(f, g)
         assert not out.coeffs.any()
+        assert not out.lossy
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("left", ["monomial", "two-column"])
+    def test_routes_agree_where_a_formed_term_is_subnormal(self, route, left, monkeypatch):
+        # b q^e = 0.7 * 2^-1040 is subnormal, so it keeps 34 of 0.7's 53
+        # bits, and 2^600 times it is normal: both routes form c_h (c_t q^e),
+        # so they give the same bits.  With y^2 beside 2^600 y (its twist
+        # q^4 is 0) the column route runs a GEMM over both columns, which
+        # lifts that row by 2^600 once formed
+        monkeypatch.setattr(_accel, "PAIR_COST", {"pair": 0.0, "column": math.inf}[route])
+        q = 2.0**-520
+        terms = [(0, 1, 2.0**600)] + ([(0, 2, 1.0)] if left == "two-column" else [])
+        f = QSeries.from_terms(q, 4, terms)
+        g = QSeries.monomial(q, 4, 2, 0, 0.7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = qa.qmul(f, g)
+        want = np.zeros((5, 5), dtype=complex)
+        want[2, 1] = 2.0**600 * (0.7 * 2.0**-1040)
+        assert 0 < abs(0.7 * 2.0**-1040) < 2.0**-1022
+        assert np.array_equal(out.coeffs.view(np.int64), want.view(np.int64))
         assert not out.lossy
 
     def test_a_coefficient_whose_modulus_overflows(self, monkeypatch):
