@@ -49,7 +49,7 @@ CHUNK = 2048  # term pairs per step of _scatter_pairs
 PAIR_COST = 3
 BLOCK = 2**14  # complex entries in one GEMM operand of the column route
 _LIFT = 2.0**600  # exact lift of the twisted rows near the subnormal range
-_NORMAL = 2.0**-1022  # the smallest normal double
+_NEAR = 2.0**-960  # a row below this may hold subnormal parts: a part can be far below |c|
 _LIFTABLE = 2.0**-800  # a row below this stays below 2^-200 when lifted
 _HUGE = 2.0**1022  # a row below this forms no non-finite entry
 
@@ -130,7 +130,8 @@ def _column_blocks(out, a, b, q: complex, cols, firsts, lasts, box) -> None:
     box, output rows and columns that cannot reach them are trimmed.
 
     The sum over ``(k1, i2)`` runs as one GEMM per block of at most
-    ``per`` consecutive columns ``k1``:
+    ``per`` consecutive columns ``k1`` (a block also ends where its
+    columns start to reach rows near the subnormal range, below):
 
     * the left operand ``A[n, (i2, k1)] = a[n-i2, k1]`` is a strided
       Toeplitz view of the block's columns, ``i2`` descending;
@@ -141,8 +142,9 @@ def _column_blocks(out, a, b, q: complex, cols, firsts, lasts, box) -> None:
     one workspace holds both for every block.  Before any row is formed,
     it is bounded by ``|q^(i2·k1)|·max|b[i2, :]|``:
 
-    * in a block whose columns reach rows below 2^-1022 (so every entry
-      is subnormal or 0), the trailing rows bounded below 2^-800 in every
+    * in a block whose columns reach rows below 2^-960 (within 2^62 of
+      the subnormal range, where an entry's real or imaginary part may
+      be subnormal), the trailing rows bounded below 2^-800 in every
       column of the block go to their own GEMM, each lifted by an exact
       :data:`_LIFT` once formed and the result moved back down: BLAS,
       which takes 2-8x longer on subnormal operands, sees normal numbers.
@@ -169,19 +171,22 @@ def _column_blocks(out, a, b, q: complex, cols, firsts, lasts, box) -> None:
     span = per - 1  # the farthest a block shifts a row of b
     colist, firstl, lastl = cols.tolist(), firsts.tolist(), lasts.tolist()
     # a block ends where a's columns skip one, so its shifts step by 1
-    ends = [*(np.flatnonzero(np.diff(cols) != 1) + 1).tolist(), cols.size]
+    breaks = np.diff(cols) != 1
     with np.errstate(over="ignore", invalid="ignore"):
         twist = _twist(q, emax)(np.arange(r0, r0 + inner)[:, None] * cols)
         bound = np.abs(twist)
         bound *= np.abs(b[r0 : r0 + inner, c0 : c0 + wide]).max(axis=1)[:, None]
         held = None  # per column: rows up to its last nonzero bound
-        if not (bound >= _NORMAL).all():  # subnormal, 0 or NaN somewhere
+        if not (bound >= _NEAR).all():  # near subnormal, 0 or NaN somewhere
             nonzero = bound != 0
             held = np.where(nonzero.any(axis=0), inner - nonzero[::-1].argmax(axis=0), 0)
             liftable = bound < _LIFTABLE
             tail = np.where(liftable.all(axis=0), inner, (~liftable[::-1]).argmax(axis=0))
             held, lifted = held.tolist(), (inner - tail).tolist()  # lifted: its tail's first row
-            subnormal = (bound < _NORMAL).any(axis=0).tolist()
+            near = (bound < _NEAR).any(axis=0)
+            breaks |= np.diff(near) != 0  # and where they start to reach _NEAR
+            near = near.tolist()
+        ends = [*(np.flatnonzero(breaks) + 1).tolist(), cols.size]
         risky = ~(bound < _HUGE)
         risky = risky.any(axis=0).tolist() if risky.any() else None
         # one workspace: b's box with span zero columns each side, then per
@@ -208,7 +213,7 @@ def _column_blocks(out, a, b, q: complex, cols, firsts, lasts, box) -> None:
             n = lift = min(r1, top - first + 1) - r0  # rows i2 < r0 + n of the box
             if held is not None:
                 n = lift = min(n, max(held[j:stop]))
-                if any(subnormal[j:stop]):
+                if any(near[j:stop]):
                     lift = min(n, max(lifted[j:stop]))
             if n <= 0:
                 j = stop

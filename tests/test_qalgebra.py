@@ -255,6 +255,27 @@ class TestKernels:
         _accel.qmul_full(dense, dense, Q)
         assert not calls
 
+    def test_gemm_operands_hold_no_subnormal_part(self, monkeypatch, rng):
+        # twisted rows near the subnormal range are lifted by 2^600 before
+        # their GEMM: a dense D = 64 product at q = 0.5+0.25j, whose twists
+        # cross that range, and 2^600 y + 1 times 0.7 x^2 at q = 2^-520,
+        # whose columns k1 = 0 (twist 1) and k1 = 1 (0.7 * 2^-1040) are
+        # adjacent
+        matmul, subnormal = np.matmul, []
+
+        def spy(x, y, *args, **kwargs):
+            parts = np.abs(y.view(np.float64))
+            subnormal.append(bool(((parts > 0) & (parts < 2.0**-1022)).any()))
+            return matmul(x, y, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        dense = [rng.standard_normal((65, 65)) + 1j * rng.standard_normal((65, 65)) for _ in "ab"]
+        routed("column", *dense, 0.5 + 0.25j, 64)
+        q = 2.0**-520
+        a = QSeries.from_terms(q, 4, [(0, 1, 2.0**600), (0, 0, 1.0)]).coeffs
+        routed("column", a, QSeries.monomial(q, 4, 2, 0, 0.7).coeffs, q, 4)
+        assert subnormal and not any(subnormal)
+
     @pytest.mark.parametrize("q", [0.5 + 0.25j, 1.5])
     def test_dense_product_memory(self, q, rng):
         # every GEMM block of the column route lives in one workspace, so a
