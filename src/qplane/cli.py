@@ -83,6 +83,24 @@ _ROW_BYTES = 256
 _MAX_SMAX = _MEMORY_BUDGET // _ROW_BYTES
 
 
+# The trunc cap.  A series file's table takes 16 (D+1)^2 bytes however
+# few its terms.  Counted in such tables, the peak resident memory of
+# each series command grows by
+#   mul 29.7   pow 28.8   decompose 7.2   norm 2.6   decay 15.2   twist 2.2
+# (growth of ru_maxrss from D = 800 to D = 1600 in a fresh process, one
+# BLAS thread, the largest over files of one term, of a term every 256
+# cells and of a full row and column; a product of the last fills its
+# table, and its JSON holds a term a cell; `norm` also at q = 2, `pow`
+# at --s 2 and 3, `decay` at --smax 3 on mixed series).  The counts
+# below round those up, and D is capped so that that many tables fit in
+# _MEMORY_BUDGET bytes.  The check runs before the table is allocated.
+_HELD_TABLES = {"mul": 30, "pow": 30, "decompose": 8, "norm": 3, "decay": 16, "twist": 3}
+
+
+def _max_trunc(command: str) -> int:
+    return math.isqrt(_MEMORY_BUDGET // (16 * _HELD_TABLES[command])) - 1
+
+
 def _n(args) -> int:
     if args.n < 1:
         raise PreconditionError(f"dimension must be >= 1, got {args.n}")
@@ -125,6 +143,16 @@ def _load_payload(path: str):
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
 
 
+def _load_series(args, path: str):
+    """The series in ``path``; a well-formed ``trunc`` above the cap is refused first."""
+    payload = _load_payload(path)
+    trunc = payload.get("trunc") if isinstance(payload, dict) else None
+    cap = _max_trunc(args.command)
+    if type(trunc) is int and trunc > cap:
+        raise PreconditionError(f"trunc must be <= {cap} for {args.command}, got {trunc}")
+    return fileio.qseries_from_payload(payload)
+
+
 def _write_series(args, series) -> None:
     with _open_out(args.output) as fp:
         fileio.dump_json(fileio.qseries_to_payload(series), fp)
@@ -138,8 +166,8 @@ def _write_series(args, series) -> None:
 def cmd_mul(args) -> int:
     from . import qalgebra
 
-    f = fileio.qseries_from_payload(_load_payload(args.left))
-    g = fileio.qseries_from_payload(_load_payload(args.right))
+    f = _load_series(args, args.left)
+    g = _load_series(args, args.right)
     _write_series(args, qalgebra.qmul(f, g))
     return EXIT_OK
 
@@ -147,7 +175,7 @@ def cmd_mul(args) -> int:
 def cmd_pow(args) -> int:
     from . import qalgebra
 
-    f = fileio.qseries_from_payload(_load_payload(args.series))
+    f = _load_series(args, args.series)
     _write_series(args, qalgebra.qpow(f, args.s, method=args.method))
     return EXIT_OK
 
@@ -155,7 +183,7 @@ def cmd_pow(args) -> int:
 def cmd_decompose(args) -> int:
     from . import qalgebra
 
-    f = fileio.qseries_from_payload(_load_payload(args.series))
+    f = _load_series(args, args.series)
     parts = qalgebra.decompose(f)
     payloads = {
         "x": fileio.qseries_to_payload(parts.f_x),
@@ -179,7 +207,7 @@ def cmd_norm(args) -> int:
 
     rho = _radius("rho", args.rho)
     rho_x, rho_y = _radius("rho-x", args.rho_x), _radius("rho-y", args.rho_y)
-    f = fileio.qseries_from_payload(_load_payload(args.series))
+    f = _load_series(args, args.series)
     row = [rho, rho_x, rho_y, qalgebra.seminorm(f, rho), qalgebra.p_seminorm(f, rho_x, rho_y)]
     with _open_out(args.output) as fp:
         fileio.write_csv(fp, ["rho", "rho_x", "rho_y", "seminorm", "p_seminorm"], [row])
@@ -194,7 +222,7 @@ def cmd_decay(args) -> int:
         raise PreconditionError(f"s_max must be >= 1, got {args.smax}")
     if args.smax > _MAX_SMAX:
         raise PreconditionError(f"s_max must be <= {_MAX_SMAX}, got {args.smax}")
-    f = fileio.qseries_from_payload(_load_payload(args.series))
+    f = _load_series(args, args.series)
     parts = qalgebra.decompose(f)
     stray = parts.f_x.terms() + parts.f_y.terms()
     if stray:
@@ -222,7 +250,7 @@ def cmd_decay(args) -> int:
 def cmd_twist(args) -> int:
     from . import qalgebra
 
-    f = fileio.qseries_from_payload(_load_payload(args.series))
+    f = _load_series(args, args.series)
     _write_series(args, qalgebra.twist(f))
     return EXIT_OK
 
@@ -305,7 +333,7 @@ def cmd_koszul(args) -> int:
     gamma = (g, 0j) if args.axis == "x" else (0j, g)
     comp = koszul.build(pair, gamma)
     hom = koszul.homology_dims(comp, _rank_tol(args))
-    defect = koszul.composite_defect(comp, pair.q)
+    defect = koszul.composite_defect(comp)
     row = [
         g.real, g.imag, args.axis,
         hom.h0, hom.h1, hom.h2, int(hom.member), int(hom.stable), defect,

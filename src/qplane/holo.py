@@ -347,8 +347,6 @@ def _eval_dense(cols: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     n = t.shape[0]
     out = np.zeros((n, n), dtype=np.complex128)
     nonzero = cols.any(axis=1)
-    if not nonzero.any():
-        return out
     live = cols[nonzero]
     degs = live.shape[1] - 1 - np.argmax(live[:, ::-1] != 0, axis=1)
     p = _power_split(degs)

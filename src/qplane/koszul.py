@@ -18,35 +18,16 @@ Ranks come from singular values with a relative threshold; a rank jump
 is exactly what joint-spectrum membership means, so near-threshold
 singular values flag the answer as unstable instead of being hidden.
 
-The singular values of a map come by one of two routes, chosen by its
-exact zeros alone.  When one of its two ``N x N`` blocks is diagonal
-and the other bidiagonal, as for both maps of the model pair at every
-``q`` (``T`` a shift, ``S`` diagonal), the map is reduced in ``O(N)``
-to a real upper-bidiagonal ``N x N`` triangle with the same singular
-values (Golub & Kahan, 1965), and only the triangle goes to LAPACK.
-Every other map takes the complex SVD of the ``2N x N`` map itself.
-:func:`homology_dims` and the scans choose the same way.
-
-A scan does not take an SVD at every grid character.  Between two
-characters only the diagonals of the maps differ, so ``d0`` moves by
-``sqrt(|dgy|^2 + |q|^2 |dgx|^2)`` and ``d1`` by ``sqrt(|dgx|^2 + |dgy|^2)``
-in the spectral norm, and by Weyl's inequality no singular value moves
-further.  One SVD with rank ``r`` and singular values ``s`` (largest
-first) therefore settles a map's rank and stability within the radius
-
-    rho = min((s_{r-1} - 10 rank_tol s_0) / (1 + 10 rank_tol),
-              (rank_tol s_0 / 10 - s_r) / (1 + rank_tol / 10)) - eps,
-
-a term whose index does not exist dropped, and ``rho = 0`` for an
-unstable or zero map.  ``eps = 8 N u (s_0 + (1 + |q|) scale)`` (``u`` the
-unit roundoff, ``scale = ||T||_2 + ||S||_2 + |gx| + |gy|``) covers the
-backward error of this SVD and of the one the nearby character would
-take, and the rounding of the written diagonals.  A map that drops a
-singular value keeps its rank only within ``rank_tol s_0 / 10`` (about
-``1e-11 s_0`` at the default), less than any coarser grid step, so such
-a map is ranked itself at every node: ``d0`` of the pseudospectral
-x-axis rows below, and each map at a spectrum point.  So is a map whose counted
-``s_{r-1}`` sits within a grid step of ten thresholds, next to a rank jump.
+The singular values of a map come by one of two routes, chosen once
+per pair by the exact zeros of its blocks (:func:`_scan_maps`): a map
+in the bidiagonal class, such as either map of the model pair, is
+reduced in ``O(N)`` to a real ``N x N`` triangle (:func:`_reduced`),
+and any other takes the complex SVD of the map itself.
+:func:`homology_dims` and the scans rank through the same step
+(:func:`_chunk_sv`).  A scan does not take an SVD at every grid
+character: one SVD settles a map's rank and stability within a radius
+of its character (:func:`_radius`), and the scan ranks coarse to fine
+(:func:`_certified_ranks`).
 
 Scan results describe the *truncated* pair.  No claim is made that they
 converge to the spectrum of the untruncated model (the truncated shift
@@ -76,11 +57,13 @@ block: ``v`` with ``v_{N-1-k} = (q gamma)^k`` leaves a residual of about
 ``|q|^N``.  So the smallest singular value of ``d0`` is about ``|q|^N``
 times the largest for every ``|gamma| <= 1``.  For ``model_pair(1/2, N)`` and 257 nodes on
 ``[0, 1]`` that is ``2^-N`` against the relative threshold ``1e-10``:
-at N = 32 no row is a member and every row is unstable; from N = 36 on
-every row is a member ``(1, 1, 0)``, unstable at N = 36 and stable at
-N = 40, 48 and 64.  A yes/no ``stable`` flag cannot show how near the
-threshold a row sits; the graded columns planned in ROADMAP item 5
-would.
+at N = 8 and 24 no row is a member and every row is stable; at N = 32
+no row is a member and every row is unstable; from N = 36 on every row
+is a member ``(1, 1, 0)``, unstable at N = 36 and stable at N = 40, 48
+and 64.  Such a ``d0`` drops a singular value, so a scan ranks it at
+every node (:func:`_radius`).  A yes/no ``stable`` flag cannot show how
+near the threshold a row sits; the graded columns planned in ROADMAP
+item 5 would.
 """
 
 from __future__ import annotations
@@ -115,8 +98,7 @@ _BUILD_TOL = 1e-12
 _STACK_ENTRIES = 2**15
 
 # The certified radius of a ranked map gives up _SLACK * N * u times the
-# norm of the maps (u the unit roundoff) to the backward error of two
-# SVDs and the rounding of the written diagonals (see spectrum_scan).
+# norm of the maps (u the unit roundoff); see _radius.
 _SLACK = 8
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
@@ -127,12 +109,16 @@ _SCAN_BLOCK = 2**15
 
 @dataclass(frozen=True)
 class KoszulComplexAt:
-    """The two differentials of the complex at a fixed character."""
+    """The two differentials of the complex at a fixed character, and the pair they came from."""
 
+    pair: OperatorPair
     gamma: tuple[complex, complex]
     d0: np.ndarray
     d1: np.ndarray
-    n: int
+
+    @property
+    def n(self) -> int:
+        return self.pair.n
 
 
 def _pair_scale(pair: OperatorPair) -> float:
@@ -286,10 +272,10 @@ def build(pair: OperatorPair, gamma: tuple[complex, complex]) -> KoszulComplexAt
     if error:
         raise PreconditionError(error)
     _write_diagonals(pair, diags, d0, d1)
-    return KoszulComplexAt((complex(gx[0]), complex(gy[0])), d0[0], d1[0], pair.n)
+    return KoszulComplexAt(pair, (complex(gx[0]), complex(gy[0])), d0[0], d1[0])
 
 
-def composite_defect(comp: KoszulComplexAt, q: complex) -> float:
+def composite_defect(comp: KoszulComplexAt) -> float:
     """Frobenius distance of ``d1 d0`` from its scalar value.
 
     Returns ``|| d1 d0 - (q-1) gamma_x gamma_y I ||_F``; in particular
@@ -302,7 +288,7 @@ def composite_defect(comp: KoszulComplexAt, q: complex) -> float:
     gx, gy = comp.gamma
     # entries past the double range give an infinite or NaN defect, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        target = (complex(q) - 1.0) * gx * gy * np.eye(comp.n, dtype=np.complex128)
+        target = (comp.pair.q - 1.0) * gx * gy * np.eye(comp.n, dtype=np.complex128)
         return _unit(comp.d1 @ comp.d0 - target)[1]
 
 
@@ -439,7 +425,7 @@ def _reduced(
     ``x_{j+1} = b_{j+1}``.  The N steps run on all maps at once.
 
     Backward error, against the ``4N u`` times the norm that the
-    certified radius allots to each SVD (see :func:`spectrum_scan`): each
+    certified radius allots to each SVD (see :func:`_radius`): each
     modulus is one rounding from the exact one, and the scaling is exact
     but for parts ``2^-1022`` below the peak; every row takes part in at
     most three rotations, each a few ``u`` relative to the two rows it
@@ -488,30 +474,73 @@ def _unscale(sv: np.ndarray, k: np.ndarray) -> np.ndarray:
         return np.ldexp(sv, k)
 
 
-def _map_sv(a: np.ndarray) -> np.ndarray:
-    """Singular values of one tall ``2N x N`` map, by the route its zeros choose.
+class _ScanMaps(NamedTuple):
+    """How a pair's two maps are ranked; see :func:`_scan_maps`."""
 
-    A map in the bidiagonal class (:func:`_bidiagonal`) is ranked
-    through its triangle (:func:`_reduced`); any other takes the complex
-    SVD of the map itself.
+    forms: tuple[_Bidiagonal | None, _Bidiagonal | None]
+    chunks: tuple[np.ndarray, np.ndarray] | None
+    size: int
+
+
+def _scan_maps(pair: OperatorPair, points: int) -> _ScanMaps:
+    """Each map's :func:`_bidiagonal` form, the chunk arrays, and the characters a chunk takes.
+
+    ``d0`` is ``[y - qS; T - q x]`` and ``d1`` is ranked as ``d1^T = [T^T
+    - x; S^T - y]``, so their forms come from the blocks ``qS``, ``T`` and
+    ``T^T``, ``S^T``.  A map with no form is ranked as built, through the
+    chunk arrays of :func:`_blocks` (``chunks``, ``None`` when both maps
+    have a form), and then a chunk takes as many characters as those
+    hold, at most ``points``.  Else a chunk takes as many characters as
+    have ``_STACK_ENTRIES`` diagonal entries (4N a character).
     """
-    n = a.shape[1]
-    form = _bidiagonal(a[:n], a[n:])
-    if form is None:
-        return _sv(a)
-    top, bottom = (np.diagonal(d).astype(np.complex128)[None] for d in (a[:n], a[n:]))
-    rho, f, k = _reduced(form, top, bottom)
-    return _unscale(_sv(_triangles(rho, f)), k)[0]
+    n = pair.n
+    forms = (_bidiagonal(_q_s(pair), pair.t), _bidiagonal(pair.t.T, pair.s.T))
+    if forms[0] is not None and forms[1] is not None:
+        return _ScanMaps(forms, None, max(1, _STACK_ENTRIES // (4 * n)))
+    size = min(max(1, _STACK_ENTRIES // (2 * n * n)), points)
+    return _ScanMaps(forms, _blocks(pair, size), size)
 
 
-def _homology(
-    sv0: np.ndarray, sv1: np.ndarray, n: int, rank_tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(h0, h1, h2)`` rows and stability from stacked singular values of d0, d1."""
-    r0, stable0 = _ranks(sv0, rank_tol)
-    r1, stable1 = _ranks(sv1, rank_tol)
-    dims = np.stack([n - r0, (2 * n - r1) - r0, n - r1], axis=-1)
-    return dims, stable0 & stable1
+def _chunk_sv(
+    pair: OperatorPair,
+    gx: np.ndarray,
+    gy: np.ndarray,
+    want: np.ndarray,
+    maps: _ScanMaps,
+    errors: list[str],
+):
+    """Yield ``(k, rows, sv)``: the singular values of map ``k`` at the characters ``rows``.
+
+    Every character ``(gx[i], gy[i])`` has a complex, and ``want[i, k]``
+    says whether map ``k`` (0 for ``d0``, 1 for ``d1``) is wanted there.
+    A map with a :func:`_bidiagonal` form is reduced to triangles by one
+    :func:`_reduced`, which go to LAPACK as many at a time as hold
+    ``_STACK_ENTRIES`` entries.  Any other is written into the leading
+    rows of the chunk arrays (:func:`_write_diagonals`) and takes one
+    stacked SVD, on those rows themselves when every character wants it,
+    else on the rows that do.  If LAPACK fails on a stack, its matrices
+    take one SVD each (:func:`_stacked_sv`); a character whose SVD fails
+    again is left out of ``rows``, with its LAPACK error in ``errors``.
+    """
+    diags = _diagonals(pair, gx, gy)
+    if maps.chunks is not None:
+        _write_diagonals(pair, diags, *maps.chunks)
+    m = gx.size
+    for k, form in enumerate(maps.forms):
+        rows = np.flatnonzero(want[:, k])
+        if not rows.size:
+            continue
+        if form is None:
+            built = maps.chunks[k][:m]
+            kept, sv = _stacked_sv(built if rows.size == m else built[rows], rows, errors)
+            yield k, rows[kept], sv
+            continue
+        rho, f, scale = _reduced(form, diags[2 * k][rows], diags[2 * k + 1][rows])
+        step = max(1, _STACK_ENTRIES // pair.n**2)
+        for start in range(0, rows.size, step):
+            part = slice(start, start + step)
+            kept, sv = _stacked_sv(_triangles(rho[part], f[part]), rows[part], errors)
+            yield k, rows[part][kept], _unscale(sv, scale[part][kept])
 
 
 def _check_rank_tol(rank_tol: float) -> None:
@@ -528,7 +557,9 @@ def homology_dims(
     ``h1 = dim ker d1 - rank d0`` via SVD ranks with relative threshold
     ``rank_tol``.  Both ranks are at most ``N`` (``d0`` has ``N`` columns,
     ``d1`` has ``N`` rows), so ``h1 = 2N - r0 - r1 = h0 + h2 >= 0`` by
-    construction, whatever the ranks.
+    construction, whatever the ranks.  Both maps are ranked from
+    ``comp.pair`` at ``comp.gamma`` by the step a scan ranks with
+    (:func:`_chunk_sv`); an SVD that fails raises LAPACK's ``LinAlgError``.
     """
     gx, gy = comp.gamma
     if gx != 0 and gy != 0:
@@ -537,8 +568,16 @@ def homology_dims(
             "vanish there and homology is undefined"
         )
     _check_rank_tol(rank_tol)
-    dims, stable = _homology(_map_sv(comp.d0), _map_sv(comp.d1.T), comp.n, rank_tol)
-    return Homology(int(dims[0]), int(dims[1]), int(dims[2]), bool(stable))
+    errors = [""]
+    svs = [sv for _, _, sv in _chunk_sv(
+        comp.pair, np.asarray([gx]), np.asarray([gy]), np.ones((1, 2), dtype=bool),
+        _scan_maps(comp.pair, 1), errors,
+    )]
+    if errors[0]:
+        raise np.linalg.LinAlgError(errors[0])
+    (r0, r1), stable = _ranks(np.concatenate(svs), rank_tol)
+    h0, h2 = comp.n - int(r0), comp.n - int(r1)
+    return Homology(h0, h0 + h2, h2, bool(stable.all()))
 
 
 # ---------------------------------------------------------------------------
@@ -634,6 +673,19 @@ def _radius(sv: np.ndarray, rank: np.ndarray, rank_tol: float, slack: np.ndarray
     positive.  An unstable matrix has a singular value within 10x of the
     threshold, which makes one term negative, and a zero matrix has a
     zero term, so both get 0.
+
+    A scan passes ``slack = _SLACK N u (s_0 + (1 + |q|) scale)``, ``u``
+    the unit roundoff and ``scale = ||T||_2 + ||S||_2 + |gx| + |gy|``, so
+    that ``(1 + |q|) scale`` bounds the norm of both maps.  It covers the
+    backward error of the ranked SVD and of the SVD a nearby character
+    would take, each about ``2N u`` times the norm on the ``2N`` rows of
+    the tall orientation and doubled for complex arithmetic (the moduli,
+    rotations and real SVD of the bidiagonal route stay inside it, see
+    :func:`_reduced`), and the rounding of the written diagonals.  A map
+    that drops a singular value keeps its rank only within ``rank_tol s_0
+    / 10`` (about ``1e-11 s_0`` at the default), less than any coarser
+    grid step, so a scan ranks it at every node; so too a map whose
+    counted ``s_{r-1}`` sits within a grid step of ten thresholds.
     """
     rows, k = np.arange(sv.shape[0]), sv.shape[1]
     s0 = sv[:, 0]
@@ -648,101 +700,6 @@ def _radius(sv: np.ndarray, rank: np.ndarray, rank_tol: float, slack: np.ndarray
         )
         rho = np.minimum(counted, dropped) - slack
     return np.where(rho > 0, rho, 0.0)
-
-
-class _ScanMaps(NamedTuple):
-    """How a scan ranks its two maps; see :func:`_scan_maps`."""
-
-    forms: tuple[_Bidiagonal | None, _Bidiagonal | None]
-    chunks: tuple[np.ndarray, np.ndarray] | None
-    size: int
-
-
-def _scan_maps(pair: OperatorPair, points: int) -> _ScanMaps:
-    """Each map's :func:`_bidiagonal` form, the chunk arrays, and the characters a chunk takes.
-
-    ``d0`` is ``[y - qS; T - q x]`` and ``d1`` is ranked as ``d1^T = [T^T
-    - x; S^T - y]``, so their forms come from the blocks ``qS``, ``T`` and
-    ``T^T``, ``S^T``.  A map with no form is ranked as built, through the
-    chunk arrays of :func:`_blocks` (``chunks``, ``None`` when both maps
-    have a form), and then a chunk takes as many characters as those
-    hold, at most ``points``.  Else a chunk takes as many characters as
-    have ``_STACK_ENTRIES`` diagonal entries (4N a character).
-    """
-    n = pair.n
-    forms = (_bidiagonal(_q_s(pair), pair.t), _bidiagonal(pair.t.T, pair.s.T))
-    if forms[0] is not None and forms[1] is not None:
-        return _ScanMaps(forms, None, max(1, _STACK_ENTRIES // (4 * n)))
-    size = min(max(1, _STACK_ENTRIES // (2 * n * n)), points)
-    return _ScanMaps(forms, _blocks(pair, size), size)
-
-
-def _triangle_sv(
-    form: _Bidiagonal, top: np.ndarray, bottom: np.ndarray, rows: np.ndarray, errors: list[str]
-):
-    """``(rows, sv)`` stacks of the maps of form ``form`` with block diagonals ``top``, ``bottom``.
-
-    The maps' triangles come from one :func:`_reduced` and go to LAPACK
-    as many at a time as hold ``_STACK_ENTRIES`` entries, through
-    :func:`_stacked_sv`, so a failed triangle leaves only its own row.
-    """
-    rho, f, k = _reduced(form, top, bottom)
-    step = max(1, _STACK_ENTRIES // rho.shape[1] ** 2)
-    for start in range(0, rows.size, step):
-        part = slice(start, start + step)
-        kept, sv = _stacked_sv(_triangles(rho[part], f[part]), rows[part], errors)
-        yield rows[part][kept], _unscale(sv, k[part][kept])
-
-
-def _chunk_ranks(
-    pair: OperatorPair,
-    gx: np.ndarray,
-    gy: np.ndarray,
-    want: np.ndarray,
-    maps: _ScanMaps,
-    pair_scale: float,
-    rank_tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
-    """``(rank, stable, radius, errors)`` of the maps wanted at ``(gx[i], gy[i])``.
-
-    Every character has a complex; ``want[i, k]`` says whether map ``k``
-    (0 for ``d0``, 1 for ``d1``) is ranked there, and the three arrays
-    are ``(m, 2)`` like ``want``.  A map with a :func:`_bidiagonal` form
-    is ranked through the triangles of :func:`_triangle_sv`.  Any other is
-    written into the leading rows of the chunk arrays
-    (:func:`_write_diagonals`) and ranked by one stacked SVD, on those
-    rows themselves when every character wants it, else on the rows that
-    do.  If LAPACK fails on a stack, its matrices are ranked one SVD each
-    (:func:`_stacked_sv`); a character that fails again gets the LAPACK
-    error in ``errors`` and radius 0.  The radius is :func:`_radius` with
-    slack ``_SLACK * N * u * (s_0 + (1 + |q|) scale)``.
-    """
-    diags = _diagonals(pair, gx, gy)
-    if maps.chunks is not None:
-        _write_diagonals(pair, diags, *maps.chunks)
-    m = gx.size
-    rank = np.zeros((m, 2), dtype=np.int64)
-    stable = np.zeros((m, 2), dtype=bool)
-    radius = np.zeros((m, 2))
-    errors = [""] * m
-    with np.errstate(over="ignore"):
-        norms = (1.0 + abs(pair.q)) * (pair_scale + np.abs(gx) + np.abs(gy))
-    for k, form in enumerate(maps.forms):
-        rows = np.flatnonzero(want[:, k])
-        if not rows.size:
-            continue
-        if form is None:
-            built = maps.chunks[k][:m]
-            kept, sv = _stacked_sv(built if rows.size == m else built[rows], rows, errors)
-            ranked = [(rows[kept], sv)]
-        else:
-            ranked = _triangle_sv(form, diags[2 * k][rows], diags[2 * k + 1][rows], rows, errors)
-        for at, sv in ranked:
-            rank[at, k], stable[at, k] = _ranks(sv, rank_tol)
-            with np.errstate(over="ignore"):
-                slack = _SLACK * pair.n * _UNIT_ROUNDOFF * (sv[:, 0] + norms[at])
-            radius[at, k] = _radius(sv, rank[at, k], rank_tol, slack)
-    return rank, stable, radius, errors
 
 
 def _on_axis(axis: Literal["x", "y"], g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -767,10 +724,11 @@ def _certified_ranks(
     by level, a character within the radius (:func:`_radius`) of its
     nearest ranked neighbour on either side takes that neighbour's rank
     and stability, and in every gap that still holds an undecided
-    character its middle undecided one is ranked, by :func:`_chunk_ranks`
+    character its middle undecided one is ranked, by :func:`_chunk_sv`
     on ``maps.size`` characters at a time.  Between two characters on one
-    axis ``d0`` moves by ``|q| |dg|`` on the x-axis and ``|dg|`` on the
-    y-axis, and ``d1`` by ``|dg|``.
+    axis only the diagonals differ: ``d0`` moves by ``|q| |dg|`` on the
+    x-axis and ``|dg|`` on the y-axis, and ``d1`` by ``|dg|``, in the
+    spectral norm.
     """
     m = g.size
     rank = np.full((m, 2), -1, dtype=np.int32)
@@ -784,16 +742,20 @@ def _certified_ranks(
     wanted = np.zeros((m, 2), dtype=bool)  # the maps this level ranks
     wanted[[0, m - 1]] = True
     while wanted.any():
+        rank[wanted] = 0  # a map whose SVD fails again keeps rank 0 and radius 0
         level = np.flatnonzero(wanted.any(axis=1))
         for start in range(0, level.size, maps.size):
             at = level[start : start + maps.size]
-            want = wanted[at]
-            r, s, rho, errors = _chunk_ranks(
-                pair, *_on_axis(axis, g[at]), want, maps, pair_scale, rank_tol
-            )
-            rank[at] = np.where(want, r, rank[at])
-            stable[at] = np.where(want, s, stable[at])
-            radius[at] = np.where(want, rho, radius[at])
+            gx, gy = _on_axis(axis, g[at])
+            with np.errstate(over="ignore"):
+                norms = (1.0 + abs(pair.q)) * (pair_scale + np.abs(gx) + np.abs(gy))
+            errors = [""] * at.size
+            for k, rows, sv in _chunk_sv(pair, gx, gy, wanted[at], maps, errors):
+                i = at[rows]
+                rank[i, k], stable[i, k] = _ranks(sv, rank_tol)
+                with np.errstate(over="ignore"):
+                    slack = _SLACK * pair.n * _UNIT_ROUNDOFF * (sv[:, 0] + norms[rows])
+                radius[i, k] = _radius(sv, rank[i, k], rank_tol, slack)
             failed.update((int(i), e) for i, e in zip(at, errors) if e)
         ranked |= wanted
         wanted[:] = False
@@ -861,47 +823,21 @@ def spectrum_scan(
     checks the defect against its own bound as a scalar.  The characters
     that have a complex are then ranked map by map, coarse to fine over
     the grid order (:func:`_certified_ranks`), and not every one takes
-    an SVD.  One SVD decides a neighbourhood: by Weyl's inequality each
-    singular value moves by at most the spectral norm of a change to the
-    map, and between two characters only the diagonals change, by
-    ``sqrt(|dgy|^2 + |q|^2 |dgx|^2)`` in ``d0`` and ``sqrt(|dgx|^2 +
-    |dgy|^2)`` in ``d1``.  With singular values ``s`` (largest first) and
-    rank ``r``, a ranked map keeps its rank and stability within
-
-        rho = min((s_{r-1} - 10 rank_tol s_0) / (1 + 10 rank_tol),
-                  (rank_tol s_0 / 10 - s_r) / (1 + rank_tol / 10)) - eps
-
-    (a term whose index does not exist dropped; ``rho = 0`` when the map
-    is unstable or zero), and a character closer than ``rho`` to a ranked
-    neighbour takes that neighbour's rank and stability for that map.
-    ``eps = 8 N u (s_0 + (1 + |q|) scale)``, with ``u`` the unit roundoff
-    and ``scale = ||T||_2 + ||S||_2 + |gx| + |gy|`` (``(1 + |q|) scale``
-    bounds the norm of both maps): it covers the backward error of the
-    ranked SVD and of the SVD the character itself would have taken,
-    each about ``2N u`` times the norm on the ``2N`` rows of the tall
-    orientation and doubled for complex arithmetic (the moduli, rotations
-    and real SVD of the bidiagonal route stay inside it, see
-    :func:`_reduced`), and the rounding of the written diagonals.  A map
-    that drops a singular value has a radius of at most ``rank_tol s_0 /
-    10`` (``1e-11 s_0`` at the default), so on any coarser grid it is
-    ranked itself: ``d0`` on the x-axis of ``model_pair(1/2, 64)``, whose
-    rows are pseudospectral members (``s_r / s_0`` about ``2^-64``), is
-    ranked at every node.  The rows equal those of :func:`build` and
+    an SVD: a character within the certified radius (:func:`_radius`) of
+    a ranked neighbour takes that neighbour's rank and stability, which
+    its own SVD would give.  So the rows equal those of :func:`build` and
     :func:`homology_dims` point by point.
 
     The grid is taken 2^15 points at a time, each block with its own two
     ends, so the per-point arrays stay a few MiB however large the grid.
-    Each map takes the route its zeros choose (:func:`_scan_maps`).  A
-    map in the bidiagonal class, such as either map of the model pair,
-    is reduced to real ``N x N`` triangles (:func:`_reduced`), once for
-    all the characters of a level that have 2^15 diagonal entries, and
-    the triangles go to LAPACK in stacks of 2^15 entries.  Any other map
-    goes to LAPACK in chunks of as many characters as fit in 2^15 complex
-    entries, through one pair of chunk arrays that gets the constant
-    blocks of the maps once; only the diagonals are rewritten, and the
-    map is ranked by one stacked SVD a chunk, ``d0`` as built and ``d1``
-    through its tall transpose (see :func:`_sv`).  When LAPACK fails on
-    a stack its matrices are ranked one SVD at a time, and a row that
+    The maps of a level's characters are ranked by :func:`_chunk_sv`, by
+    the route the pair's zeros choose (:func:`_scan_maps`): a map in the
+    bidiagonal class, such as either map of the model pair, through real
+    ``N x N`` triangles in stacks of 2^15 entries, and any other in
+    chunks of as many characters as fit in 2^15 complex entries, through
+    one pair of chunk arrays that gets the constant blocks of the maps
+    once and has only its diagonals rewritten.  When LAPACK fails on a
+    stack its matrices are ranked one SVD at a time, and a row that
     fails again holds the LAPACK error.
     """
     if axis not in ("x", "y"):

@@ -207,7 +207,7 @@ def test_criterion_08_koszul_composite_identity():
             + abs(gamma[0])
             + abs(gamma[1])
         ) ** 2
-        defect = kz.composite_defect(comp, Q)
+        defect = kz.composite_defect(comp)
         assert defect <= 1e-12 * scale
         worst = max(worst, defect / scale)
     for _ in range(100):

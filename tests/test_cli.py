@@ -310,6 +310,19 @@ class TestSeriesCommands:
         assert fy.terms() == []
         assert (fx + fxy + fy) == f
 
+    def test_decompose_to_stdout_is_one_object(self, tmp_path, capsys):
+        f = qa.log_shifted(1.5, QSeries.monomial(Q, 8, 1, 1))
+        src = tmp_path / "f.json"
+        write_series(src, f)
+        assert run(["decompose", src, "--output", "-"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert sorted(payload) == ["x", "xy", "y"]
+        parts = qa.decompose(f)
+        for name, part in zip(("x", "xy", "y"), (parts.f_x, parts.f_xy, parts.f_y)):
+            assert fileio.qseries_from_payload(payload[name]) == part
+        # no parts file is written
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json"]
+
     def test_twist_transposes(self, tmp_path):
         f = QSeries.from_terms(Q, 4, [(2, 1, 1.5)])
         src, out = tmp_path / "f.json", tmp_path / "t.json"
@@ -549,6 +562,19 @@ class TestOperatorCommands:
         assert len(lines) == 33
         # the output path is the only file written
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json", "map.csv"]
+
+    def test_failed_eigenvalue_iteration_exits_4(self, tmp_path, capsys, monkeypatch):
+        # opcalc.eigenvalues turns LAPACK's LinAlgError into NonConvergenceError
+        def fail(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        src = tmp_path / "f.json"
+        write_function(src, log_xy_function(Q, 4, 4))
+        assert run(["specmap", src, "--n", "4"]) == cli.EXIT_NONCONVERGENCE
+        assert capsys.readouterr().err == (
+            "error: nonconvergence: eigenvalue iteration failed: Eigenvalues did not converge\n"
+        )
 
     def test_specmap_on_worked_input_leaves_scipy_optimize_out(self, tmp_path):
         src, out = tmp_path / "f.json", tmp_path / "map.csv"
@@ -949,6 +975,13 @@ TABLE_ARGV = {
     "calc": ["{fn}"],
     "specmap": ["{fn}"],
 }
+SERIES_READERS = {"mul", "pow", "decompose", "norm", "decay", "twist"}
+# "<command>.trunc" reads, in place of xy, a one-term file at one past the
+# command's trunc cap, which must be refused before any array is allocated
+TABLE_ARGV.update({
+    f"{c}.trunc": [a.replace("{xy}", f"{{over_{c}}}") for a in TABLE_ARGV[c]]
+    for c in SERIES_READERS
+})
 FLOAT_EDGES = ["0", "-1", "1e-300", "1e300", "inf", "nan"]
 FLOAT_READERS = {
     "--q-re": Q_READERS, "--q-im": Q_READERS,
@@ -971,6 +1004,7 @@ BOUNDARY = [  # (subcommand, the options after its base arguments)
     ("pow", ["--method=formula", "--s=1000000000"]),
     *[("decay", [f"--smax={v}"]) for v in [*INT_EDGES, str(cli._MAX_SMAX + 1)]],
     *[("scan", [f"--steps={v}"]) for v in [*INT_EDGES, str(cli._MAX_POINTS + 1)]],
+    *[(f"{c}.trunc", []) for c in sorted(SERIES_READERS)],
     *[(c, [f"--q-re={re}", f"--q-im={im}"])
       for re, im in [("1e100", "0"), ("1e-100", "0"), ("-1", "0"), ("0", "1")]
       for c in sorted(Q_READERS)],
@@ -991,6 +1025,12 @@ def table_files(tmp_path_factory):
     files["disks"].write_text(json.dumps([{"re": 1.0, "im": 0.0, "radius": 0.1}]))
     files["points"].write_text(json.dumps([[0.5, 0.0], [0.3, 0.0]]))
     write_function(files["fn"], log_xy_function(Q, 4, 4))
+    for c in SERIES_READERS:
+        files[f"over_{c}"] = d / f"over_{c}.json"
+        files[f"over_{c}"].write_text(json.dumps({
+            "q": [Q, 0.0], "trunc": cli._max_trunc(c) + 1,
+            "terms": [{"i": 1, "k": 1, "re": 1.0, "im": 0.0}],
+        }))
     return files
 
 
@@ -1020,8 +1060,15 @@ def _non_finite_cells(command: str, out: str) -> list:
 @pytest.mark.parametrize("command, edge", BOUNDARY,
                          ids=[" ".join([c, *edge]).translate(str.maketrans("", "", "{}"))
                               for c, edge in BOUNDARY])
-def test_boundary_table(table_files, command, edge, capsys):
-    argv = [a.format(**table_files) for a in [command, *TABLE_ARGV[command], *edge]]
+def test_boundary_table(table_files, command, edge, capsys, monkeypatch):
+    name, _, over_cap = command.partition(".")
+    if over_cap:
+        def refuse(*args, **kwargs):
+            raise AssertionError("an array was allocated")
+
+        for attr in ("zeros", "empty", "zeros_like"):
+            monkeypatch.setattr(np, attr, refuse)
+    argv = [a.format(**table_files) for a in [name, *TABLE_ARGV[command], *edge]]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
@@ -1032,6 +1079,14 @@ def test_boundary_table(table_files, command, edge, capsys):
     assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_PRECONDITION, cli.EXIT_NONCONVERGENCE)
     errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
     assert len(errors) <= 1, captured.err
+    if over_cap:
+        cap = cli._max_trunc(name)
+        # the cap is the largest D whose stated (D+1)^2 tables fit in the budget
+        held = 16 * cli._HELD_TABLES[name]
+        assert held * (cap + 1) ** 2 <= cli._MEMORY_BUDGET < held * (cap + 2) ** 2
+        assert (code, errors) == (cli.EXIT_PRECONDITION, [
+            f"error: precondition: trunc must be <= {cap} for {name}, got {cap + 1}"
+        ])
     if code == cli.EXIT_OK:
         assert captured.err == ""
-        assert _non_finite_cells(command, captured.out) == []
+        assert _non_finite_cells(name, captured.out) == []

@@ -216,6 +216,28 @@ class TestNorm:
                 assert got == want
         assert finite >= 40
 
+    def test_twist_power_past_the_chunk_matches_exact_fractions(self, rng):
+        # |q| > 1 and terms with i k >= 512: the scaled sum splits twist^(-i k)
+        # in more than one chunk of _split_powers.  Radii near 1e10 push the
+        # weights past the double range and the twists below it, so the
+        # direct sum is NaN and every table takes the scaled sum.
+        for _ in range(5):
+            shape = (int(rng.integers(23, 29)), int(rng.integers(23, 29)))
+            rho_x, rho_y = 10.0 ** rng.uniform(8, 12, 2)
+            twist = 10.0 ** rng.uniform(0.5, 1.0)
+            i, k = np.indices(shape)
+            scale = rng.uniform(-300, 300, shape) + i * k * math.log10(twist)
+            scale -= i * math.log10(rho_x) + k * math.log10(rho_y)
+            a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** (
+                np.clip(scale, -300, 300))
+            a[(np.abs(scale) > 300) | (rng.random(shape) < 0.3)] = 0
+            assert (i * k)[a != 0].max() >= 512
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                assert math.isnan(np.sum(np.abs(a) * weights(shape, rho_x, rho_y, twist)))
+            want = exact_l1(a, rho_x, rho_y, twist)
+            assert 0 < want < math.inf
+            assert _weighted_l1(a, rho_x, rho_y, twist) == pytest.approx(want, rel=2e-15, abs=0)
+
     def test_weight_below_the_normal_range(self):
         # 1e-170^2 underflows to 0, where the term is 1e-40
         assert HoloSeries([0.0, 0.0, 1e300]).norm(1e-170) == pytest.approx(1e-40, rel=1e-15, abs=0)

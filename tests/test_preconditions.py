@@ -57,6 +57,11 @@ MIXED = oc.QFunctionRep(Q, (HoloSeries.zero(2), H), 2.0, 2.0)  # f = xy
     (lambda: QSeries.one(Q, 2) * None, TypeError, "unsupported operand"),
     (lambda: None * QSeries.one(Q, 2), TypeError, "unsupported operand"),
     (lambda: H - 1, TypeError, "unsupported operand"),
+    (lambda: oc.OperatorPair(PAIR.t[:2], PAIR.s[:2], Q), PreconditionError,
+     r"expected a square matrix, got shape \(2, 3\)"),
+    (lambda: oc.OperatorPair(PAIR.t, PAIR.s[:2, :2], Q), PreconditionError,
+     r"dimension mismatch: \(3, 3\) vs \(2, 2\)"),
+    (lambda: qa.qpow(XY, 2, "bogus"), ValueError, "unknown method 'bogus'"),
 ], ids=[
     "qfunction-q-zero", "qfunction-empty-f-list", "qfunction-r-x-zero",
     "qfunction-r-y-negative", "calc-qseries-q-mismatch", "model-pair-q-overflow",
@@ -66,7 +71,7 @@ MIXED = oc.QFunctionRep(Q, (HoloSeries.zero(2), H), 2.0, 2.0)  # f = xy
     "spiral-delta-inf", "closure-k-max-negative", "holo-norm-rho-inf",
     "seminorm-rho-inf", "p-seminorm-rho-x-inf", "p-seminorm-rho-y-inf", "disk-radius-zero",
     "qseries-sub-mismatch", "qseries-mul-non-number", "qseries-rmul-non-number",
-    "holo-sub-non-series",
+    "holo-sub-non-series", "pair-not-square", "pair-shape-mismatch", "qpow-unknown-method",
 ])
 def test_raises(call, error, match):
     with pytest.raises(error, match=match):
