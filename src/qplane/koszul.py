@@ -27,7 +27,10 @@ and any other takes the complex SVD of the map itself.
 (:func:`_chunk_sv`).  A scan does not take an SVD at every grid
 character: one SVD settles a map's rank and stability within a radius
 of its character (:func:`_radius`), and the scan ranks coarse to fine
-(:func:`_certified_ranks`).
+(:func:`_certified_ranks`).  A map in the bidiagonal class needs no SVD
+where counts of its triangle's singular values below a few points
+settle the answer (:func:`_count_points`), which they do wherever no
+singular value sits near a threshold.
 
 Scan results describe the *truncated* pair.  No claim is made that they
 converge to the spectrum of the untruncated model (the truncated shift
@@ -60,8 +63,9 @@ times the largest for every ``|gamma| <= 1``.  For ``model_pair(1/2, N)`` and 25
 at N = 8 and 24 no row is a member and every row is stable; at N = 32
 no row is a member and every row is unstable; from N = 36 on every row
 is a member ``(1, 1, 0)``, unstable at N = 36 and stable at N = 40, 48
-and 64.  Such a ``d0`` drops a singular value, so a scan ranks it at
-every node (:func:`_radius`).  A yes/no ``stable`` flag cannot show how
+and 64.  Such a ``d0`` drops a singular value, so its radius
+(:func:`_radius`) certifies no neighbour, and a scan decides it at
+every node by counts.  A yes/no ``stable`` flag cannot show how
 near the threshold a row sits; the graded columns planned in ROADMAP
 item 5 would.
 """
@@ -136,20 +140,6 @@ def _pair_defect(pair: OperatorPair) -> float:
     return abs(pair.q) * pair.residual()
 
 
-def _defect_error(defect: float, scale: float) -> str:
-    """The error text when ``defect`` exceeds ``1e-12 * scale^2``, else ``""``.
-
-    Compared as ``defect / scale <= 1e-12 * scale`` so that a huge
-    character cannot overflow the bound; a NaN defect fails it.
-    """
-    if defect == 0 or defect / scale <= _BUILD_TOL * scale:
-        return ""
-    return (
-        f"composite identity violated: defect {defect:.3e} "
-        f"exceeds {_BUILD_TOL:.0e} * {scale:.3e}^2"
-    )
-
-
 def _q_s(pair: OperatorPair) -> np.ndarray:
     """``qS``; past the double range it concerns every character, so it is a
     :class:`PreconditionError`."""
@@ -188,14 +178,17 @@ def _diagonals(pair: OperatorPair, gx: np.ndarray, gy: np.ndarray) -> tuple[np.n
     """
     finite = np.isfinite(gx) & np.isfinite(gy)
     x, y = np.where(finite, gx, 0), np.where(finite, gy, 0)
-    t_ii, s_ii = np.diag(pair.t), np.diag(pair.s)
     with np.errstate(over="ignore", invalid="ignore"):
-        return (
-            y[:, None] - pair.q * s_ii,
-            t_ii - (pair.q * x)[:, None],
-            t_ii - x[:, None],
-            s_ii - y[:, None],
-        )
+        return _map_diagonals(pair, 0, x, y) + _map_diagonals(pair, 1, x, y)
+
+
+def _map_diagonals(
+    pair: OperatorPair, k: int, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map ``k``'s two diagonals at the finite characters ``(x[i], y[i])``; see :func:`_diagonals`."""
+    if k == 0:
+        return y[:, None] - pair.q * np.diag(pair.s), np.diag(pair.t) - (pair.q * x)[:, None]
+    return np.diag(pair.t) - x[:, None], np.diag(pair.s) - y[:, None]
 
 
 def _errors(
@@ -221,20 +214,28 @@ def _errors(
     x, y = np.where(finite, gx, 0), np.where(finite, gy, 0)
     # a diagonal entry or product past the double range leaves no defect
     # to bound: that character is an error row, without a warning
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         bounded = np.isfinite((pair.q - 1.0) * x * y)
         scales = pair_scale + np.abs(x) + np.abs(y)
-    for diag in diags:
-        bounded &= np.isfinite(diag).all(axis=1)
-    return [
-        f"character ({a}, {c}) is not finite" if not ok
-        else f"the defect bound's scale at character ({a}, {c}) leaves the double range"
-        if s == math.inf
-        else _defect_error(pair_defect if b else math.nan, s)
-        for a, c, ok, b, s in zip(
-            gx.tolist(), gy.tolist(), finite.tolist(), bounded.tolist(), scales.tolist()
+        for diag in diags:
+            bounded &= np.isfinite(diag).all(axis=1)
+        defect = np.where(bounded, pair_defect, math.nan)
+        # compared as defect / scale <= 1e-12 * scale, so that a huge
+        # character cannot overflow the bound; a NaN defect fails it
+        ok = finite & (scales != math.inf) & (
+            (defect == 0) | (defect / scales <= _BUILD_TOL * scales)
         )
-    ]
+    errors = [""] * gx.size
+    for i in np.flatnonzero(~ok).tolist():
+        a, c, s = gx[i].item(), gy[i].item(), scales[i].item()
+        errors[i] = (
+            f"character ({a}, {c}) is not finite" if not finite[i]
+            else f"the defect bound's scale at character ({a}, {c}) leaves the double range"
+            if s == math.inf
+            else f"composite identity violated: defect {defect[i].item():.3e} "
+            f"exceeds {_BUILD_TOL:.0e} * {s:.3e}^2"
+        )
+    return errors
 
 
 def _write_diagonals(
@@ -373,9 +374,13 @@ class _Bidiagonal(NamedTuple):
 
 
 def _outside_band(m: np.ndarray, lo: int, hi: int) -> bool:
-    """Whether ``m`` has a nonzero outside its diagonals ``lo .. hi`` (0 the main one)."""
-    nz = m != 0
-    return bool(np.tril(nz, lo - 1).any() or np.triu(nz, hi + 1).any())
+    """Whether ``m`` has a nonzero outside its diagonals ``lo .. hi`` (0 the main one).
+
+    It does when it has more nonzeros than those diagonals hold, so no
+    ``N x N`` mask is formed.
+    """
+    inside = sum(np.count_nonzero(np.diagonal(m, d)) for d in range(lo, hi + 1))
+    return np.count_nonzero(m) > inside
 
 
 def _bidiagonal(top: np.ndarray, bottom: np.ndarray) -> _Bidiagonal | None:
@@ -619,7 +624,10 @@ class GridSpec:
             return []
         res = _axis_nodes(self.re_min, self.re_max, self.steps)
         ims = _axis_nodes(self.im_min, self.im_max, self.steps)
-        return [complex(r, i) for r in res for i in ims]
+        # parts assigned, not r + 1j * i, which turns an infinite part into NaN parts
+        nodes = np.empty((res.size, ims.size), dtype=np.complex128)
+        nodes.real, nodes.imag = res[:, None], ims
+        return nodes.ravel().tolist()
 
 
 def _is_open(lo: float, hi: float) -> bool:
@@ -684,8 +692,11 @@ def _radius(sv: np.ndarray, rank: np.ndarray, rank_tol: float, slack: np.ndarray
     :func:`_reduced`), and the rounding of the written diagonals.  A map
     that drops a singular value keeps its rank only within ``rank_tol s_0
     / 10`` (about ``1e-11 s_0`` at the default), less than any coarser
-    grid step, so a scan ranks it at every node; so too a map whose
-    counted ``s_{r-1}`` sits within a grid step of ten thresholds.
+    grid step, so its radius certifies no neighbour; so too a map whose
+    counted ``s_{r-1}`` sits within a grid step of ten thresholds.  A scan
+    decides such a map at every node, by counts where it has a
+    :func:`_bidiagonal` form (:func:`_count_points`) and by an SVD where
+    it has none or where the counts do not settle it.
     """
     rows, k = np.arange(sv.shape[0]), sv.shape[1]
     s0 = sv[:, 0]
@@ -700,6 +711,155 @@ def _radius(sv: np.ndarray, rank: np.ndarray, rank_tol: float, slack: np.ndarray
         )
         rho = np.minimum(counted, dropped) - slack
     return np.where(rho > 0, rho, 0.0)
+
+
+def _count_points(
+    rho: np.ndarray, f: np.ndarray, k: np.ndarray, norms: np.ndarray, rank_tol: float
+) -> np.ndarray:
+    """Where to count the singular values of each triangle to decide its map without an SVD.
+
+    ``rho[i]``, ``f[i]`` and ``k[i]`` are a map's :func:`_reduced`
+    triangle ``R`` and scale, and ``norms[i]`` bounds the map's norm.
+    Returns ``(A_c (1 - eta), B_c (1 + eta))`` for ``c = 1/10, 1, 10``,
+    six points a row, or NaN where no count decides.  A singular value
+    counted outside ``[A_c (1 - eta), B_c (1 + eta)]`` falls on the same
+    side of the threshold ``c rank_tol s_0`` in :func:`_ranks` as the SVD
+    of ``R`` would put it, the SVD that :func:`homology_dims` takes.
+
+    In the scale of ``R``, the ``2^-k`` of :func:`_reduced`:
+
+    * ``s_0`` is bracketed without an SVD: ``lo``, the largest row or
+      column 2-norm of ``R``, is at most ``s_0``, and ``hi =
+      sqrt(||R||_1 ||R||_inf)`` at least; ``hi <= sqrt(2) lo``.
+    * The slack ``E = _SLACK N u (hi + 2^-k norms)`` is that of
+      :func:`_radius` with ``s_0`` raised to ``hi``.  It covers the
+      backward error of the SVD of ``R``, and that of :func:`_reduced`,
+      so every singular value the SVD returns is within ``E`` of an exact
+      one.  ``2^(-1070 - k)`` is added to ``E`` for the subnormal step of the
+      unscaled values and thresholds that :func:`_ranks` compares.
+    * ``eta = _SLACK N u`` covers relatively the roundings of ``lo``,
+      ``hi`` and the thresholds, and the count: the count of
+      :func:`_sturm_counts` is exact for a bidiagonal within a few ``u``
+      of ``R`` entry by entry, whose singular values are within ``(2N -
+      1)`` times that of ``R``'s (Demmel & Kahan, 1990).
+    * So the SVD's ``s_0`` lies in ``[lo (1 - eta) - E, hi (1 + eta) +
+      E]``, its threshold in ``[c rank_tol (lo (1 - eta) - E) (1 - eta)
+      - E, c rank_tol (hi (1 + eta) + E) (1 + eta) + E]``, and only a
+      singular value within ``E`` of that, in ``[A_c, B_c]``, can fall on
+      either side of it; counted, that is ``[A_c (1 - eta), B_c (1 +
+      eta)]``.
+
+    A row whose unscaled ``s_0`` or largest threshold may leave the double
+    range, where :func:`_ranks` compares ``inf``, is NaN.
+    """
+    m, n = rho.shape
+    k = k.reshape(m)
+    eta = _SLACK * n * _UNIT_ROUNDOFF
+    in_row, in_col = np.zeros((m, n)), np.zeros((m, n))  # f_i in row i, f_{j-1} in column j
+    in_row[:, :-1], in_col[:, 1:] = f, f
+    lo = np.maximum(np.hypot(rho, in_row).max(axis=1), np.hypot(rho, in_col).max(axis=1))
+    hi = np.sqrt((rho + in_col).max(axis=1) * (rho + in_row).max(axis=1))
+    c = rank_tol * np.array([0.1, 1.0, 10.0])
+    with np.errstate(all="ignore"):
+        slack = eta * (hi + np.ldexp(norms, -k)) + np.ldexp(1.0, -1070 - k)
+        s_lo, s_hi = lo * (1 - eta) - slack, hi * (1 + eta) + slack
+        a = (c * (s_lo * (1 - eta))[:, None] - 2 * slack[:, None]) * (1 - eta)
+        b = (c * (s_hi * (1 + eta))[:, None] + 2 * slack[:, None]) * (1 + eta)
+        top = np.ldexp(np.maximum(s_hi, b[:, 2]), k)
+    points = np.stack([a, b], axis=2).reshape(m, 6)
+    points[~np.isfinite(top)] = np.nan
+    return points
+
+
+def _sturm_counts(rho: np.ndarray, f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``counts[i, j]``: how many singular values of triangle ``i`` lie below ``x[i, j]``.
+
+    The triangle is upper bidiagonal with diagonal ``rho[i]`` and
+    superdiagonal ``f[i]``; its Golub-Kahan matrix, tridiagonal with zero
+    diagonal and off-diagonal ``rho_0, f_0, rho_1, ..., rho_{N-1}``, has
+    the eigenvalues ``+-s_j``.  The ``2N`` pivots of its ``LDL^T`` less
+    ``x`` run over all points at once, and ``N`` less than their negatives
+    counts the ``s_j < x`` (Sturm; Demmel & Kahan, 1990).  A point at or
+    below 0 counts nothing.  A pivot that is exactly 0 is taken as
+    ``+0``, which IEEE division turns into an infinite next pivot, and a
+    0 / 0 on the way leaves NaN to the last pivot: that count is -1, as
+    is the count at a NaN point.
+    """
+    m, n = rho.shape
+    b2 = np.empty((2 * n - 1, m))
+    np.square(rho.T, out=b2[0::2])
+    np.square(f.T, out=b2[1::2])
+    x = x.T
+    with np.errstate(all="ignore"):
+        shift = -np.where(x > 0, x, 1.0)
+        d = shift.copy()
+        ratio = np.empty_like(d)
+        negative = np.ones(d.shape, dtype=np.int32)
+        below = np.empty(d.shape, dtype=bool)
+        for b in b2:
+            np.divide(b, d, out=ratio)
+            np.subtract(shift, ratio, out=d)
+            negative += np.less(d, 0.0, out=below)
+    counts = np.where(x > 0, negative - n, 0)
+    counts[np.isnan(d) | np.isnan(x)] = -1
+    return counts.T
+
+
+def _decide_by_counts(
+    rho: np.ndarray, f: np.ndarray, k: np.ndarray, norms: np.ndarray, rank_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rank and stability that :func:`_ranks` would read off each triangle's SVD, or rank -1.
+
+    The counts below the :func:`_count_points` ``A_c (1 - eta)`` and
+    ``B_c (1 + eta)`` decide the rank where none lies between the pair
+    for ``c = 1``: then it is ``N`` less the count below that pair.  The
+    map is stable where no singular value lies between ``A_{1/10}`` and
+    ``B_10``, and unstable where one lies between ``B_{1/10}`` and
+    ``A_10``, so within 10x of every threshold in the bracket.  A
+    triangle that is not decided both ways gets rank -1 and is not
+    stable.
+    """
+    counts = _sturm_counts(rho, f, _count_points(rho, f, k, norms, rank_tol))
+    lo_10th, hi_10th, lo_1, hi_1, lo_10, hi_10 = counts.T
+    stable = hi_10 == lo_10th
+    decided = (counts >= 0).all(axis=1) & (hi_1 == lo_1) & (stable | (lo_10 > hi_10th))
+    return np.where(decided, rho.shape[1] - hi_1, -1), stable & decided
+
+
+def _map_norms(pair: OperatorPair, gx: np.ndarray, gy: np.ndarray, pair_scale: float) -> np.ndarray:
+    """``(1 + |q|) scale``, a bound on the norm of both maps at each character; see :func:`_radius`."""
+    with np.errstate(over="ignore"):
+        return (1.0 + abs(pair.q)) * (pair_scale + np.abs(gx) + np.abs(gy))
+
+
+def _counted_ranks(
+    pair: OperatorPair,
+    axis: Literal["x", "y"],
+    g: np.ndarray,
+    k: int,
+    form: _Bidiagonal,
+    pair_scale: float,
+    rank_tol: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rank and stability of map ``k`` at the axis characters ``g`` by counts, rank -1 undecided.
+
+    Map ``k`` has the :func:`_bidiagonal` form ``form``; its triangles
+    are counted by :func:`_decide_by_counts`.  A chunk takes as many
+    characters as 512 KiB holds at ``2N + 6`` reals a character: the
+    ``2N - 1`` squared entries of a triangle and its six points (the
+    pivots and counts take a few more rows of six).
+    """
+    rank = np.empty(g.size, dtype=np.int32)
+    stable = np.empty(g.size, dtype=bool)
+    step = max(1, 2 * _STACK_ENTRIES // (2 * pair.n + 6))
+    for start in range(0, g.size, step):
+        at = slice(start, start + step)
+        gx, gy = _on_axis(axis, g[at])
+        rho, f, scale = _reduced(form, *_map_diagonals(pair, k, gx, gy))
+        rank[at], stable[at] = _decide_by_counts(
+            rho, f, scale, _map_norms(pair, gx, gy, pair_scale), rank_tol
+        )
+    return rank, stable
 
 
 def _on_axis(axis: Literal["x", "y"], g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -728,7 +888,10 @@ def _certified_ranks(
     on ``maps.size`` characters at a time.  Between two characters on one
     axis only the diagonals differ: ``d0`` moves by ``|q| |dg|`` on the
     x-axis and ``|dg|`` on the y-axis, and ``d1`` by ``|dg|``, in the
-    spectral norm.
+    spectral norm.  A map with a :func:`_bidiagonal` form takes no
+    middles: after the end characters every character it leaves
+    undecided goes through one pass of counts (:func:`_counted_ranks`),
+    and those the counts do not decide are ranked at the next level.
     """
     m = g.size
     rank = np.full((m, 2), -1, dtype=np.int32)
@@ -747,8 +910,7 @@ def _certified_ranks(
         for start in range(0, level.size, maps.size):
             at = level[start : start + maps.size]
             gx, gy = _on_axis(axis, g[at])
-            with np.errstate(over="ignore"):
-                norms = (1.0 + abs(pair.q)) * (pair_scale + np.abs(gx) + np.abs(gy))
+            norms = _map_norms(pair, gx, gy, pair_scale)
             errors = [""] * at.size
             for k, rows, sv in _chunk_sv(pair, gx, gy, wanted[at], maps, errors):
                 i = at[rows]
@@ -759,10 +921,18 @@ def _certified_ranks(
             failed.update((int(i), e) for i, e in zip(at, errors) if e)
         ranked |= wanted
         wanted[:] = False
-        for k in (0, 1):
-            wanted[_undecided_middles(
+        for k, form in enumerate(maps.forms):
+            middles = _undecided_middles(
                 rank[:, k], stable[:, k], radius[:, k], np.flatnonzero(ranked[:, k]), g, weights[k]
-            ), k] = True
+            )
+            if form is None or not middles.size:
+                wanted[middles, k] = True
+                continue
+            left = np.flatnonzero(rank[:, k] < 0)
+            rank[left, k], stable[left, k] = _counted_ranks(
+                pair, axis, g[left], k, form, pair_scale, rank_tol
+            )
+            wanted[left[rank[left, k] < 0], k] = True
     return rank, stable, failed
 
 
@@ -825,8 +995,12 @@ def spectrum_scan(
     the grid order (:func:`_certified_ranks`), and not every one takes
     an SVD: a character within the certified radius (:func:`_radius`) of
     a ranked neighbour takes that neighbour's rank and stability, which
-    its own SVD would give.  So the rows equal those of :func:`build` and
-    :func:`homology_dims` point by point.
+    its own SVD would give.  A map in the bidiagonal class is decided at
+    the other characters by counts of its singular values below six
+    points (:func:`_count_points`), which give what its own SVD would
+    give wherever they decide, and an SVD ranks the rest.  So the rows
+    equal those of :func:`build` and :func:`homology_dims` point by
+    point.
 
     The grid is taken 2^15 points at a time, each block with its own two
     ends, so the per-point arrays stay a few MiB however large the grid.

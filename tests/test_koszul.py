@@ -275,6 +275,24 @@ class TestGridSpec:
         grid = kz.GridSpec(*re, *im, steps)
         assert grid.size == len(grid.points())
 
+    @pytest.mark.parametrize("bounds", [
+        (-0.0, -0.0, -0.0, -0.0, 1),
+        (-0.0, 1.0, -1.0, -0.0, 3),
+        (0.5, 0.5, -1.0, math.inf, 3),
+        (-math.inf, math.inf, -0.0, 0.0, 3),
+        (math.inf, math.inf, math.nan, 1.0, 2),
+        (-1e308, 1e308, -math.inf, -math.inf, 4),
+    ])
+    def test_points_keep_every_part(self, bounds):
+        # each node's parts are its two axis nodes, a signed zero and an
+        # infinite part included: r + 1j * i would turn inf into NaN parts
+        grid = kz.GridSpec(*bounds)
+        res = kz._axis_nodes(grid.re_min, grid.re_max, grid.steps)
+        ims = kz._axis_nodes(grid.im_min, grid.im_max, grid.steps)
+        want = [complex(r, i) for r in res for i in ims]
+        assert [repr(p) for p in grid.points()] == [repr(p) for p in want]
+        assert all(type(p) is complex for p in grid.points())
+
     def test_size_builds_no_node(self, monkeypatch):
         monkeypatch.setattr(np, "linspace", None)
         assert kz.GridSpec(0.0, 1.0, 0.0, 1.0, 10**6).size == 10**12
@@ -493,6 +511,43 @@ class TestBatchedScan:
         with pytest.raises(PreconditionError, match="q S leaves the double range"):
             kz.build(pair, (0.0, 0.5))
 
+    @pytest.mark.parametrize("defect", [0.0, 1e-14, 1e305, math.inf, math.nan])
+    def test_errors_are_formatted_only_where_a_character_fails(self, defect):
+        # every character's text equals that of the per-character rule, with
+        # non-finite parts, signed zeros and characters past the double range
+        def defect_error(defect, scale):
+            if defect == 0 or defect / scale <= 1e-12 * scale:
+                return ""
+            return f"composite identity violated: defect {defect:.3e} exceeds 1e-12 * {scale:.3e}^2"
+
+        def per_character(pair, gx, gy, diags, pair_defect, pair_scale):
+            finite = np.isfinite(gx) & np.isfinite(gy)
+            x, y = np.where(finite, gx, 0), np.where(finite, gy, 0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                bounded = np.isfinite((pair.q - 1.0) * x * y)
+                scales = pair_scale + np.abs(x) + np.abs(y)
+            for diag in diags:
+                bounded &= np.isfinite(diag).all(axis=1)
+            return [
+                f"character ({a}, {c}) is not finite" if not ok
+                else f"the defect bound's scale at character ({a}, {c}) leaves the double range"
+                if s == math.inf
+                else defect_error(pair_defect if b else math.nan, s)
+                for a, c, ok, b, s in zip(
+                    gx.tolist(), gy.tolist(), finite.tolist(), bounded.tolist(), scales.tolist()
+                )
+            ]
+
+        pair = oc.model_pair(2.0, 4)
+        parts = [0.0, -0.0, 0.5, -1e155, 1e160, 1.5e308, math.inf, -math.inf, math.nan]
+        g = np.array([complex(a, b) for a in parts for b in parts])
+        zero = np.zeros_like(g)
+        for gx, gy in ((g, zero), (zero, g), (g, g), (-zero, g)):
+            diags = kz._diagonals(pair, gx, gy)
+            got = kz._errors(pair, gx, gy, diags, defect, kz._pair_scale(pair))
+            assert got == per_character(pair, gx, gy, diags, defect, kz._pair_scale(pair))
+            assert got.count("") < len(got)
+
     def test_non_finite_points_between_ranked_nodes(self):
         # the ends and middles the scan ranks are counted over the points that
         # have a complex; error rows sit at an end, next to one and mid-gap
@@ -628,17 +683,18 @@ class TestBatchedScan:
         assert len(filled) == 13 and filled.count(step) == 3 and sum(filled) == size - 1
 
     def test_failed_triangle_stack_lands_in_its_own_row(self, monkeypatch):
-        # The bidiagonal route of the model pair: at rank_tol = 0.1 no map is
-        # certified, so every node is ranked.  A map's triangles go to LAPACK
-        # in stacks of _STACK_ENTRIES / N^2 = 512: one full stack at the level
-        # of 512 nodes and two at the level of 1024.
-        # Every stack fails, so every triangle is ranked alone, and the first
-        # of those, d0 at the first end node, fails again.
+        # The bidiagonal route of the model pair.  At rank_tol = 0.5 every
+        # map is unstable, so no radius certifies, and on the x-axis the
+        # counts leave most d0 nodes undecided (a singular value lies within
+        # the sqrt(2) bracket of the threshold): those take SVDs in stacks
+        # of _STACK_ENTRIES / N^2 = 512 triangles, past the two end nodes.
+        # Every stack fails, so every triangle is ranked alone, and the
+        # first of those, d0 at the first end node, fails again.
         n = 8
         pair = oc.model_pair(Q, n)
         step = kz._STACK_ENTRIES // (n * n)  # triangles per stack
-        grid = kz.GridSpec(0.0, 1.0, 0.0, 0.0, 4 * step + 3)
-        want = naive_spectrum_scan(pair, "y", grid, 0.1)
+        grid = kz.GridSpec(0.0, 1.0, 0.0, 0.0, 2 * step + 3)
+        want = naive_spectrum_scan(pair, "x", grid, 0.5)
         real_svd = np.linalg.svd
         stacks, alone = [], []
 
@@ -652,12 +708,13 @@ class TestBatchedScan:
             return real_svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", svd)
-        rows = kz.spectrum_scan(pair, "y", grid, 0.1)
+        rows = kz.spectrum_scan(pair, "x", grid, 0.5)
         assert [i for i, r in enumerate(rows) if r.error] == [0]
         assert rows[0].error == "SVD did not converge"
         assert rows[1:] == want[1:]
-        assert max(stacks) == step and stacks.count(step) == 2 * 3
-        assert len(alone) == sum(stacks) == 2 * grid.size
+        assert stacks[:2] == [2, 2]  # the end nodes of d0, then of d1
+        assert max(stacks) == step and sum(stacks[2:]) > step  # the counts' leftovers
+        assert len(alone) == sum(stacks)
 
     def test_every_svd_takes_a_real_square_matrix_on_the_model_pair(self, monkeypatch):
         # both maps of the model pair are bidiagonal, so each is ranked
@@ -685,21 +742,38 @@ class TestBatchedScan:
         assert set(taken) == {(np.dtype(np.float64), (n, n))}
 
     def test_benchmark_scans_rank_the_stated_nodes(self, monkeypatch):
-        # README and ROADMAP state how many nodes each map ranks on the
-        # four benchmark scans (d0 / d1); the rest are certified
-        chunk_sv, ranked = kz._chunk_sv, []
+        # README and ROADMAP state, for each map of the four benchmark scans
+        # (d0 / d1), how many nodes take an SVD and how many the counts
+        # decide; the end nodes' radii certify the rest
+        chunk_sv, counted_ranks = kz._chunk_sv, kz._counted_ranks
+        ranked, counted = [], []
 
-        def counted(pair, gx, gy, want, *args):
+        def svd_spy(pair, gx, gy, want, *args):
             ranked.append(want.sum(axis=0))
             return chunk_sv(pair, gx, gy, want, *args)
 
-        monkeypatch.setattr(kz, "_chunk_sv", counted)
+        def count_spy(pair, axis, g, k, *args):
+            rank, stable = counted_ranks(pair, axis, g, k, *args)
+            counted.append(np.eye(2, dtype=int)[k] * np.count_nonzero(rank >= 0))
+            return rank, stable
+
+        monkeypatch.setattr(kz, "_chunk_sv", svd_spy)
+        monkeypatch.setattr(kz, "_counted_ranks", count_spy)
         got = {}
         for axis, n, steps in [("x", 8, 1025), ("y", 8, 1025), ("x", 64, 257), ("y", 64, 257)]:
             ranked.clear()
+            counted.clear()
             kz.spectrum_scan(oc.model_pair(Q, n), axis, kz.GridSpec(0.0, 1.0, 0.0, 0.0, steps))
-            got[axis, n] = tuple(np.sum(ranked, axis=0).tolist())
-        assert got == {("x", 8): (65, 2), ("y", 8): (3, 2), ("x", 64): (257, 2), ("y", 64): (2, 2)}
+            got[axis, n] = (
+                tuple(np.sum(ranked, axis=0).tolist()),
+                tuple(np.sum(counted, axis=0).tolist()) if counted else (0, 0),
+            )
+        assert got == {
+            ("x", 8): ((2, 2), (997, 0)),
+            ("y", 8): ((2, 2), (1, 0)),
+            ("x", 64): ((2, 2), (255, 0)),
+            ("y", 64): ((2, 2), (0, 0)),
+        }
 
     def test_built_maps_are_not_rewritten(self):
         pair = oc.model_pair(Q, 8)
@@ -821,3 +895,209 @@ class TestBidiagonalRoute:
                     assert hom == naive_homology_dims(comp, kz.DEFAULT_RANK_TOL), (name, g)
                     members += hom.member
         assert members >= 40
+
+    def test_band_is_tested_by_counts(self, rng):
+        # _outside_band counts nonzeros where the mask form took np.tril and
+        # np.triu of the whole matrix; a single off-band entry, a corner
+        # one included, still leaves the band
+        def outside_by_masks(m, lo, hi):
+            nz = m != 0
+            return bool(np.tril(nz, lo - 1).any() or np.triu(nz, hi + 1).any())
+
+        for n in (1, 2, 3, 6):
+            off_band = [None, (n - 1, 0), (0, n - 1)] + [
+                tuple(rng.integers(0, n, 2)) for _ in range(4)
+            ]
+            for lo, hi in ((0, 0), (-1, 0), (0, 1)):
+                band = sum(np.diag(rng.standard_normal(n - abs(d)), d) for d in range(lo, hi + 1))
+                band[rng.random((n, n)) < 0.3] = 0.0
+                for entry in off_band:
+                    m = band.astype(np.complex128)
+                    if entry is not None:
+                        m[entry] = 1e-300j
+                    assert kz._outside_band(m, lo, hi) == outside_by_masks(m, lo, hi), (n, lo, entry)
+        four = oc.model_pair(Q, 4)
+        for corner in ((0, 3), (3, 0)):
+            s = four.s.copy()
+            s[corner] = 1e-300
+            assert kz._bidiagonal(s, four.t) is None
+        form = kz._bidiagonal(four.s, four.t)
+        assert (form.diagonal_on_top, form.flip, form.e.tolist()) == (True, False, [1.0] * 3)
+
+
+def bidiagonal_svd(rho, f):
+    """Singular values of the upper bidiagonal with diagonal ``rho`` and superdiagonal ``f``."""
+    return np.linalg.svd(np.diag(rho) + np.diag(f, 1), compute_uv=False)
+
+
+class TestSturmCounts:
+    """Counts of singular values below a point, against LAPACK's SVD."""
+
+    @staticmethod
+    def graded(rng, n):
+        """A bidiagonal with entries from 1e-300 to 1e300, about a fifth of them 0,
+        scaled by 2^-k as _reduced scales a map."""
+        rho = 10.0 ** rng.uniform(-300, 300, n)
+        f = 10.0 ** rng.uniform(-300, 300, n - 1)
+        rho[rng.random(n) < 0.2] = 0.0
+        f[rng.random(n - 1) < 0.2] = 0.0
+        k = np.frexp(max(rho.max(), f.max(initial=0.0)))[1]
+        return np.ldexp(rho, -k), np.ldexp(f, -k)
+
+    @staticmethod
+    def points_between(sv, rng):
+        """Points that no singular value is near: the count there is exact.
+
+        The count is exact for a bidiagonal within a few u of the given one,
+        and squares below 2^-1022 flush, which moves a singular value by
+        about 1e-154 at most."""
+        sv = np.sort(sv)
+        cuts = np.concatenate([[sv[0] / 2], np.sqrt(sv[:-1] * sv[1:]), [2 * sv[-1] + 1],
+                               10.0 ** rng.uniform(-150, 1, 20)])
+        gap = np.abs(cuts[:, None] - sv[None, :]).min(axis=1)
+        return cuts[(cuts > 1e-140) & (gap > 1e-6 * cuts + 1e-150)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 40])
+    def test_graded_entries_against_the_svd(self, n, rng):
+        checked = 0
+        for _ in range(40):
+            rho, f = self.graded(rng, n)
+            sv = bidiagonal_svd(rho, f)
+            x = self.points_between(sv, rng)
+            counts = kz._sturm_counts(rho[None], f[None], x[None])[0]
+            assert counts.tolist() == [int(np.count_nonzero(sv < p)) for p in x], (rho, f)
+            checked += x.size
+        assert checked >= 400
+
+    def test_zero_entries_split_the_matrix(self):
+        # rho_1 = 0 and f_2 = 0: the blocks [[3, 1], [0, 0]] and [[1/2]] and [[2]]
+        rho = np.array([3.0, 0.0, 0.5, 2.0])
+        f = np.array([1.0, 0.0, 0.0])
+        sv = bidiagonal_svd(rho, f)
+        x = np.array([1e-300, 0.25, 0.75, 1.5, 2.5, 3.5, 1e300])
+        counts = kz._sturm_counts(rho[None], f[None], x[None])[0]
+        assert counts.tolist() == [int(np.count_nonzero(sv < p)) for p in x] == [1, 1, 2, 2, 3, 4, 4]
+
+    def test_one_by_one(self):
+        counts = kz._sturm_counts(np.array([[0.5], [0.0]]), np.zeros((2, 0)),
+                                  np.array([[0.25, 0.75], [1e-300, 1.0]]))
+        assert counts.tolist() == [[0, 1], [1, 1]]
+
+    def test_points_at_or_below_zero_and_nan(self):
+        rho, f = np.array([[1.0, 2.0]]), np.array([[0.5]])
+        counts = kz._sturm_counts(rho, f, np.array([[0.0, -1.0, -math.inf, math.nan, 1e3]]))
+        assert counts.tolist() == [[0, 0, 0, -1, 2]]
+
+    def test_zero_over_zero_is_no_count(self):
+        # at x = 1 the second pivot of diag(1, 1) is exactly 0, and the zero
+        # superdiagonal then divides 0 by it
+        counts = kz._sturm_counts(np.array([[1.0, 1.0]]), np.zeros((1, 1)), np.array([[1.0, 0.5, 2.0]]))
+        assert counts.tolist() == [[-1, 0, 2]]
+
+
+class TestCountWindow:
+    """A singular value just inside or just outside the widened window of _count_points."""
+
+    @staticmethod
+    def decide(s, rank_tol):
+        """diag(1, s): both row and column norms bracket s_0 = 1 exactly."""
+        rho, f = np.array([[1.0, s]]), np.zeros((1, 1))
+        scale, norms = np.zeros((1, 1), dtype=np.int32), np.array([1.0])
+        rank, stable = kz._decide_by_counts(rho, f, scale, norms, rank_tol)
+        points = kz._count_points(rho, f, scale, norms, rank_tol)[0]
+        return int(rank[0]), bool(stable[0]), points
+
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-3])
+    def test_each_end_of_each_window(self, rank_tol):
+        _, _, points = self.decide(0.0, rank_tol)
+        eta = kz._SLACK * 2 * kz._UNIT_ROUNDOFF
+        assert points[2] < rank_tol * (1 - eta) < rank_tol * (1 + eta) < points[3]
+        # lo = hi = s_0, so each window is the slack alone, wider than 1e-13
+        # relatively; a count tells values 1e-13 apart
+        below, above = 1 - 1e-13, 1 + 1e-13
+        # (singular value, decided rank and stability); -1 for undecided
+        cases = [
+            (points[0] * below, (1, True)),  # under a tenth of every threshold
+            (points[0] * above, (-1, None)),  # maybe within 10x of one
+            (points[1] * below, (-1, None)),
+            (points[1] * above, (1, False)),  # within 10x of every threshold
+            (points[2] * below, (1, False)),
+            (points[2] * above, (-1, None)),  # maybe counted
+            (points[3] * below, (-1, None)),
+            (points[3] * above, (2, False)),  # counted by every threshold
+            (points[4] * below, (2, False)),
+            (points[4] * above, (-1, None)),
+            (points[5] * below, (-1, None)),
+            (points[5] * above, (2, True)),  # over ten of every threshold
+        ]
+        for s, (rank, stable) in cases:
+            got_rank, got_stable, _ = self.decide(s, rank_tol)
+            assert got_rank == rank, s
+            if rank >= 0:
+                assert got_stable == stable, s
+                sv = bidiagonal_svd(np.array([1.0, s]), np.zeros(1))
+                assert (rank, stable) == tuple(v.item() for v in kz._ranks(sv[None], rank_tol))
+
+    def test_unscaled_values_past_the_double_range_are_undecided(self):
+        # s_0 = 1 times 2^k: past the top of the range, or so far down that the
+        # subnormal step of the unscaled values is as large as the slack
+        rho, f, norms = np.array([[1.0, 0.5]]), np.zeros((1, 1)), np.zeros(1)
+        for k, decided in ((1000, True), (1023, True), (1024, False), (-1000, True), (-1074, False)):
+            scale = np.full((1, 1), k, dtype=np.int32)
+            rank, _ = kz._decide_by_counts(rho, f, scale, norms, 1e-10)
+            assert (rank[0] >= 0) == decided, k
+
+
+def model_rows(pair, axis, grid, rank_tol):
+    """``(h0, h1, h2, member, stable)`` of ``homology_dims`` at each grid point."""
+    rows = []
+    for g in grid.points():
+        h = kz.homology_dims(kz.build(pair, (g, 0j) if axis == "x" else (0j, g)), rank_tol)
+        rows.append((h.h0, h.h1, h.h2, h.member, h.stable))
+    return rows
+
+
+class TestCountedScan:
+    """Scans whose bidiagonal maps are decided by counts, against homology_dims point by point."""
+
+    @pytest.mark.parametrize("n", [8, 32, 36, 40, 64])
+    def test_rows_equal_homology_dims(self, n, monkeypatch):
+        counted_ranks, left = kz._counted_ranks, []
+
+        def spy(*args):
+            rank, stable = counted_ranks(*args)
+            left.append(int(np.count_nonzero(rank < 0)))
+            return rank, stable
+
+        monkeypatch.setattr(kz, "_counted_ranks", spy)
+        grid = kz.GridSpec(0.0, 1.0, 0.0, 0.0, 17)
+        for q in (0.5, 0.5 + 0.25j, 2.0, 1e-3):
+            pair = oc.model_pair(q, n)
+            for rank_tol in (1e-300, 1e-10, 0.5):
+                for axis in ("x", "y"):
+                    rows = kz.spectrum_scan(pair, axis, grid, rank_tol)
+                    got = [(r.h0, r.h1, r.h2, r.member, r.stable) for r in rows]
+                    assert got == model_rows(pair, axis, grid, rank_tol), (q, rank_tol, axis)
+        assert left
+        if n in (36, 40):
+            # a singular value near a threshold leaves nodes to the SVD
+            assert sum(left) > 0
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_unscaled_overflow_leaves_the_node_to_the_svd(self, axis, monkeypatch):
+        # the middle node of test_modulus_past_the_double_range_as_the_dense_route:
+        # its map's singular values pass the double range, so the counts
+        # leave it to the SVD, without a warning on the way
+        counted_ranks, seen = kz._counted_ranks, []
+
+        def spy(*args):
+            rank, stable = counted_ranks(*args)
+            seen.append(rank.tolist())
+            return rank, stable
+
+        monkeypatch.setattr(kz, "_counted_ranks", spy)
+        pair = oc.model_pair(Q, 4)
+        grid = ListedGrid([complex(1.2e308, 1.2e308), complex(1e308, -1e308), 0.5])
+        rows = kz.spectrum_scan(pair, axis, grid)
+        assert -1 in sum(seen, [])
+        assert rows == naive_spectrum_scan(pair, axis, grid)
